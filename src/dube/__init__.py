@@ -18,7 +18,7 @@ from .dataset import (Dataset, DatasetError, FoldPlan, class_counts,
                       inject_flip_noise, load_csv, make_gaussian_1d,
                       make_overlap_2d, stratified_k_fold)
 from .ensemble import (DubeConfig, EnsembleModel, TrainingTrace, dube_fit,
-                       ensemble_predict_proba, load_model, predict, save_model)
+                       load_model, save_model)
 from .learners import (KnnParams, TreeParams, fit_learner, knn_fit, tree_fit)
 from .metrics import (EvalReport, confusion_matrix, evaluate, macro_auroc,
                       macro_f1, mcc)
@@ -34,11 +34,11 @@ __all__ = [
     "KnnParams", "RNG_ALGORITHM", "SamplingPlan", "ToyConfig",
     "TrainingTrace", "TreeParams", "check_pbda_bound", "class_counts",
     "class_covariance", "confusion_matrix", "d_max", "dube_fit",
-    "ensemble_predict_proba", "error_histogram", "evaluate", "fit_learner",
-    "hem_weights", "inject_flip_noise", "knn_fit", "load_csv", "load_model",
+    "error_histogram", "evaluate", "fit_learner", "hem_weights",
+    "inject_flip_noise", "knn_fit", "load_csv", "load_model",
     "macro_auroc", "macro_f1", "make_gaussian_1d", "make_overlap_2d",
     "max_margin_1d", "mcc", "normalize_error", "perturb", "prediction_error",
-    "predict", "resample_step", "run_bias_trials", "save_model",
-    "shem_weights", "smote_1d", "stratified_k_fold", "target_class_size",
-    "tree_fit", "weighted_resample",
+    "resample_step", "run_bias_trials", "save_model", "shem_weights",
+    "smote_1d", "stratified_k_fold", "target_class_size", "tree_fit",
+    "weighted_resample",
 ]

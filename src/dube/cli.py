@@ -111,10 +111,8 @@ def build_dube_config(options) -> DubeConfig:
         learner = TreeParams(max_depth=options["tree_max_depth"],
                              min_samples_leaf=options["tree_min_leaf"],
                              criterion=options["tree_criterion"])
-    elif options["learner"] == "knn":
-        learner = KnnParams(k_neighbors=options["knn_neighbors"])
     else:
-        raise CliError(f"unknown learner {options['learner']!r}")
+        learner = KnnParams(k_neighbors=options["knn_neighbors"])
     alpha = options["alpha"]
     return DubeConfig(k=options["k"], inter=inter, intra=intra,
                       alpha=0.0 if alpha == "auto" else float(alpha),
@@ -137,12 +135,11 @@ def tune_alpha(train: Dataset, cfg: DubeConfig, grid, seed: int) -> float:
     return best_alpha
 
 
-def run_cv_cell(train: Dataset, test: Dataset, base_cfg: DubeConfig, seed: int,
-                alpha_mode, alpha_grid=DEFAULT_ALPHA_GRID):
+def run_cv_cell(train: Dataset, test: Dataset, base_cfg: DubeConfig, seed: int, alpha_mode):
     """Fit on train, evaluate on test; returns (EvalReport, alpha, trace)."""
     cfg = replace(base_cfg, seed=rng.child_seed(seed, rng.CELL))
     if alpha_mode == "auto":
-        cfg = replace(cfg, alpha=tune_alpha(train, cfg, alpha_grid, seed))
+        cfg = replace(cfg, alpha=tune_alpha(train, cfg, DEFAULT_ALPHA_GRID, seed))
     trace = TrainingTrace()
     model = dube_fit(train, cfg, trace)
     probs = model.predict_proba_many(test.features)
@@ -168,9 +165,50 @@ def _map_cells(fn, cells, jobs: int):
         return list(pool.map(fn, cells))
 
 
-def _mean_std(values):
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
+def _cross_validate(ds: Dataset, options, points, failures: list) -> list:
+    """Cross-validate every point over the same repeated stratified cells.
+
+    A point is (failure label prefix, DubeConfig, training-noise ratio or
+    None). The (point, cell) jobs run in point-major order and failed
+    cells append their messages to ``failures`` in that order. Returns,
+    per point, the (repeat, fold, metrics, alpha, trace) of every cell
+    that succeeded.
+    """
+    seed = options["seed"]
+    cells = _cv_cells(ds, options["folds"], options["repeats"], seed)
+
+    def one(job):
+        (label, cfg, noise), (rep, fold, train, test) = job
+        try:
+            if noise is not None:
+                # noise goes into the training split only; the noise seed is
+                # shared across points so comparisons are paired
+                train = inject_flip_noise(train, noise, rng.child_seed(seed, rng.FLIP, rep, fold))
+            cell_seed = rng.child_seed(seed, rng.CELL, rep, fold)
+            return (rep, fold, *run_cv_cell(train, test, cfg, cell_seed, options["alpha"]))
+        except Exception as exc:  # cell failures are reported, not fatal
+            return f"{label}repeat={rep} fold={fold}: {exc}"
+
+    jobs = [(point, cell) for point in points for cell in cells]
+    results = [[] for _ in points]
+    for i, outcome in enumerate(_map_cells(one, jobs, options["jobs"])):
+        if isinstance(outcome, str):
+            failures.append(outcome)
+        else:
+            results[i // len(cells)].append(outcome)
+    if not any(results):
+        raise CliError(f"all cells failed; first failure: {failures[0]}")
+    return results
+
+
+def _mean_std(results) -> list:
+    """Mean and std of macro-F1, then MCC, then macro-AUROC over cell results."""
+    stats = []
+    for name in ("macro_f1", "mcc", "macro_auroc"):
+        arr = np.asarray([getattr(metrics, name) for _, _, metrics, _, _ in results],
+                         dtype=np.float64)
+        stats += [float(arr.mean()), float(arr.std())]
+    return stats
 
 
 def _require(condition, message):
@@ -179,8 +217,13 @@ def _require(condition, message):
 
 
 def _load_input(options) -> Dataset:
+    """The --input table of a cross-validating command, once --folds and
+    --repeats are checked."""
     _require(options.get("input"), "--input is required")
-    return load_csv(options["input"], options["label_col"])
+    ds = load_csv(options["input"], options["label_col"])
+    _require(options["folds"] >= 2, "--folds must be >= 2")
+    _require(options["repeats"] >= 1, "--repeats must be >= 1")
+    return ds
 
 
 def _config_line(options, keys) -> str:
@@ -196,41 +239,22 @@ _BENCH_KEYS = ("input", "label_col", "k", "inter", "intra", "bins", "alpha",
 def run_bench(options) -> Report:
     started = time.perf_counter()
     ds = _load_input(options)
-    _require(options["folds"] >= 2, "--folds must be >= 2")
-    _require(options["repeats"] >= 1, "--repeats must be >= 1")
-    base_cfg = build_dube_config(options)
+    point = ("", build_dube_config(options), None)
     report = Report("bench", _config_line(options, _BENCH_KEYS),
                     ["kind", "repeat", "fold", "alpha", "macro_f1", "mcc", "macro_auroc"])
-    cells = _cv_cells(ds, options["folds"], options["repeats"], options["seed"])
-
-    def one(cell):
-        rep, fold, train, test = cell
-        seed = rng.child_seed(options["seed"], rng.CELL, rep, fold)
-        try:
-            return run_cv_cell(train, test, base_cfg, seed, options["alpha"])
-        except Exception as exc:  # cell failures are reported, not fatal
-            return f"repeat={rep} fold={fold}: {exc}"
-
-    results = _map_cells(one, cells, options["jobs"])
+    [results] = _cross_validate(ds, options, [point], report.failures)
     resample_ms = []
     detail_rows = []
-    for (rep, fold, _, _), outcome in zip(cells, results):
-        if isinstance(outcome, str):
-            report.failures.append(outcome)
-            continue
-        metrics, alpha, trace = outcome
+    for rep, fold, metrics, alpha, trace in results:
         report.rows.append(["cell", rep, fold, alpha, metrics.macro_f1,
                             metrics.mcc, metrics.macro_auroc])
         resample_ms += [it.resample_ms for it in trace.iterations]
         for c, (precision, recall, f1) in enumerate(metrics.per_class):
             detail_rows.append([rep, fold, c, precision, recall, f1]
                                + metrics.confusion[c].tolist())
-    cell_rows = [row for row in report.rows if row[0] == "cell"]
-    if not cell_rows:
-        raise CliError(f"all cells failed; first failure: {report.failures[0]}")
-    for kind, stat in (("mean", 0), ("std", 1)):
-        aggregates = [_mean_std([row[col] for row in cell_rows])[stat] for col in (4, 5, 6)]
-        report.rows.append([kind, "", "", ""] + aggregates)
+    stats = _mean_std(results)
+    report.rows.append(["mean", "", "", ""] + stats[0::2])
+    report.rows.append(["std", "", "", ""] + stats[1::2])
     if options.get("details"):
         m = len(detail_rows[0]) - 6
         report.extra_sections.append((
@@ -250,45 +274,18 @@ def run_noise_sweep(options) -> Report:
     started = time.perf_counter()
     ds = _load_input(options)
     _require(ds.m == 2, "noise sweep needs a binary dataset")
-    _require(options["folds"] >= 2, "--folds must be >= 2")
-    _require(options["repeats"] >= 1, "--repeats must be >= 1")
     _require(options["noise_grid"], "--noise-grid must be a nonempty list")
     base_cfg = build_dube_config(options)
     report = Report("noise-sweep", _config_line(options, _BENCH_KEYS + ("noise_grid",)),
                     ["noise_ratio", "intra", "macro_f1_mean", "macro_f1_std",
                      "mcc_mean", "mcc_std", "macro_auroc_mean", "macro_auroc_std"])
-    cells = _cv_cells(ds, options["folds"], options["repeats"], options["seed"])
-
-    jobs_list = [(r, intra) for r in options["noise_grid"] for intra in ("uniform", "hem", "shem")]
-
-    def one(job):
-        r, intra = job
-        cfg = replace(base_cfg, intra=IntraCBStrategy(_INTRA[intra], bins=options["bins"]))
-        scores, failures = [], []
-        for rep, fold, train, test in cells:
-            # noise goes into the training split only; the noise seed is
-            # shared across strategies so comparisons are paired
-            try:
-                noisy = inject_flip_noise(
-                    train, r, rng.child_seed(options["seed"], rng.FLIP, rep, fold))
-                seed = rng.child_seed(options["seed"], rng.CELL, rep, fold)
-                metrics, _, _ = run_cv_cell(noisy, test, cfg, seed, options["alpha"])
-            except Exception as exc:
-                failures.append(f"r={r} intra={intra} repeat={rep} fold={fold}: {exc}")
-                continue
-            scores.append((metrics.macro_f1, metrics.mcc, metrics.macro_auroc))
-        return r, intra, scores, failures
-
-    for r, intra, scores, failures in _map_cells(one, jobs_list, options["jobs"]):
-        report.failures += failures
-        if not scores:
-            continue
-        f1m, f1s = _mean_std([s[0] for s in scores])
-        mcm, mcs = _mean_std([s[1] for s in scores])
-        aum, aus = _mean_std([s[2] for s in scores])
-        report.rows.append([r, intra, f1m, f1s, mcm, mcs, aum, aus])
-    if not report.rows:
-        raise CliError(f"all cells failed; first failure: {report.failures[0]}")
+    grid = [(r, intra) for r in options["noise_grid"] for intra in ("uniform", "hem", "shem")]
+    points = [(f"r={r} intra={intra} ",
+               replace(base_cfg, intra=IntraCBStrategy(_INTRA[intra], bins=options["bins"])), r)
+              for r, intra in grid]
+    for (r, intra), results in zip(grid, _cross_validate(ds, options, points, report.failures)):
+        if results:
+            report.rows.append([r, intra] + _mean_std(results))
     report.timing = {"elapsed_ms": (time.perf_counter() - started) * 1000.0}
     return report
 
@@ -296,48 +293,30 @@ def run_noise_sweep(options) -> Report:
 def run_param_sweep(options) -> Report:
     started = time.perf_counter()
     ds = _load_input(options)
-    _require(options["folds"] >= 2, "--folds must be >= 2")
-    _require(options["repeats"] >= 1, "--repeats must be >= 1")
     alpha_grid, bins_grid = options.get("alpha_grid"), options.get("bins_grid")
     _require(bool(alpha_grid) != bool(bins_grid),
              "exactly one of --alpha-grid / --bins-grid is required")
+    _require(options["alpha"] != "auto",
+             "param-sweep takes no --alpha auto; use --alpha-grid ... --select")
     base_cfg = build_dube_config(options)
     param = "alpha" if alpha_grid else "bins"
     grid = alpha_grid or bins_grid
     report = Report("param-sweep", _config_line(options, _BENCH_KEYS) + f" grid={param}:{grid}",
                     ["kind", param, "macro_f1_mean", "macro_f1_std",
                      "mcc_mean", "mcc_std", "macro_auroc_mean", "macro_auroc_std"])
-    cells = _cv_cells(ds, options["folds"], options["repeats"], options["seed"])
-
-    def one(value):
-        if param == "alpha":
-            cfg = replace(base_cfg, alpha=float(value))
-        else:
-            cfg = replace(base_cfg, intra=IntraCBStrategy(base_cfg.intra.tag, bins=int(value)))
-        scores, failures = [], []
-        for rep, fold, train, test in cells:
-            seed = rng.child_seed(options["seed"], rng.CELL, rep, fold)
-            try:
-                metrics, _, _ = run_cv_cell(train, test, cfg, seed, alpha_mode="fixed")
-            except Exception as exc:
-                failures.append(f"{param}={value} repeat={rep} fold={fold}: {exc}")
-                continue
-            scores.append((metrics.macro_f1, metrics.mcc, metrics.macro_auroc))
-        return value, scores, failures
-
-    for value, scores, failures in _map_cells(one, list(grid), options["jobs"]):
-        report.failures += failures
-        if not scores:
-            continue
-        f1m, f1s = _mean_std([s[0] for s in scores])
-        mcm, mcs = _mean_std([s[1] for s in scores])
-        aum, aus = _mean_std([s[2] for s in scores])
-        report.rows.append(["grid", value, f1m, f1s, mcm, mcs, aum, aus])
-    if not report.rows:
-        raise CliError(f"all cells failed; first failure: {report.failures[0]}")
+    if param == "alpha":
+        configs = [replace(base_cfg, alpha=float(value)) for value in grid]
+    else:
+        configs = [replace(base_cfg, intra=IntraCBStrategy(base_cfg.intra.tag, bins=int(value)))
+                   for value in grid]
+    points = [(f"{param}={value} ", cfg, None) for value, cfg in zip(grid, configs)]
+    for value, results in zip(grid, _cross_validate(ds, options, points, report.failures)):
+        if results:
+            report.rows.append(["grid", value] + _mean_std(results))
     if param == "alpha" and options.get("select"):
         chosen = []
-        for rep, fold, train, test in cells:
+        for rep, fold, train, _ in _cv_cells(ds, options["folds"], options["repeats"],
+                                             options["seed"]):
             seed = rng.child_seed(options["seed"], rng.CELL, rep, fold)
             chosen.append(tune_alpha(train, base_cfg, grid, seed))
         report.rows.append(["selected", float(np.median(chosen)), "", "", "", "", "", ""])
@@ -380,11 +359,9 @@ def run_synth(options) -> Report:
     if options["generator"] == "gaussian1d":
         ds = make_gaussian_1d(options["n_min"], options["n_maj"], options["mu_min"],
                               options["mu_maj"], options["sigma"], options["seed"])
-    elif options["generator"] == "overlap2d":
+    else:
         ds = make_overlap_2d(options["n_min"], options["n_maj"],
                              options["overlap"], options["seed"])
-    else:
-        raise CliError(f"unknown generator {options['generator']!r}")
     columns = [f"f{j}" for j in range(ds.n_features)] + ["label"]
     report = Report("synth", _config_line(options, ("generator", "n_min", "n_maj",
                     "mu_min", "mu_maj", "sigma", "overlap", "seed")), columns,
@@ -547,7 +524,7 @@ def _read_config_file(path, parser_actions, defaults) -> dict:
             lines = fh.readlines()
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
-    converters = {action.dest: action.type for action in parser_actions}
+    actions = {action.dest: action for action in parser_actions}
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -559,16 +536,20 @@ def _read_config_file(path, parser_actions, defaults) -> dict:
         raw = raw.strip()
         if key not in defaults:
             raise CliError(f"{path}:{lineno}: unknown setting {key!r}")
-        convert = converters.get(key)
-        if convert is not None:
+        action = actions.get(key)
+        if action is not None and action.type is not None:
             try:
-                values[key] = convert(raw)
+                value = action.type(raw)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise CliError(f"{path}:{lineno}: {exc}") from exc
         elif raw.lower() in ("true", "false"):
-            values[key] = raw.lower() == "true"
+            value = raw.lower() == "true"
         else:
-            values[key] = raw
+            value = raw
+        if action is not None and action.choices is not None and value not in action.choices:
+            raise CliError(f"{path}:{lineno}: invalid {key} {raw!r} "
+                           f"(choose from {', '.join(action.choices)})")
+        values[key] = value
     return values
 
 
@@ -590,15 +571,18 @@ def main(argv=None) -> int:
     try:
         options = resolve_options(command, given, subs[command]._actions)
         report = _RUNNERS[command](options)
+        text = report.render(options.get("format") or "csv")
+        if options.get("out"):
+            try:
+                with open(options["out"], "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise CliError(f"cannot write {options['out']}: {exc.strerror}") from exc
+        else:
+            sys.stdout.write(text)
     except (CliError, DatasetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = report.render(options.get("format") or "csv")
-    if options.get("out"):
-        with open(options["out"], "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0 if not report.failures else 1
 
 

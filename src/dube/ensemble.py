@@ -30,7 +30,8 @@ import numpy as np
 from . import rng
 from .balancing import InterCBStrategy, IntraCBStrategy, SamplingPlan, resample_step
 from .dataset import Dataset
-from .learners import LearnerParams, TreeParams, KnnParams, fit_learner, learner_from_dict
+from .learners import (LearnerParams, TreeParams, fit_learner, learner_from_dict,
+                       params_from_dict, params_to_dict)
 from .pbda import ClassCovariance, class_covariance, perturb
 
 
@@ -115,14 +116,6 @@ class EnsembleModel:
         return int(np.argmax(self.predict_proba(x)))
 
 
-def ensemble_predict_proba(model: EnsembleModel, x) -> np.ndarray:
-    return model.predict_proba(x)
-
-
-def predict(model: EnsembleModel, x) -> int:
-    return model.predict(x)
-
-
 def dube_fit(ds: Dataset, cfg: DubeConfig, trace: TrainingTrace | None = None) -> EnsembleModel:
     """Train a duple-balanced ensemble on ``ds``.
 
@@ -136,7 +129,7 @@ def dube_fit(ds: Dataset, cfg: DubeConfig, trace: TrainingTrace | None = None) -
     covariances = [class_covariance(ds, c) for c in range(ds.m)]
 
     members = []
-    first = fit_learner(ds, cfg.learner, rng.child_seed(cfg.seed, rng.LEARNER, 1))
+    first = fit_learner(ds, cfg.learner)
     members.append(first)
     probs_sum = first.predict_proba_many(ds.features)
 
@@ -157,7 +150,7 @@ def dube_fit(ds: Dataset, cfg: DubeConfig, trace: TrainingTrace | None = None) -
             labels.append(np.full(rows.size, c, dtype=np.int64))
         resampled = Dataset(np.concatenate(parts), np.concatenate(labels),
                             m=ds.m, label_names=ds.label_names)
-        member = fit_learner(resampled, cfg.learner, rng.child_seed(cfg.seed, rng.LEARNER, t))
+        member = fit_learner(resampled, cfg.learner)
         members.append(member)
         probs_sum += member.predict_proba_many(ds.features)
 
@@ -169,29 +162,16 @@ MODEL_VERSION = 1
 
 
 def _config_to_dict(cfg: DubeConfig) -> dict:
-    learner: dict
-    if isinstance(cfg.learner, TreeParams):
-        learner = {"kind": "tree", "max_depth": cfg.learner.max_depth,
-                   "min_samples_leaf": cfg.learner.min_samples_leaf,
-                   "criterion": cfg.learner.criterion}
-    else:
-        learner = {"kind": "knn", "k_neighbors": cfg.learner.k_neighbors}
     return {"k": cfg.k, "inter": cfg.inter.tag,
             "intra": cfg.intra.tag, "bins": cfg.intra.bins,
-            "alpha": cfg.alpha, "seed": cfg.seed, "learner": learner}
+            "alpha": cfg.alpha, "seed": cfg.seed, "learner": params_to_dict(cfg.learner)}
 
 
 def _config_from_dict(blob: dict) -> DubeConfig:
-    lb = blob["learner"]
-    if lb["kind"] == "tree":
-        learner: LearnerParams = TreeParams(max_depth=lb["max_depth"],
-                                            min_samples_leaf=lb["min_samples_leaf"],
-                                            criterion=lb["criterion"])
-    else:
-        learner = KnnParams(k_neighbors=lb["k_neighbors"])
     return DubeConfig(k=blob["k"], inter=InterCBStrategy(blob["inter"]),
                       intra=IntraCBStrategy(blob["intra"], bins=blob["bins"]),
-                      alpha=blob["alpha"], learner=learner, seed=blob["seed"])
+                      alpha=blob["alpha"], learner=params_from_dict(blob["learner"]),
+                      seed=blob["seed"])
 
 
 def save_model(model: EnsembleModel, path) -> None:

@@ -10,7 +10,7 @@ the training data and hyperparameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,6 +50,18 @@ class KnnParams:
 
 
 LearnerParams = TreeParams | KnnParams
+_PARAMS = {"tree": TreeParams, "knn": KnnParams}
+
+
+def params_to_dict(params: LearnerParams) -> dict:
+    """JSON form of learner hyperparameters: the kind, then every field."""
+    kind = next(kind for kind, cls in _PARAMS.items() if isinstance(params, cls))
+    return {"kind": kind, **asdict(params)}
+
+
+def params_from_dict(blob: dict) -> LearnerParams:
+    fields = dict(blob)
+    return _PARAMS[fields.pop("kind")](**fields)
 
 
 class _Classifier:
@@ -183,16 +195,15 @@ class KnnClassifier(_Classifier):
         return cls(blob["X"], blob["y"], blob["m"], blob["k_neighbors"])
 
 
-def tree_fit(ds: Dataset, params: TreeParams = TreeParams(), seed: int = 0) -> TreeClassifier:
+def tree_fit(ds: Dataset, params: TreeParams = TreeParams()) -> TreeClassifier:
     """Grow a decision tree on ``ds``.
 
     Greedy best-first choice of the split minimizing the size-weighted
     child impurity, over midpoints of adjacent sorted distinct feature
     values. Score ties resolve to the lowest feature index, then the
-    lowest threshold. The ``seed`` has no effect (training is fully
-    deterministic) and exists for interface symmetry with other learners.
+    lowest threshold. Growth draws no random numbers, so the tree is a
+    pure function of ``ds`` and ``params``.
     """
-    del seed
     X, y, m = ds.features, ds.labels, ds.m
     entropy = params.criterion == "entropy"
     min_leaf = params.min_samples_leaf
@@ -304,10 +315,10 @@ def knn_fit(ds: Dataset, k_neighbors: int) -> KnnClassifier:
     return KnnClassifier(ds.features, ds.labels, ds.m, k_neighbors)
 
 
-def fit_learner(ds: Dataset, params: LearnerParams, seed: int) -> _Classifier:
+def fit_learner(ds: Dataset, params: LearnerParams) -> _Classifier:
     """Dispatch on the parameter type."""
     if isinstance(params, TreeParams):
-        return tree_fit(ds, params, seed)
+        return tree_fit(ds, params)
     if isinstance(params, KnnParams):
         return knn_fit(ds, params.k_neighbors)
     raise TypeError(f"unknown learner params: {params!r}")

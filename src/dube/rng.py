@@ -29,7 +29,6 @@ GAUSS_1D = 3
 OVERLAP_2D = 4
 RESAMPLE = 5
 PERTURB = 6
-LEARNER = 7
 TRIAL = 8
 BOUND = 9
 CELL = 10

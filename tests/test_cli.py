@@ -206,6 +206,13 @@ class TestParamSweep:
             run_param_sweep(options("param-sweep", input=path,
                                     alpha_grid=[0.1], bins_grid=[5]))
 
+    def test_auto_alpha_rejected(self, tmp_path, capsys):
+        # the grid points run at fixed alphas; auto would be ignored
+        path = write_dataset(tmp_path / "toy.csv")
+        assert main(["param-sweep", "--input", path, "--bins-grid", "1,5",
+                     "--alpha", "auto"]) == 2
+        assert "--alpha-grid ... --select" in capsys.readouterr().err
+
 
 class TestBiaslab:
     def test_strategy_rows_and_bound_section(self):
@@ -264,6 +271,28 @@ class TestMainEntry:
         stdout = capsys.readouterr().out
         assert "k=3" in stdout  # flag wins over file
         assert "folds=2" in stdout
+
+    @pytest.mark.parametrize("command,setting", [
+        ("bench", "inter = foo"), ("bench", "intra = foo"), ("bench", "format = xml"),
+        ("bench", "learner = svm"), ("synth", "generator = foo")])
+    def test_config_value_outside_choices(self, tmp_path, capsys, command, setting):
+        data = write_dataset(tmp_path / "toy.csv")
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(setting + "\n")
+        argv = [command, "--config", str(cfg)] + (["--input", data] if command == "bench" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"run.conf:1: invalid {setting.split()[0]}" in err and "choose from" in err
+
+    @pytest.mark.parametrize("argv", [["bench", "--k", "2", "--folds", "2"],
+                                      ["biaslab", "--trials", "20"]])
+    def test_unwritable_out(self, tmp_path, capsys, argv):
+        data = write_dataset(tmp_path / "toy.csv")
+        out = tmp_path / "missing" / "report.csv"
+        if argv[0] == "bench":
+            argv = argv + ["--input", data]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"error: cannot write {out}" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         data = write_dataset(tmp_path / "toy.csv")

@@ -8,7 +8,6 @@ from dube import (DubeConfig, EnsembleModel, TrainingTrace, class_counts,
 from dube import balancing, pbda
 from dube.balancing import InterCBStrategy, IntraCBStrategy
 from dube.dataset import Dataset
-from dube.ensemble import ensemble_predict_proba, predict
 from dube.learners import KnnParams, TreeParams, tree_fit
 
 
@@ -51,10 +50,10 @@ class TestSoftVote:
         three = EnsembleModel([_StubLearner([0.2, 0.5, 0.3])], 3, 2, DubeConfig(k=1))
         assert three.predict([0.0, 0.0]) == 1
 
-    def test_module_level_wrappers(self):
+    def test_single_row_methods(self):
         model = EnsembleModel([_StubLearner([0.9, 0.1])], 2, 2, DubeConfig(k=1))
-        assert ensemble_predict_proba(model, [0.0, 0.0]).tolist() == [0.9, 0.1]
-        assert predict(model, [0.0, 0.0]) == 0
+        assert model.predict_proba([0.0, 0.0]).tolist() == [0.9, 0.1]
+        assert model.predict([0.0, 0.0]) == 0
 
 
 class TestDubeFit:
@@ -65,7 +64,7 @@ class TestDubeFit:
         model = dube_fit(ds, cfg, trace)
         assert model.k == 1
         assert trace.iterations == []  # no resampling happened
-        reference = tree_fit(ds, TreeParams(), seed=0)
+        reference = tree_fit(ds, TreeParams())
         assert np.array_equal(model.predict_proba_many(ds.features),
                               reference.predict_proba_many(ds.features))
 
@@ -172,7 +171,7 @@ class TestPredictionBuffering:
 
         counter = iter(range(100))
         monkeypatch.setattr(ens, "fit_learner",
-                            lambda d, params, seed: CountingLearner(next(counter)))
+                            lambda d, params: CountingLearner(next(counter)))
         dube_fit(ds, DubeConfig(k=6, seed=1))
         train_passes = [c for c in calls if c[1] == ds.n_rows]
         assert len(train_passes) == 6

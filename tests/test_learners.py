@@ -172,7 +172,7 @@ class TestSerialization:
 
 def test_fit_learner_dispatch():
     ds = dataset([[0.0], [1.0], [2.0]], [0, 1, 0])
-    assert fit_learner(ds, TreeParams(), 0).m == 2
-    assert fit_learner(ds, KnnParams(k_neighbors=2), 0).k_neighbors == 2
+    assert fit_learner(ds, TreeParams()).m == 2
+    assert fit_learner(ds, KnnParams(k_neighbors=2)).k_neighbors == 2
     with pytest.raises(TypeError):
-        fit_learner(ds, object(), 0)
+        fit_learner(ds, object())
