@@ -298,6 +298,10 @@ def run_param_sweep(options) -> Report:
              "exactly one of --alpha-grid / --bins-grid is required")
     _require(options["alpha"] != "auto",
              "param-sweep takes no --alpha auto; use --alpha-grid ... --select")
+    _require(not bins_grid or options["intra"] == "shem",
+             "--bins-grid sweeps SHEM histogram bins; it needs --intra shem")
+    _require(not (bins_grid and options.get("select")),
+             "--select picks an alpha; it needs --alpha-grid, not --bins-grid")
     base_cfg = build_dube_config(options)
     param = "alpha" if alpha_grid else "bins"
     grid = alpha_grid or bins_grid

@@ -90,7 +90,10 @@ class TreeClassifier(_Classifier):
 
     Nodes live in parallel arrays; ``feature[i] < 0`` marks node i as a
     leaf with probability row ``proba[i]``. Routing rule: go left when
-    ``x[feature] <= threshold``.
+    ``x[feature] <= threshold``. A batch is routed one tree level per
+    step: every row still at an internal node moves to a child at once.
+    Children are numbered above their parent (depth-first numbering;
+    ``from_dict`` checks it), so routing ends after at most depth steps.
     """
 
     def __init__(self, feature, threshold, left, right, proba, m, d):
@@ -106,20 +109,15 @@ class TreeClassifier(_Classifier):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.d:
             raise ValueError(f"expected {self.d} features, got {X.shape[1]}")
-        out = np.empty((X.shape[0], self.m))
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            f = self.feature[node]
-            if f < 0:
-                out[idx] = self.proba[node]
-                continue
-            goes_left = X[idx, f] <= self.threshold[node]
-            stack.append((self.left[node], idx[goes_left]))
-            stack.append((self.right[node], idx[~goes_left]))
-        return out
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        active = np.arange(X.shape[0] if self.feature[0] >= 0 else 0)
+        while active.size:
+            at = node[active]
+            goes_left = X[active, self.feature[at]] <= self.threshold[at]
+            at = np.where(goes_left, self.left[at], self.right[at])
+            node[active] = at
+            active = active[self.feature[at] >= 0]
+        return self.proba[node]
 
     @property
     def n_nodes(self) -> int:
@@ -147,8 +145,23 @@ class TreeClassifier(_Classifier):
 
     @classmethod
     def from_dict(cls, blob: dict) -> "TreeClassifier":
-        return cls(blob["feature"], blob["threshold"], blob["left"],
+        """Rebuild a tree, raising ValueError unless it is well formed."""
+        tree = cls(blob["feature"], blob["threshold"], blob["left"],
                    blob["right"], blob["proba"], blob["m"], blob["d"])
+        n, feature = tree.n_nodes, tree.feature
+        arrays = (feature, tree.threshold, tree.left, tree.right)
+        if n == 0 or tree.proba.shape != (n, tree.m) or any(a.shape != (n,) for a in arrays):
+            raise ValueError(f"tree arrays must share a nonzero length n, proba (n, {tree.m})")
+        if feature.min() < -1 or feature.max() >= tree.d:
+            raise ValueError(f"tree feature index outside [-1, {tree.d})")
+        inner = np.flatnonzero(feature >= 0)
+        children = np.concatenate([tree.left[inner], tree.right[inner]])
+        if (children <= np.tile(inner, 2)).any() or (children >= n).any():
+            raise ValueError("tree child index must lie above its parent and below the node count")
+        leaves = tree.proba[feature < 0]
+        if (leaves < 0).any() or (np.abs(leaves.sum(axis=1) - 1.0) > 1e-9).any():
+            raise ValueError("tree leaf probabilities must be nonnegative and sum to 1")
+        return tree
 
 
 class KnnClassifier(_Classifier):
@@ -198,105 +211,92 @@ class KnnClassifier(_Classifier):
 def tree_fit(ds: Dataset, params: TreeParams = TreeParams()) -> TreeClassifier:
     """Grow a decision tree on ``ds``.
 
-    Greedy best-first choice of the split minimizing the size-weighted
+    Greedy depth-first choice of the split minimizing the size-weighted
     child impurity, over midpoints of adjacent sorted distinct feature
     values. Score ties resolve to the lowest feature index, then the
     lowest threshold. Growth draws no random numbers, so the tree is a
     pure function of ``ds`` and ``params``.
+
+    Rows are sorted by every feature once per tree (stable sort). Each
+    node holds a (d, n) block whose row f lists its row ids by feature
+    f, and a split partitions every block row stably. Blocks thus order
+    rows by (value, row id), as a stable sort of the node's rows in
+    ascending id would: no node sorts, and every split is unchanged.
     """
     X, y, m = ds.features, ds.labels, ds.m
+    XT = np.ascontiguousarray(X.T)
+    offsets = np.arange(ds.n_features)[:, None] * ds.n_rows  # where row f starts in XT.ravel()
     entropy = params.criterion == "entropy"
     min_leaf = params.min_samples_leaf
     max_depth = params.max_depth if params.max_depth is not None else np.inf
 
-    feature, threshold, left, right, proba = [], [], [], [], []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        proba.append(None)
-        return len(feature) - 1
-
-    root = new_node()
-    stack = [(root, np.arange(ds.n_rows), 0)]
+    leaf, zeros = [-1, 0.0, -1, -1], np.zeros(m)  # feature, threshold, left, right; proba
+    nodes, proba = [leaf], [zeros]
+    in_left = np.zeros(ds.n_rows, dtype=bool)  # reused by every partition
+    stack = [(0, np.argsort(XT, axis=1, kind="stable"), 0)]
     while stack:
-        node, rows, depth = stack.pop()
-        counts = np.bincount(y[rows], minlength=m)
-        pure = counts.max() == rows.size
-        if pure or depth >= max_depth or rows.size < 2 * min_leaf:
-            proba[node] = counts / rows.size
-            continue
-        split = _best_split(X[rows], y[rows], counts, m, min_leaf, entropy)
+        node, block, depth = stack.pop()
+        n = block.shape[1]
+        counts = np.bincount(y[block[0]], minlength=m)
+        split = None
+        if counts.max() < n and depth < max_depth and n >= 2 * min_leaf:
+            split = _best_split(XT.ravel()[block + offsets], y, block, counts, m, min_leaf, entropy)
         if split is None:
-            proba[node] = counts / rows.size
+            proba[node] = counts / n
             continue
-        f, thr = split
-        goes_left = X[rows, f] <= thr
-        feature[node] = f
-        threshold[node] = thr
-        left[node] = new_node()
-        right[node] = new_node()
-        stack.append((left[node], rows[goes_left], depth + 1))
-        stack.append((right[node], rows[~goes_left], depth + 1))
+        f, i, thr = split
+        in_left[block[f, :i + 1]] = True
+        goes_left = in_left[block]
+        in_left[block[f, :i + 1]] = False
+        child = len(nodes)
+        nodes[node] = [f, thr, child, child + 1]
+        nodes += [leaf, leaf]
+        proba += [zeros, zeros]
+        stack.append((child, block[goes_left].reshape(-1, i + 1), depth + 1))
+        stack.append((child + 1, block[~goes_left].reshape(-1, n - i - 1), depth + 1))
 
-    proba = [p if p is not None else np.zeros(m) for p in proba]
+    feature, threshold, left, right = zip(*nodes)
     return TreeClassifier(feature, threshold, left, right, np.vstack(proba), m, ds.n_features)
 
 
-def _best_split(X, y, counts, m, min_leaf, entropy):
-    """Best (feature, threshold) for one node, or None if no valid split.
+def _best_split(Xs, y, block, counts, m, min_leaf, entropy):
+    """Best (feature, position, threshold) for one node, or None.
 
-    Vectorized over all features at once: column-wise sort, cumulative
-    class counts, and the impurity of every adjacent-pair split in one
-    pass. Candidate i puts the first i+1 sorted rows to the left and is
-    valid only between distinct values and respecting min_leaf.
+    ``Xs`` holds the values of the presorted row ids in ``block`` (d, n).
+    Candidate i puts the first i+1 rows of a feature's order to the left
+    and is valid only between distinct values and respecting min_leaf.
     """
-    n, d = X.shape
-    order = np.argsort(X, axis=0, kind="stable")
-    Xs = np.take_along_axis(X, order, axis=0)
-    valid = Xs[:-1] < Xs[1:]                       # (n-1, d)
+    d, n = block.shape
+    n_left = np.arange(1, n, dtype=np.float64)
+    n_right = n - n_left
+    valid = (Xs[:, :-1] < Xs[:, 1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
     if not valid.any():
         return None
 
-    ys = y[order]                                  # labels in per-feature sort order
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
-    n_right = n - n_left
-    if entropy:
-        score = np.zeros((n - 1, d))
-        for c in range(m):
-            cl = np.cumsum(ys == c, axis=0)[:-1]
-            cr = counts[c] - cl
+    ys = y[block[:, :-1]]                          # labels in per-feature sort order
+    score = np.zeros((d, n - 1))
+    sum_sq_left, sum_sq_right = np.zeros((2, d, n - 1))
+    for c in range(m):
+        cl = np.cumsum(ys == c, axis=1, dtype=np.float64)
+        cr = counts[c] - cl
+        if entropy:
             score -= _xlog2x(cl / n_left) * n_left + _xlog2x(cr / n_right) * n_right
-    else:
-        sum_sq_left = np.zeros((n - 1, d))
-        sum_sq_right = np.zeros((n - 1, d))
-        for c in range(m):
-            cl = np.cumsum(ys == c, axis=0)[:-1].astype(np.float64)
+        else:
             sum_sq_left += cl * cl
-            cr = counts[c] - cl
             sum_sq_right += cr * cr
-        # Weighted gini = n - (sum_sq_left/n_left + sum_sq_right/n_right);
-        # the constant n is dropped.
+    if not entropy:
+        # Weighted gini = n - (sum_sq_left/n_left + sum_sq_right/n_right), n dropped.
         score = -(sum_sq_left / n_left + sum_sq_right / n_right)
-
-    if min_leaf > 1:
-        size_ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-        valid = valid & size_ok
-        if not valid.any():
-            return None
     score = np.where(valid, score, np.inf)
 
     # Feature-major argmin: ties go to the lowest feature index, then the
     # lowest threshold (candidates ascend within a feature).
-    flat = np.argmin(score.T)
-    f, i = divmod(flat, n - 1)
-    lo, hi = Xs[i, f], Xs[i + 1, f]
+    f, i = divmod(int(np.argmin(score)), n - 1)
+    lo, hi = Xs[f, i:i + 2].tolist()
     thr = (lo + hi) / 2.0
-    if thr == hi:  # midpoint rounded up between adjacent floats
+    if not lo <= thr < hi:  # rounded up to hi, or lo + hi overflowed
         thr = lo
-    return int(f), float(thr)
+    return f, i, thr
 
 
 def _xlog2x(p):

@@ -213,6 +213,21 @@ class TestParamSweep:
                      "--alpha", "auto"]) == 2
         assert "--alpha-grid ... --select" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("intra", ["hem", "uniform"])
+    def test_bins_grid_needs_shem(self, tmp_path, capsys, intra):
+        # only SHEM reads bins: every grid point would give the same row
+        path = write_dataset(tmp_path / "toy.csv")
+        assert main(["param-sweep", "--input", path, "--bins-grid", "1,5",
+                     "--intra", intra]) == 2
+        assert "needs --intra shem" in capsys.readouterr().err
+
+    def test_bins_grid_rejects_select(self, tmp_path, capsys):
+        # --select chooses an alpha; a bins sweep has no alpha grid to choose from
+        path = write_dataset(tmp_path / "toy.csv")
+        assert main(["param-sweep", "--input", path, "--bins-grid", "1,5",
+                     "--select"]) == 2
+        assert "needs --alpha-grid" in capsys.readouterr().err
+
 
 class TestBiaslab:
     def test_strategy_rows_and_bound_section(self):

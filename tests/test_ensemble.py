@@ -1,4 +1,5 @@
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from dube import (DubeConfig, EnsembleModel, TrainingTrace, class_counts,
 from dube import balancing, pbda
 from dube.balancing import InterCBStrategy, IntraCBStrategy
 from dube.dataset import Dataset
-from dube.learners import KnnParams, TreeParams, tree_fit
+from dube.learners import KnnParams, TreeClassifier, TreeParams, tree_fit
 
 
 def small_dataset(seed=0, n_min=20, n_maj=80):
@@ -217,3 +218,52 @@ class TestSaveLoad:
         path.write_text('{"format": "other", "version": 1}')
         with pytest.raises(ValueError, match="not a dube-model"):
             load_model(path)
+
+
+class TestTreeModelValidation:
+    """A tree member must be well formed to load; each defect below would
+    otherwise fail, or never finish, at predict time."""
+
+    @staticmethod
+    def save_stump(tmp_path, **defect):
+        # x <= 0.5 goes to leaf 1 (class 0), else to leaf 2 (class 1)
+        stump = TreeClassifier([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                               [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], m=2, d=1)
+        path = tmp_path / "model.json"
+        save_model(EnsembleModel([stump], 2, 1, DubeConfig(k=1)), path)
+        blob = json.loads(path.read_text())
+        blob["members"][0].update(defect)
+        path.write_text(json.dumps(blob))
+        return path
+
+    def test_well_formed_stump_loads(self, tmp_path):
+        model = load_model(self.save_stump(tmp_path))
+        assert model.predict_proba_many([[0.5], [0.6]]).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_array_lengths_differ(self, tmp_path):
+        with pytest.raises(ValueError, match="nonzero length"):
+            load_model(self.save_stump(tmp_path, threshold=[0.5, 0.0]))
+
+    def test_feature_out_of_range(self, tmp_path):
+        with pytest.raises(ValueError, match="feature index"):
+            load_model(self.save_stump(tmp_path, feature=[1, -1, -1]))
+        with pytest.raises(ValueError, match="feature index"):
+            load_model(self.save_stump(tmp_path, feature=[0, -2, -1]))
+
+    def test_child_out_of_range(self, tmp_path):
+        with pytest.raises(ValueError, match="child index"):
+            load_model(self.save_stump(tmp_path, right=[3, -1, -1]))
+
+    def test_child_cycle(self, tmp_path):
+        # 0 -> 1 -> 2 -> 0: routing would never reach a leaf
+        with pytest.raises(ValueError, match="child index"):
+            load_model(self.save_stump(tmp_path, feature=[0, 0, 0], left=[1, 2, 0],
+                                       right=[1, 2, 0]))
+
+    def test_proba_shape(self, tmp_path):
+        with pytest.raises(ValueError, match="proba"):
+            load_model(self.save_stump(tmp_path, proba=[[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
+
+    def test_leaf_row_not_a_distribution(self, tmp_path):
+        with pytest.raises(ValueError, match="sum to 1"):
+            load_model(self.save_stump(tmp_path, proba=[[0, 0], [0.5, 0.4], [0, 1]]))

@@ -1,9 +1,13 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dube import Dataset, DatasetError
 from dube.learners import (KnnParams, TreeParams, fit_learner,
                            learner_from_dict, knn_fit, tree_fit)
+from tree_reference import reference_predict_proba_many, reference_tree_fit
 
 
 def dataset(X, y, m=None):
@@ -100,6 +104,63 @@ class TestTree:
             TreeParams(min_samples_leaf=0)
         with pytest.raises(ValueError):
             TreeParams(criterion="twoing")
+
+    def test_split_between_huge_values(self):
+        # lo + hi overflows to inf; the threshold falls back to lo
+        ds = dataset([[1e308], [1.5e308]], [0, 1])
+        model = tree_fit(ds)
+        assert model.threshold[0] == 1e308
+        assert model.predict_many(ds.features).tolist() == [0, 1]
+
+
+# Feature values: small integers (heavy ties), signed zeros, subnormals,
+# the smallest normal, and ordinary floats.
+_VALUES = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True),
+)
+
+
+@st.composite
+def tree_problems(draw):
+    """A training set with duplicated rows and matching tree parameters."""
+    n = draw(st.integers(1, 300))
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 4))
+    distinct = draw(hnp.arrays(np.float64, (draw(st.integers(1, n)), d), elements=_VALUES))
+    pick = draw(hnp.arrays(np.int64, n, elements=st.integers(0, distinct.shape[0] - 1)))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, m - 1)))
+    params = TreeParams(max_depth=draw(st.none() | st.integers(1, 6)),
+                        min_samples_leaf=draw(st.integers(1, 8)),
+                        criterion=draw(st.sampled_from(["gini", "entropy"])))
+    return Dataset(distinct[pick], y, m=m), params
+
+
+class TestTreeMatchesReference:
+    """The presorted builder and level-wise router against a builder that
+    sorts every node anew and a router that walks a stack."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(tree_problems(), st.integers(0, 2**32 - 1))
+    def test_identical_trees_and_predictions(self, problem, seed):
+        ds, params = problem
+        tree, reference = tree_fit(ds, params), reference_tree_fit(ds, params)
+        for name in ("feature", "threshold", "left", "right", "proba"):
+            got, want = getattr(tree, name), getattr(reference, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+        # training rows, random rows, and rows exactly on every threshold
+        gen = np.random.default_rng(seed)
+        queries = [ds.features, gen.normal(size=(20, ds.n_features))]
+        for node in np.flatnonzero(tree.feature >= 0):
+            on = ds.features[gen.integers(0, ds.n_rows, 3)].copy()
+            on[:, tree.feature[node]] = tree.threshold[node]
+            queries.append(on)
+        queries = np.vstack(queries)
+        assert (tree.predict_proba_many(queries).tobytes()
+                == reference_predict_proba_many(reference, queries).tobytes())
 
 
 class TestKnn:
