@@ -15,8 +15,9 @@ import hashlib
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,12 +148,13 @@ def run_cv_cell(train: Dataset, test: Dataset, base_cfg: DubeConfig, seed: int, 
     return report, cfg.alpha, trace
 
 
-def _cv_cells(ds: Dataset, folds: int, repeats: int, seed: int):
-    """(repeat, fold, train, test) tuples for repeated stratified CV."""
+def _cv_cells(ds: Dataset, options):
+    """(repeat, fold, train, test) tuples for the options' repeated stratified CV."""
     cells = []
-    for rep in range(repeats):
-        plan = stratified_k_fold(ds, folds, rng.child_seed(seed, rng.FOLD, rep))
-        for fold in range(folds):
+    for rep in range(options["repeats"]):
+        plan = stratified_k_fold(ds, options["folds"],
+                                 rng.child_seed(options["seed"], rng.FOLD, rep))
+        for fold in range(options["folds"]):
             train, test = plan.split(ds, fold)
             cells.append((rep, fold, train, test))
     return cells
@@ -175,7 +177,7 @@ def _cross_validate(ds: Dataset, options, points, failures: list) -> list:
     that succeeded.
     """
     seed = options["seed"]
-    cells = _cv_cells(ds, options["folds"], options["repeats"], seed)
+    cells = _cv_cells(ds, options)
 
     def one(job):
         (label, cfg, noise), (rep, fold, train, test) = job
@@ -226,21 +228,15 @@ def _load_input(options) -> Dataset:
     return ds
 
 
-def _config_line(options, keys) -> str:
-    return " ".join(f"{key}={options[key]}" for key in keys if key in options)
-
-
-# jobs is deliberately absent: worker count may not influence the body
-_BENCH_KEYS = ("input", "label_col", "k", "inter", "intra", "bins", "alpha",
-               "learner", "tree_max_depth", "tree_min_leaf", "tree_criterion",
-               "knn_neighbors", "folds", "repeats", "seed")
+def _config_line(command: str, options) -> str:
+    """The command's echoed settings, in table order, as key=value pairs."""
+    return " ".join(f"{s.name}={options[s.name]}" for s in _COMMANDS[command].echoed)
 
 
 def run_bench(options) -> Report:
-    started = time.perf_counter()
     ds = _load_input(options)
     point = ("", build_dube_config(options), None)
-    report = Report("bench", _config_line(options, _BENCH_KEYS),
+    report = Report("bench", _config_line("bench", options),
                     ["kind", "repeat", "fold", "alpha", "macro_f1", "mcc", "macro_auroc"])
     [results] = _cross_validate(ds, options, [point], report.failures)
     resample_ms = []
@@ -262,36 +258,28 @@ def run_bench(options) -> Report:
             ["repeat", "fold", "class", "precision", "recall", "f1"]
             + [f"pred_{c}" for c in range(m)],
             detail_rows))
-    report.timing = {
-        "elapsed_ms": (time.perf_counter() - started) * 1000.0,
-        "resample_ms_per_iteration_mean": float(np.mean(resample_ms)) if resample_ms else 0.0,
-        "resample_ms_total": float(np.sum(resample_ms)) if resample_ms else 0.0,
-    }
+    report.timing = {"resample_ms_per_iteration_mean": float(np.mean(resample_ms or [0.0])),
+                     "resample_ms_total": float(np.sum(resample_ms))}
     return report
 
 
 def run_noise_sweep(options) -> Report:
-    started = time.perf_counter()
     ds = _load_input(options)
     _require(ds.m == 2, "noise sweep needs a binary dataset")
     _require(options["noise_grid"], "--noise-grid must be a nonempty list")
-    base_cfg = build_dube_config(options)
-    report = Report("noise-sweep", _config_line(options, _BENCH_KEYS + ("noise_grid",)),
+    report = Report("noise-sweep", _config_line("noise-sweep", options),
                     ["noise_ratio", "intra", "macro_f1_mean", "macro_f1_std",
                      "mcc_mean", "mcc_std", "macro_auroc_mean", "macro_auroc_std"])
     grid = [(r, intra) for r in options["noise_grid"] for intra in ("uniform", "hem", "shem")]
-    points = [(f"r={r} intra={intra} ",
-               replace(base_cfg, intra=IntraCBStrategy(_INTRA[intra], bins=options["bins"])), r)
+    points = [(f"r={r} intra={intra} ", build_dube_config({**options, "intra": intra}), r)
               for r, intra in grid]
     for (r, intra), results in zip(grid, _cross_validate(ds, options, points, report.failures)):
         if results:
             report.rows.append([r, intra] + _mean_std(results))
-    report.timing = {"elapsed_ms": (time.perf_counter() - started) * 1000.0}
     return report
 
 
 def run_param_sweep(options) -> Report:
-    started = time.perf_counter()
     ds = _load_input(options)
     alpha_grid, bins_grid = options.get("alpha_grid"), options.get("bins_grid")
     _require(bool(alpha_grid) != bool(bins_grid),
@@ -302,43 +290,28 @@ def run_param_sweep(options) -> Report:
              "--bins-grid sweeps SHEM histogram bins; it needs --intra shem")
     _require(not (bins_grid and options.get("select")),
              "--select picks an alpha; it needs --alpha-grid, not --bins-grid")
-    base_cfg = build_dube_config(options)
     param = "alpha" if alpha_grid else "bins"
     grid = alpha_grid or bins_grid
-    report = Report("param-sweep", _config_line(options, _BENCH_KEYS) + f" grid={param}:{grid}",
+    report = Report("param-sweep", _config_line("param-sweep", options) + f" grid={param}:{grid}",
                     ["kind", param, "macro_f1_mean", "macro_f1_std",
                      "mcc_mean", "mcc_std", "macro_auroc_mean", "macro_auroc_std"])
-    if param == "alpha":
-        configs = [replace(base_cfg, alpha=float(value)) for value in grid]
-    else:
-        configs = [replace(base_cfg, intra=IntraCBStrategy(base_cfg.intra.tag, bins=int(value)))
-                   for value in grid]
-    points = [(f"{param}={value} ", cfg, None) for value, cfg in zip(grid, configs)]
+    points = [(f"{param}={value} ", build_dube_config({**options, param: value}), None)
+              for value in grid]
     for value, results in zip(grid, _cross_validate(ds, options, points, report.failures)):
         if results:
             report.rows.append(["grid", value] + _mean_std(results))
     if param == "alpha" and options.get("select"):
         chosen = []
-        for rep, fold, train, _ in _cv_cells(ds, options["folds"], options["repeats"],
-                                             options["seed"]):
+        for rep, fold, train, _ in _cv_cells(ds, options):
             seed = rng.child_seed(options["seed"], rng.CELL, rep, fold)
-            chosen.append(tune_alpha(train, base_cfg, grid, seed))
+            chosen.append(tune_alpha(train, build_dube_config(options), grid, seed))
         report.rows.append(["selected", float(np.median(chosen)), "", "", "", "", "", ""])
-    report.timing = {"elapsed_ms": (time.perf_counter() - started) * 1000.0}
     return report
 
 
-_BIASLAB_KEYS = ("n_min", "n_maj", "mu_min", "mu_maj", "sigma", "trials",
-                 "alpha_sigmas", "seed")
-
-
 def run_biaslab(options) -> Report:
-    started = time.perf_counter()
-    cfg = ToyConfig(n_min=options["n_min"], n_maj=options["n_maj"],
-                    mu_min=options["mu_min"], mu_maj=options["mu_maj"],
-                    sigma=options["sigma"], trials=options["trials"],
-                    seed=options["seed"])
-    report = Report("biaslab", _config_line(options, _BIASLAB_KEYS),
+    cfg = ToyConfig(**{f.name: options[f.name] for f in fields(ToyConfig)})
+    report = Report("biaslab", _config_line("biaslab", options),
                     ["strategy", "alpha", "mean_bias", "var_bias", "trials"])
     for strategy in BIAS_STRATEGIES:
         for alpha_sigma in options["alpha_sigmas"]:
@@ -354,12 +327,10 @@ def run_biaslab(options) -> Report:
         "perturbation-gain bounds",
         ["n_rep", "sigma_p", "empirical_mean", "lower_bound", "upper_bound", "trials"],
         bound_rows))
-    report.timing = {"elapsed_ms": (time.perf_counter() - started) * 1000.0}
     return report
 
 
 def run_synth(options) -> Report:
-    started = time.perf_counter()
     if options["generator"] == "gaussian1d":
         ds = make_gaussian_1d(options["n_min"], options["n_maj"], options["mu_min"],
                               options["mu_maj"], options["sigma"], options["seed"])
@@ -367,12 +338,9 @@ def run_synth(options) -> Report:
         ds = make_overlap_2d(options["n_min"], options["n_maj"],
                              options["overlap"], options["seed"])
     columns = [f"f{j}" for j in range(ds.n_features)] + ["label"]
-    report = Report("synth", _config_line(options, ("generator", "n_min", "n_maj",
-                    "mu_min", "mu_maj", "sigma", "overlap", "seed")), columns,
-                    plain=True)
+    report = Report("synth", _config_line("synth", options), columns, plain=True)
     for i in range(ds.n_rows):
         report.rows.append(list(ds.features[i]) + [ds.label_names[ds.labels[i]]])
-    report.timing = {"elapsed_ms": (time.perf_counter() - started) * 1000.0}
     return report
 
 
@@ -415,63 +383,85 @@ def _optional_int(text: str):
     return int(text)
 
 
-_COMMON_DEFAULTS = {
-    "label_col": "label", "k": 10, "inter": "rhs", "intra": "shem", "bins": 5,
-    "alpha": 0.0, "learner": "tree", "tree_max_depth": None, "tree_min_leaf": 1,
-    "tree_criterion": "gini", "knn_neighbors": 5, "folds": 5, "repeats": 1,
-    "seed": 0, "jobs": 1, "details": False, "out": None, "format": "csv",
-    "config": None,
+class Setting(NamedTuple):
+    """One setting: flag ``--name`` (dashes for underscores), config-file
+    key and option ``name``. ``type`` parses a value (None keeps the
+    text); a ``switch`` is a store-true flag."""
+    name: str
+    default: object = None
+    type: object = None
+    choices: list | None = None
+    help: str | None = None
+    switch: bool = False
+
+
+_CV = (
+    Setting("input", help="CSV dataset path"),
+    Setting("label_col", "label", _label_col),
+    Setting("k", 10, int, help="ensemble size"),
+    Setting("inter", "rhs", choices=sorted(_INTER)),
+    Setting("intra", "shem", choices=sorted(_INTRA)),
+    Setting("bins", 5, int, help="SHEM histogram bins"),
+    Setting("alpha", 0.0, _alpha, help="perturbation scale or 'auto'"),
+    Setting("learner", "tree", choices=["tree", "knn"]),
+    Setting("tree_max_depth", None, _optional_int),
+    Setting("tree_min_leaf", 1, int),
+    Setting("tree_criterion", "gini", choices=["gini", "entropy"]),
+    Setting("knn_neighbors", 5, int),
+    Setting("folds", 5, int),
+    Setting("repeats", 1, int),
+    Setting("seed", 0, int),
+)
+_TOY = (
+    Setting("n_min", 3, int),
+    Setting("n_maj", 15, int),
+    Setting("mu_min", 0.0, float),
+    Setting("mu_maj", 4.0, float),
+    Setting("sigma", 1.0, float),
+)
+_OUTPUT = (
+    Setting("config", help="key = value settings file; flags win"),
+    Setting("out", help="report destination (default stdout)"),
+    Setting("format", "csv", choices=["csv", "text"]),
+)
+# jobs is deliberately not echoed: worker count may not influence the body
+_CV_REST = (
+    Setting("jobs", 1, int, help="worker threads for CV cells"),
+    Setting("details", False, switch=True,
+            help="append per-class precision/recall and confusion rows"),
+    *_OUTPUT,
+)
+
+
+class Command(NamedTuple):
+    """A subcommand. Its ``echoed`` settings make up the report's config
+    line, in this order; the ``rest`` may not change the report body."""
+    runner: object
+    help: str
+    echoed: tuple
+    rest: tuple = _OUTPUT
+
+
+_COMMANDS = {
+    "bench": Command(run_bench, "repeated stratified-CV benchmark", _CV, _CV_REST),
+    "noise-sweep": Command(
+        run_noise_sweep, "flip-noise robustness sweep over intra-class strategies",
+        (*_CV, Setting("noise_grid", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], _float_list)), _CV_REST),
+    "param-sweep": Command(
+        run_param_sweep, "grid sweep over alpha or bins", _CV,
+        (*_CV_REST, Setting("alpha_grid", None, _float_list), Setting("bins_grid", None, _int_list),
+         Setting("select", False, switch=True, help="add a validation-selected alpha row"))),
+    "biaslab": Command(
+        run_biaslab, "decision-bias Monte Carlo on the 1-D toy",
+        (*_TOY, Setting("trials", 10_000, int), Setting("alpha_sigmas", [0.0, 0.2], _float_list),
+         Setting("seed", 0, int))),
+    "synth": Command(
+        run_synth, "emit a synthetic dataset as CSV",
+        (Setting("generator", "gaussian1d", choices=["gaussian1d", "overlap2d"]), *_TOY,
+         Setting("overlap", "mid", choices=["low", "mid", "high"]), Setting("seed", 0, int))),
 }
 
-_DEFAULTS = {
-    "bench": {**_COMMON_DEFAULTS, "input": None},
-    "noise-sweep": {**_COMMON_DEFAULTS, "input": None,
-                    "noise_grid": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]},
-    "param-sweep": {**_COMMON_DEFAULTS, "input": None, "alpha_grid": None,
-                    "bins_grid": None, "select": False},
-    "biaslab": {"n_min": 3, "n_maj": 15, "mu_min": 0.0, "mu_maj": 4.0,
-                "sigma": 1.0, "trials": 10_000, "alpha_sigmas": [0.0, 0.2],
-                "seed": 0, "out": None, "format": "csv", "config": None},
-    "synth": {"generator": "gaussian1d", "n_min": 3, "n_maj": 15, "mu_min": 0.0,
-              "mu_maj": 4.0, "sigma": 1.0, "overlap": "mid", "seed": 0,
-              "out": None, "format": "csv", "config": None},
-}
-
-_RUNNERS = {
-    "bench": run_bench,
-    "noise-sweep": run_noise_sweep,
-    "param-sweep": run_param_sweep,
-    "biaslab": run_biaslab,
-    "synth": run_synth,
-}
-
-
-def _add_common(sub):
-    sub.add_argument("--config", help="key = value settings file; flags win")
-    sub.add_argument("--out", help="report destination (default stdout)")
-    sub.add_argument("--format", choices=["csv", "text"])
-    sub.add_argument("--seed", type=int)
-
-
-def _add_bench_flags(sub):
-    sub.add_argument("--input", help="CSV dataset path")
-    sub.add_argument("--label-col", type=_label_col, dest="label_col")
-    sub.add_argument("--k", type=int, help="ensemble size")
-    sub.add_argument("--inter", choices=sorted(_INTER))
-    sub.add_argument("--intra", choices=sorted(_INTRA))
-    sub.add_argument("--bins", type=int, help="SHEM histogram bins")
-    sub.add_argument("--alpha", type=_alpha, help="perturbation scale or 'auto'")
-    sub.add_argument("--learner", choices=["tree", "knn"])
-    sub.add_argument("--tree-max-depth", type=_optional_int, dest="tree_max_depth")
-    sub.add_argument("--tree-min-leaf", type=int, dest="tree_min_leaf")
-    sub.add_argument("--tree-criterion", choices=["gini", "entropy"], dest="tree_criterion")
-    sub.add_argument("--knn-neighbors", type=int, dest="knn_neighbors")
-    sub.add_argument("--folds", type=int)
-    sub.add_argument("--repeats", type=int)
-    sub.add_argument("--jobs", type=int, help="worker threads for CV cells")
-    sub.add_argument("--details", action="store_true",
-                     help="append per-class precision/recall and confusion rows")
-    _add_common(sub)
+_DEFAULTS = {name: {s.name: s.default for s in c.echoed + c.rest} for name, c in _COMMANDS.items()}
 
 
 def build_parser():
@@ -479,56 +469,22 @@ def build_parser():
         prog="dube",
         description="Duple-balanced ensemble toolkit for imbalanced classification")
     commands = parser.add_subparsers(dest="command", required=True)
-    subs = {}
-
-    subs["bench"] = commands.add_parser("bench", argument_default=argparse.SUPPRESS,
-                                        help="repeated stratified-CV benchmark")
-    _add_bench_flags(subs["bench"])
-
-    noise = commands.add_parser("noise-sweep", argument_default=argparse.SUPPRESS,
-                                help="flip-noise robustness sweep over intra-class strategies")
-    _add_bench_flags(noise)
-    noise.add_argument("--noise-grid", type=_float_list, dest="noise_grid")
-    subs["noise-sweep"] = noise
-
-    sweep = commands.add_parser("param-sweep", argument_default=argparse.SUPPRESS,
-                                help="grid sweep over alpha or bins")
-    _add_bench_flags(sweep)
-    sweep.add_argument("--alpha-grid", type=_float_list, dest="alpha_grid")
-    sweep.add_argument("--bins-grid", type=_int_list, dest="bins_grid")
-    sweep.add_argument("--select", action="store_true",
-                       help="add a validation-selected alpha row")
-    subs["param-sweep"] = sweep
-
-    lab = commands.add_parser("biaslab", argument_default=argparse.SUPPRESS,
-                              help="decision-bias Monte Carlo on the 1-D toy")
-    for flag, kind in (("--n-min", int), ("--n-maj", int), ("--mu-min", float),
-                       ("--mu-maj", float), ("--sigma", float), ("--trials", int)):
-        lab.add_argument(flag, type=kind, dest=flag[2:].replace("-", "_"))
-    lab.add_argument("--alpha-sigmas", type=_float_list, dest="alpha_sigmas")
-    _add_common(lab)
-    subs["biaslab"] = lab
-
-    synth = commands.add_parser("synth", argument_default=argparse.SUPPRESS,
-                                help="emit a synthetic dataset as CSV")
-    synth.add_argument("--generator", choices=["gaussian1d", "overlap2d"])
-    for flag, kind in (("--n-min", int), ("--n-maj", int), ("--mu-min", float),
-                       ("--mu-maj", float), ("--sigma", float)):
-        synth.add_argument(flag, type=kind, dest=flag[2:].replace("-", "_"))
-    synth.add_argument("--overlap", choices=["low", "mid", "high"])
-    _add_common(synth)
-    subs["synth"] = synth
-    return parser, subs
+    for name, command in _COMMANDS.items():
+        sub = commands.add_parser(name, argument_default=argparse.SUPPRESS, help=command.help)
+        for s in command.echoed + command.rest:
+            kind = {"action": "store_true"} if s.switch else {"type": s.type, "choices": s.choices}
+            sub.add_argument("--" + s.name.replace("_", "-"), dest=s.name, help=s.help, **kind)
+    return parser
 
 
-def _read_config_file(path, parser_actions, defaults) -> dict:
+def _read_config_file(path, command: Command) -> dict:
+    settings = {s.name: s for s in command.echoed + command.rest}
     values = {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
-    actions = {action.dest: action for action in parser_actions}
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -538,43 +494,42 @@ def _read_config_file(path, parser_actions, defaults) -> dict:
         key, _, raw = text.partition("=")
         key = key.strip().replace("-", "_")
         raw = raw.strip()
-        if key not in defaults:
+        setting = settings.get(key)
+        if setting is None:
             raise CliError(f"{path}:{lineno}: unknown setting {key!r}")
-        action = actions.get(key)
-        if action is not None and action.type is not None:
+        if setting.type is not None:
             try:
-                value = action.type(raw)
+                value = setting.type(raw)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise CliError(f"{path}:{lineno}: {exc}") from exc
         elif raw.lower() in ("true", "false"):
             value = raw.lower() == "true"
         else:
             value = raw
-        if action is not None and action.choices is not None and value not in action.choices:
+        if setting.choices is not None and value not in setting.choices:
             raise CliError(f"{path}:{lineno}: invalid {key} {raw!r} "
-                           f"(choose from {', '.join(action.choices)})")
+                           f"(choose from {', '.join(setting.choices)})")
         values[key] = value
     return values
 
 
-def resolve_options(command: str, given: dict, parser_actions) -> dict:
-    defaults = dict(_DEFAULTS[command])
-    merged = dict(defaults)
-    config_path = given.get("config") or defaults.get("config")
-    if config_path:
-        merged.update(_read_config_file(config_path, parser_actions, defaults))
-    merged.update(given)
-    return merged
+def resolve_options(command: str, given: dict) -> dict:
+    """Defaults, then the --config file's values, then the given flags."""
+    options = dict(_DEFAULTS[command])
+    if given.get("config"):
+        options.update(_read_config_file(given["config"], _COMMANDS[command]))
+    options.update(given)
+    return options
 
 
 def main(argv=None) -> int:
-    parser, subs = build_parser()
-    ns = parser.parse_args(argv)
-    command = ns.command
-    given = {key: value for key, value in vars(ns).items() if key != "command"}
+    given = vars(build_parser().parse_args(argv))
+    command = given.pop("command")
     try:
-        options = resolve_options(command, given, subs[command]._actions)
-        report = _RUNNERS[command](options)
+        options = resolve_options(command, given)
+        started = time.perf_counter()
+        report = _COMMANDS[command].runner(options)
+        report.timing = {"elapsed_ms": (time.perf_counter() - started) * 1000.0, **report.timing}
         text = report.render(options.get("format") or "csv")
         if options.get("out"):
             try:

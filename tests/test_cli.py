@@ -351,7 +351,7 @@ class TestMainEntry:
 
 class TestResolveOptions:
     def test_defaults_flow_through(self):
-        opts = resolve_options("bench", {}, [])
+        opts = resolve_options("bench", {})
         assert opts["k"] == 10
         assert opts["inter"] == "rhs"
         assert opts["intra"] == "shem"
