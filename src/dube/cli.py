@@ -446,7 +446,8 @@ _COMMANDS = {
     "bench": Command(run_bench, "repeated stratified-CV benchmark", _CV, _CV_REST),
     "noise-sweep": Command(
         run_noise_sweep, "flip-noise robustness sweep over intra-class strategies",
-        (*_CV, Setting("noise_grid", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], _float_list)), _CV_REST),
+        (*[s for s in _CV if s.name != "intra"],  # each point sets its own intra
+         Setting("noise_grid", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], _float_list)), _CV_REST),
     "param-sweep": Command(
         run_param_sweep, "grid sweep over alpha or bins", _CV,
         (*_CV_REST, Setting("alpha_grid", None, _float_list), Setting("bins_grid", None, _int_list),

@@ -104,6 +104,28 @@ class TestNoiseSweep:
         with pytest.raises(CliError, match="noise-grid"):
             run_noise_sweep(options("noise-sweep", input=path, noise_grid=[]))
 
+    # every point sets its own intra-class strategy: none is taken or echoed
+    def test_intra_flag_rejected(self, tmp_path, capsys):
+        path = write_dataset(tmp_path / "toy.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["noise-sweep", "--input", path, "--intra", "hem"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --intra" in capsys.readouterr().err
+
+    def test_intra_config_key_rejected(self, tmp_path, capsys):
+        path = write_dataset(tmp_path / "toy.csv")
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("intra = hem\n")
+        assert main(["noise-sweep", "--input", path, "--config", str(cfg)]) == 2
+        assert "run.conf:1: unknown setting 'intra'" in capsys.readouterr().err
+
+    def test_config_line_names_no_intra(self, tmp_path):
+        path = write_dataset(tmp_path / "toy.csv")
+        report = run_noise_sweep(options("noise-sweep", input=path, k=2, folds=2,
+                                         noise_grid=[0.0]))
+        assert "intra=" not in report.config_line
+        assert " bins=5 " in report.config_line
+
     def test_multiclass_rejected(self, tmp_path):
         path = tmp_path / "multi.csv"
         gen = np.random.default_rng(0)
