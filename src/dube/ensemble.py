@@ -30,7 +30,7 @@ import numpy as np
 from . import rng
 from .balancing import InterCBStrategy, IntraCBStrategy, SamplingPlan, resample_step
 from .dataset import Dataset
-from .learners import (LearnerParams, TreeParams, fit_learner, learner_from_dict,
+from .learners import (LearnerParams, TreeParams, _Classifier, fit_learner, learner_from_dict,
                        params_from_dict, params_to_dict)
 from .pbda import ClassCovariance, class_covariance, perturb
 
@@ -79,7 +79,7 @@ class TrainingTrace:
         return sum(it.resample_ms for it in self.iterations)
 
 
-class EnsembleModel:
+class EnsembleModel(_Classifier):
     """Ordered fitted members with uniform soft-vote aggregation."""
 
     def __init__(self, members, m: int, d: int, config: DubeConfig):
@@ -101,16 +101,6 @@ class EnsembleModel:
         for member in self.members:
             total += member.predict_proba_many(X)
         return total / len(self.members)
-
-    def predict_proba(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.d,):
-            raise ValueError(f"expected vector of length {self.d}, got shape {x.shape}")
-        return self.predict_proba_many(x[None])[0]
-
-    def predict_many(self, X) -> np.ndarray:
-        """Argmax of the soft vote; ties go to the lowest class id."""
-        return np.argmax(self.predict_proba_many(X), axis=1)
 
     def predict(self, x) -> int:
         return int(np.argmax(self.predict_proba(x)))
@@ -190,9 +180,21 @@ def save_model(model: EnsembleModel, path) -> None:
 
 
 def load_model(path) -> EnsembleModel:
+    """Read a :func:`save_model` file, raising ValueError unless every
+    member is well formed and agrees with the file's ``m`` and ``d``."""
     with open(path) as fh:
         blob = json.load(fh)
     if blob.get("format") != MODEL_FORMAT or blob.get("version") != MODEL_VERSION:
         raise ValueError(f"not a {MODEL_FORMAT} v{MODEL_VERSION} file: {path}")
-    members = [learner_from_dict(b) for b in blob["members"]]
-    return EnsembleModel(members, blob["m"], blob["d"], _config_from_dict(blob["config"]))
+    try:
+        members = [learner_from_dict(b) for b in blob["members"]]
+        model = EnsembleModel(members, blob["m"], blob["d"], _config_from_dict(blob["config"]))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    if not members:
+        raise ValueError(f"{path}: a model needs at least one member")
+    for i, member in enumerate(members):
+        if (member.m, member.d) != (model.m, model.d):
+            raise ValueError(f"{path}: member {i} has m={member.m}, d={member.d}; "
+                             f"the model has m={model.m}, d={model.d}")
+    return model

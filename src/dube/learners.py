@@ -205,7 +205,16 @@ class KnnClassifier(_Classifier):
 
     @classmethod
     def from_dict(cls, blob: dict) -> "KnnClassifier":
-        return cls(blob["X"], blob["y"], blob["m"], blob["k_neighbors"])
+        """Rebuild a KNN member, raising ValueError unless it is well formed."""
+        X, y = np.asarray(blob["X"], dtype=np.float64), np.asarray(blob["y"], dtype=np.int64)
+        m, k = int(blob["m"]), int(blob["k_neighbors"])
+        if X.ndim != 2 or X.shape[0] == 0 or y.shape != (X.shape[0],):
+            raise ValueError("knn X must have shape (n, d) with n >= 1, and y length n")
+        if not 1 <= k <= X.shape[0]:
+            raise ValueError(f"knn k_neighbors must lie in [1, {X.shape[0]}], got {k}")
+        if y.min() < 0 or y.max() >= m:
+            raise ValueError(f"knn labels must lie in [0, {m})")
+        return cls(X, y, m, k)
 
 
 def tree_fit(ds: Dataset, params: TreeParams = TreeParams()) -> TreeClassifier:

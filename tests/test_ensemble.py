@@ -267,3 +267,80 @@ class TestTreeModelValidation:
     def test_leaf_row_not_a_distribution(self, tmp_path):
         with pytest.raises(ValueError, match="sum to 1"):
             load_model(self.save_stump(tmp_path, proba=[[0, 0], [0.5, 0.4], [0, 1]]))
+
+
+class TestModelFileValidation:
+    """load_model checks the whole file. Each defect below used to load,
+    then fail at predict time or predict rows that are not distributions."""
+
+    @staticmethod
+    def save_knn(tmp_path, edit=None):
+        ds = small_dataset(10, n_min=10, n_maj=30)
+        path = tmp_path / "model.json"
+        save_model(dube_fit(ds, DubeConfig(k=2, learner=KnnParams(k_neighbors=3), seed=1)), path)
+        blob = json.loads(path.read_text())
+        if edit is not None:
+            edit(blob)
+        path.write_text(json.dumps(blob))
+        return path
+
+    @staticmethod
+    def edit_member(**fields):
+        return lambda blob: blob["members"][0].update(fields)
+
+    def test_well_formed_knn_loads(self, tmp_path):
+        model = load_model(self.save_knn(tmp_path))
+        probs = model.predict_proba_many(np.zeros((3, 2)))
+        assert np.allclose(probs.sum(axis=1), 1.0)
+
+    def test_model_m_differs_from_member(self, tmp_path):
+        with pytest.raises(ValueError, match="member 0 has m=2, d=2; the model has m=3"):
+            load_model(self.save_knn(tmp_path, lambda blob: blob.update(m=3)))
+
+    def test_model_d_differs_from_member(self, tmp_path):
+        with pytest.raises(ValueError, match="member 0 has m=2, d=2; the model has m=2, d=3"):
+            load_model(self.save_knn(tmp_path, lambda blob: blob.update(d=3)))
+
+    @pytest.mark.parametrize("where,key", [("model", "m"), ("model", "config"),
+                                           ("model", "members"), ("member", "k_neighbors"),
+                                           ("member", "y")])
+    def test_missing_key(self, tmp_path, where, key):
+        def edit(blob):
+            del (blob if where == "model" else blob["members"][0])[key]
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            load_model(self.save_knn(tmp_path, edit))
+
+    def test_no_members(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one member"):
+            load_model(self.save_knn(tmp_path, lambda blob: blob.update(members=[])))
+
+    def test_k_neighbors_zero(self, tmp_path):
+        with pytest.raises(ValueError, match="k_neighbors"):
+            load_model(self.save_knn(tmp_path, self.edit_member(k_neighbors=0)))
+
+    def test_k_neighbors_above_rows(self, tmp_path):
+        def edit(blob):
+            member = blob["members"][0]
+            member["k_neighbors"] = len(member["X"]) + 1
+        with pytest.raises(ValueError, match="k_neighbors"):
+            load_model(self.save_knn(tmp_path, edit))
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_outside_classes(self, tmp_path, label):
+        def edit(blob):
+            blob["members"][0]["y"][0] = label
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            load_model(self.save_knn(tmp_path, edit))
+
+    def test_features_not_a_matrix(self, tmp_path):
+        def edit(blob):
+            member = blob["members"][0]
+            member["X"] = [row[0] for row in member["X"]]
+        with pytest.raises(ValueError, match=r"shape \(n, d\)"):
+            load_model(self.save_knn(tmp_path, edit))
+
+    def test_label_count_differs_from_rows(self, tmp_path):
+        def edit(blob):
+            blob["members"][0]["y"].pop()
+        with pytest.raises(ValueError, match="y length n"):
+            load_model(self.save_knn(tmp_path, edit))
