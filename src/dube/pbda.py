@@ -11,6 +11,7 @@ points instead of exact copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,12 +21,21 @@ from .dataset import Dataset
 
 @dataclass(frozen=True)
 class ClassCovariance:
-    """Mean, covariance and row count of one class."""
+    """Mean, covariance and row count of one class.
+
+    ``factor`` is computed on first use and kept, so a fit factors each
+    class covariance once however many iterations perturb that class.
+    """
 
     class_id: int
     mean: np.ndarray
     cov: np.ndarray
     count: int
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Matrix L with L @ L.T ~= cov (see :func:`_psd_factor`)."""
+        return _psd_factor(self.cov)
 
 
 def class_covariance(ds: Dataset, c: int) -> ClassCovariance:
@@ -90,7 +100,6 @@ def perturb(samples, alpha: float, cov: ClassCovariance, seed: int) -> np.ndarra
             f"covariance is {cov.cov.shape[0]}x{cov.cov.shape[0]}")
     if alpha == 0.0 or not cov.cov.any():
         return samples.copy()
-    factor = _psd_factor(cov.cov)
     gen = rng.stream(seed, rng.PERTURB)
-    noise = gen.standard_normal(samples.shape) @ factor.T
+    noise = gen.standard_normal(samples.shape) @ cov.factor.T
     return samples + alpha * noise

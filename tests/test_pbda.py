@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dube import Dataset, class_covariance, perturb
+from dube import Dataset, class_covariance, perturb, rng
 from dube.pbda import _psd_factor
 
 
@@ -101,6 +101,30 @@ class TestPerturb:
         cov = ClassCovariance(0, np.zeros(2), np.eye(2), 10)
         with pytest.raises(ValueError, match="alpha"):
             perturb(np.zeros((3, 2)), -0.1, cov, seed=0)
+
+
+    def test_factor_computed_once_and_unchanged(self, monkeypatch):
+        from dube import pbda
+        from dube.pbda import ClassCovariance
+        target = np.array([[1.0, 0.6], [0.6, 2.0]])
+        X = np.arange(8, dtype=float).reshape(4, 2)
+        expected = X + 0.3 * (rng.stream(4, rng.PERTURB).standard_normal(X.shape)
+                              @ _psd_factor(target).T)
+        calls = []
+        monkeypatch.setattr(pbda, "_psd_factor",
+                            lambda cov: calls.append(cov) or _psd_factor(cov))
+        cov = ClassCovariance(0, np.zeros(2), target, 10)
+        for _ in range(3):
+            assert np.array_equal(perturb(X, 0.3, cov, seed=4), expected)
+        assert len(calls) == 1
+
+    def test_fit_factors_each_class_once(self, monkeypatch):
+        from dube import DubeConfig, dube_fit, make_overlap_2d, pbda
+        calls = []
+        monkeypatch.setattr(pbda, "_psd_factor",
+                            lambda cov: calls.append(cov) or _psd_factor(cov))
+        dube_fit(make_overlap_2d(20, 80, "mid", seed=0), DubeConfig(k=6, alpha=0.2))
+        assert len(calls) == 2  # one per class, not one per (iteration, class)
 
 
 class TestPsdFactor:
