@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from dube import load_csv, class_counts
-from dube.cli import (CliError, main, resolve_options, run_bench, run_biaslab,
-                      run_noise_sweep, run_param_sweep, run_synth, _DEFAULTS)
+from dube.cli import (CliError, build_parser, main, resolve_options, run_bench, run_biaslab,
+                      run_noise_sweep, run_param_sweep, run_synth, _COMMANDS, _DEFAULTS,
+                      _read_config_file)
 
 
 def options(command, **overrides):
@@ -378,3 +379,37 @@ class TestResolveOptions:
         assert opts["inter"] == "rhs"
         assert opts["intra"] == "shem"
         assert opts["bins"] == 5
+
+
+# one or more values for every setting of every command, as typed by a user
+SAMPLES = {
+    "input": ["data.csv"], "label_col": ["3", "target"], "k": ["7"], "inter": ["rus"],
+    "intra": ["hem"], "bins": ["4"], "alpha": ["0.25", "auto"], "learner": ["knn"],
+    "tree_max_depth": ["4", "none"], "tree_min_leaf": ["2"], "tree_criterion": ["entropy"],
+    "knn_neighbors": ["3"], "folds": ["4"], "repeats": ["2"], "seed": ["11"], "jobs": ["2"],
+    "details": ["true"], "config": ["other.conf"], "out": ["report.csv"], "format": ["text"],
+    "noise_grid": ["0,0.25"], "alpha_grid": ["0.1,0.3"], "bins_grid": ["2,6"],
+    "select": ["true"], "n_min": ["4"], "n_maj": ["20"], "mu_min": ["-1.5"],
+    "mu_maj": ["2.5"], "sigma": ["0.5"], "trials": ["300"], "alpha_sigmas": ["0.1,0.3"],
+    "generator": ["overlap2d"], "overlap": ["high"],
+}
+TABLE = [(command, setting) for command, spec in _COMMANDS.items()
+         for setting in spec.echoed + spec.rest]
+
+
+class TestSettingsTable:
+    def test_every_setting_has_a_sample(self):
+        assert {setting.name for _, setting in TABLE} == set(SAMPLES)
+
+    @pytest.mark.parametrize("command,setting,raw", [
+        (command, setting, raw) for command, setting in TABLE for raw in SAMPLES[setting.name]],
+        ids=lambda value: getattr(value, "name", value))
+    def test_flag_and_config_file_agree(self, tmp_path, command, setting, raw):
+        flag = "--" + setting.name.replace("_", "-")
+        argv = [command, flag] if setting.switch else [command, flag, raw]
+        from_flag = vars(build_parser().parse_args(argv))[setting.name]
+        path = tmp_path / "run.conf"
+        path.write_text(f"{setting.name} = {raw}\n")
+        from_file = _read_config_file(path, _COMMANDS[command])[setting.name]
+        assert from_file == from_flag
+        assert type(from_file) is type(from_flag)
