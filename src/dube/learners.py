@@ -164,11 +164,18 @@ class TreeClassifier(_Classifier):
         return tree
 
 
+# Query rows are scored in blocks of at most this many bytes of float64
+# squared distances (one row at least), so a block's memory grows with the
+# training set and not with a fixed row count times it.
+_BLOCK_BYTES = 8 << 20
+
+
 class KnnClassifier(_Classifier):
     """k-nearest-neighbor vote by Euclidean distance.
 
-    Distance ties resolve to the lower training-row index (stable sort
-    over squared distances).
+    The k nearest rows are those of smallest squared distance. Distance
+    ties go to the lower training-row index, and NaN distances rank after
+    every number, in index order.
     """
 
     def __init__(self, X, y, m, k_neighbors):
@@ -185,13 +192,13 @@ class KnnClassifier(_Classifier):
             raise ValueError(f"expected {self.d} features, got {X.shape[1]}")
         out = np.empty((X.shape[0], self.m))
         k = self.k_neighbors
-        for start in range(0, X.shape[0], 512):
-            Q = X[start:start + 512]
+        step = max(1, _BLOCK_BYTES // (8 * self.X.shape[0]))
+        for start in range(0, X.shape[0], step):
+            Q = X[start:start + step]
             d2 = (Q ** 2).sum(axis=1)[:, None] + self._sq_norms[None, :] - 2.0 * (Q @ self.X.T)
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            votes = self.y[nearest]
+            votes = self.y[np.nonzero(_nearest(d2, k))[1].reshape(-1, k)]
             for c in range(self.m):
-                out[start:start + 512, c] = (votes == c).sum(axis=1) / k
+                out[start:start + step, c] = (votes == c).sum(axis=1) / k
         return out
 
     def to_dict(self) -> dict:
@@ -215,6 +222,26 @@ class KnnClassifier(_Classifier):
         if y.min() < 0 or y.max() >= m:
             raise ValueError(f"knn labels must lie in [0, {m})")
         return cls(X, y, m, k)
+
+
+def _nearest(d2, k):
+    """Mask of the k nearest columns of each row of ``d2``: the first k of a
+    stable argsort, which puts NaN after every number.
+
+    Every entry below the k-th smallest value v is kept; entries equal to
+    v fill the remaining places in index order. Where v is NaN (fewer
+    than k numbers in the row), every number is below it and the NaNs
+    are the entries equal to it.
+    """
+    v = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    below, tied = d2 < v, d2 == v
+    nan_rows = np.flatnonzero(np.isnan(v[:, 0]))
+    tied[nan_rows] = np.isnan(d2[nan_rows])
+    below[nan_rows] = ~tied[nan_rows]
+    room = k - np.count_nonzero(below, axis=1)
+    crowded = np.flatnonzero(np.count_nonzero(tied, axis=1) > room)
+    tied[crowded] &= np.cumsum(tied[crowded], axis=1) <= room[crowded, None]
+    return below | tied
 
 
 def tree_fit(ds: Dataset, params: TreeParams = TreeParams()) -> TreeClassifier:

@@ -1,12 +1,15 @@
+from unittest import mock
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dube import Dataset, DatasetError
-from dube.learners import (KnnParams, TreeParams, fit_learner,
+from dube import Dataset, DatasetError, learners
+from dube.learners import (KnnClassifier, KnnParams, TreeParams, fit_learner,
                            learner_from_dict, knn_fit, tree_fit)
+from knn_reference import reference_knn_predict_proba_many
 from tree_reference import reference_predict_proba_many, reference_tree_fit
 
 
@@ -207,6 +210,61 @@ class TestKnn:
         ds = dataset([[0.0], [1.0]], [0, 1])
         with pytest.raises(DatasetError):
             knn_fit(ds, 3)
+
+
+# Values whose squared distances come out the same for any query block
+# shape. Every product is exact, so no summation order or fused
+# multiply-add can change a bit. Training rows hold small integers (heavy
+# distance ties) and +-1e200, whose squares overflow to inf; queries hold
+# small integers, NaN and +-inf, so inf - inf and inf * 0 give NaN. A
+# query value near 1e200 is left out: 1e200 * 1e200 overflows when
+# multiplied and added in two steps and not when fused, and BLAS picks
+# one or the other by block shape.
+_SMALL = st.integers(-2, 2).map(float)
+_TRAIN_VALUES = st.one_of(_SMALL, st.sampled_from([1e200, -1e200]))
+_QUERY_VALUES = st.one_of(_SMALL, st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def knn_problems(draw):
+    """A KNN model with duplicated training rows, its queries, and a block
+    byte budget from one row per block up to a single block."""
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 4))
+    distinct = draw(hnp.arrays(np.float64, (draw(st.integers(1, n)), d), elements=_TRAIN_VALUES))
+    pick = draw(hnp.arrays(np.int64, n, elements=st.integers(0, distinct.shape[0] - 1)))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, m - 1)))
+    k = draw(st.sampled_from([1, n]) | st.integers(1, n))
+    queries = draw(hnp.arrays(np.float64, (draw(st.integers(1, 40)), d), elements=_QUERY_VALUES))
+    nan_rows = draw(hnp.arrays(np.bool_, queries.shape[0]))
+    queries[nan_rows] = np.nan
+    block_bytes = draw(st.sampled_from([1, 8 * n - 1, 8 * n, 8 * n * 3 + 5, 8 << 20]))
+    with np.errstate(over="ignore"):
+        model = KnnClassifier(distinct[pick], y, m, k)
+    return model, queries, block_bytes
+
+
+class TestKnnMatchesReference:
+    """The partition vote over byte-sized blocks against a stable argsort of
+    every distance row over 512-row blocks."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(knn_problems())
+    def test_identical_probabilities(self, problem):
+        model, queries, block_bytes = problem
+        with np.errstate(over="ignore", invalid="ignore"):
+            with mock.patch.object(learners, "_BLOCK_BYTES", block_bytes):
+                got = model.predict_proba_many(queries)
+            want = reference_knn_predict_proba_many(model, queries)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_nan_distances_rank_last_in_index_order(self):
+        # squared distances from inf: inf, then NaN (inf * 0) and NaN (inf - inf) twice
+        model = KnnClassifier([[-1.0], [0.0], [1.0], [2.0]], [0, 1, 2, 0], 3, 2)
+        with np.errstate(invalid="ignore"):
+            assert model.predict_proba_many([[np.inf]]).tolist() == [[0.5, 0.5, 0.0]]
 
 
 class TestSerialization:
