@@ -498,13 +498,16 @@ def _read_config_file(path, command: Command) -> dict:
         setting = settings.get(key)
         if setting is None:
             raise CliError(f"{path}:{lineno}: unknown setting {key!r}")
-        if setting.type is not None:
+        if setting.switch:
+            if raw.lower() not in ("true", "false"):
+                raise CliError(f"{path}:{lineno}: {key} is a switch: expected true or false, "
+                               f"got {raw!r}")
+            value = raw.lower() == "true"
+        elif setting.type is not None:
             try:
                 value = setting.type(raw)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise CliError(f"{path}:{lineno}: {exc}") from exc
-        elif raw.lower() in ("true", "false"):
-            value = raw.lower() == "true"
         else:
             value = raw
         if setting.choices is not None and value not in setting.choices:

@@ -213,14 +213,14 @@ class KnnClassifier(_Classifier):
     @classmethod
     def from_dict(cls, blob: dict) -> "KnnClassifier":
         """Rebuild a KNN member, raising ValueError unless it is well formed."""
-        X, y = np.asarray(blob["X"], dtype=np.float64), np.asarray(blob["y"], dtype=np.int64)
-        m, k = int(blob["m"]), int(blob["k_neighbors"])
+        X, y = np.asarray(blob["X"], dtype=np.float64), np.asarray(blob["y"], dtype=np.float64)
+        m, k = int(blob["m"]), float(blob["k_neighbors"])
         if X.ndim != 2 or X.shape[0] == 0 or y.shape != (X.shape[0],):
             raise ValueError("knn X must have shape (n, d) with n >= 1, and y length n")
-        if not 1 <= k <= X.shape[0]:
-            raise ValueError(f"knn k_neighbors must lie in [1, {X.shape[0]}], got {k}")
-        if y.min() < 0 or y.max() >= m:
-            raise ValueError(f"knn labels must lie in [0, {m})")
+        if not (k.is_integer() and 1 <= k <= X.shape[0]):
+            raise ValueError(f"knn k_neighbors must be an integer in [1, {X.shape[0]}], got {k:g}")
+        if not ((y >= 0) & (y < m) & (y == np.floor(y))).all():
+            raise ValueError(f"knn labels must lie in [0, {m}) and be integers")
         return cls(X, y, m, k)
 
 

@@ -395,6 +395,7 @@ SAMPLES = {
 }
 TABLE = [(command, setting) for command, spec in _COMMANDS.items()
          for setting in spec.echoed + spec.rest]
+SWITCHES = [(command, setting) for command, setting in TABLE if setting.switch]
 
 
 class TestSettingsTable:
@@ -413,3 +414,23 @@ class TestSettingsTable:
         from_file = _read_config_file(path, _COMMANDS[command])[setting.name]
         assert from_file == from_flag
         assert type(from_file) is type(from_flag)
+
+    def test_every_command_with_a_switch_is_covered(self):
+        assert {command for command, _ in SWITCHES} == {"bench", "noise-sweep", "param-sweep"}
+
+    @pytest.mark.parametrize("command,setting", SWITCHES,
+                             ids=lambda value: getattr(value, "name", value))
+    @pytest.mark.parametrize("raw", ["no", "off", "1", ""])
+    def test_switch_value_other_than_true_or_false(self, tmp_path, capsys, command, setting, raw):
+        path = tmp_path / "run.conf"
+        path.write_text(f"# a comment\n{setting.name} = {raw}\n")
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"run.conf:2: {setting.name} is a switch: expected true or false" in err
+
+    @pytest.mark.parametrize("command,setting", SWITCHES,
+                             ids=lambda value: getattr(value, "name", value))
+    def test_switch_false_in_any_case(self, tmp_path, command, setting):
+        path = tmp_path / "run.conf"
+        path.write_text(f"{setting.name} = False\n")
+        assert _read_config_file(path, _COMMANDS[command]) == {setting.name: False}

@@ -335,3 +335,24 @@ class TestModelFileValidation:
             blob["members"][0]["y"].pop()
         with pytest.raises(ValueError, match="y length n"):
             load_model(self.save_knn(tmp_path, edit))
+
+    @pytest.mark.parametrize("label", [0.7, 1.5, float("nan")])
+    def test_label_not_an_integer(self, tmp_path, label):
+        def edit(blob):
+            blob["members"][0]["y"][0] = label
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\) and be integers"):
+            load_model(self.save_knn(tmp_path, edit))
+
+    def test_k_neighbors_not_an_integer(self, tmp_path):
+        with pytest.raises(ValueError, match="k_neighbors must be an integer in .*, got 2.5"):
+            load_model(self.save_knn(tmp_path,
+                                     lambda blob: blob["members"][0].update(k_neighbors=2.5)))
+
+    def test_integral_floats_load(self, tmp_path):
+        def edit(blob):
+            member = blob["members"][0]
+            member["k_neighbors"] = float(member["k_neighbors"])
+            member["y"] = [float(label) for label in member["y"]]
+        model = load_model(self.save_knn(tmp_path, edit))
+        assert model.members[0].k_neighbors == 3
+        assert model.members[0].y.dtype == np.int64
