@@ -415,9 +415,6 @@ class TestSettingsTable:
         assert from_file == from_flag
         assert type(from_file) is type(from_flag)
 
-    def test_every_command_with_a_switch_is_covered(self):
-        assert {command for command, _ in SWITCHES} == {"bench", "noise-sweep", "param-sweep"}
-
     @pytest.mark.parametrize("command,setting", SWITCHES,
                              ids=lambda value: getattr(value, "name", value))
     @pytest.mark.parametrize("raw", ["no", "off", "1", ""])
