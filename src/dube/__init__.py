@@ -9,8 +9,7 @@ max-margin boundary on 1-D two-Gaussian toys.
 """
 
 from .balancing import (ErrorHistogram, InterCBStrategy, IntraCBStrategy,
-                        SamplingPlan, error_histogram, hem_weights,
-                        normalize_error, prediction_error, resample_step,
+                        error_histogram, hem_weights, resample_step,
                         shem_weights, target_class_size, weighted_resample)
 from .biaslab import (BiasTrialReport, BoundCheck, ToyConfig, check_pbda_bound,
                       d_max, max_margin_1d, run_bias_trials, smote_1d)
@@ -31,14 +30,14 @@ __all__ = [
     "BiasTrialReport", "BoundCheck", "ClassCovariance", "Dataset",
     "DatasetError", "DubeConfig", "EnsembleModel", "ErrorHistogram",
     "EvalReport", "FoldPlan", "InterCBStrategy", "IntraCBStrategy",
-    "KnnParams", "RNG_ALGORITHM", "SamplingPlan", "ToyConfig",
-    "TrainingTrace", "TreeParams", "check_pbda_bound", "class_counts",
+    "KnnParams", "RNG_ALGORITHM", "ToyConfig", "TrainingTrace",
+    "TreeParams", "check_pbda_bound", "class_counts",
     "class_covariance", "confusion_matrix", "d_max", "dube_fit",
     "error_histogram", "evaluate", "fit_learner", "hem_weights",
     "inject_flip_noise", "knn_fit", "load_csv", "load_model",
     "macro_auroc", "macro_f1", "make_gaussian_1d", "make_overlap_2d",
-    "max_margin_1d", "mcc", "normalize_error", "perturb", "prediction_error",
-    "resample_step", "run_bias_trials", "save_model", "shem_weights",
-    "smote_1d", "stratified_k_fold", "target_class_size", "tree_fit",
+    "max_margin_1d", "mcc", "perturb", "resample_step",
+    "run_bias_trials", "save_model", "shem_weights", "smote_1d",
+    "stratified_k_fold", "target_class_size", "tree_fit",
     "weighted_resample",
 ]

@@ -23,7 +23,6 @@ are linear in the number of rows plus the sort inside the sampler.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,14 +73,6 @@ class ErrorHistogram:
         return np.minimum((e * self.b).astype(np.int64), self.b - 1)
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Resolved per-iteration plan: one target size, per-instance weights."""
-
-    target_per_class: int
-    weights: np.ndarray
-
-
 def target_class_size(counts, strategy: InterCBStrategy) -> int:
     """Common resampling target for all classes under a strategy."""
     counts = np.asarray(counts)
@@ -96,34 +87,8 @@ def target_class_size(counts, strategy: InterCBStrategy) -> int:
     return int(counts.sum() // counts.size)
 
 
-def prediction_error(p, y: int) -> float:
-    """L1 distance between a probability vector and the one-hot truth.
-
-    Ranges over [0, 2]; algebraically equal to 2 * (1 - p[y]).
-    """
-    p = np.asarray(p, dtype=np.float64)
-    _check_proba(p)
-    if not 0 <= y < p.size:
-        raise ValueError(f"class id {y} out of range for m={p.size}")
-    onehot = np.zeros(p.size)
-    onehot[y] = 1.0
-    return float(np.abs(p - onehot).sum())
-
-
-def _check_proba(p):
-    if p.ndim != 1 or p.size < 2 or (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"invalid probability vector {p!r}")
-
-
-def normalize_error(e: float) -> float:
-    """Map an L1 prediction error from [0, 2] onto [0, 1]."""
-    if not 0.0 <= e <= 2.0:
-        raise ValueError(f"error {e} outside [0, 2]")
-    return e / 2.0
-
-
 def batch_errors(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Normalized prediction errors for every row at once, in [0, 1]."""
+    """Half the L1 distance from each probability row to its one-hot label, in [0, 1]."""
     p_true = probs[np.arange(labels.size), labels]
     others = probs.sum(axis=1) - p_true
     # clip away float residue from probability rows summing to 1 +/- eps
@@ -199,8 +164,10 @@ def weighted_resample(class_rows, weights, n: int, seed: int) -> np.ndarray:
         positive = weights > 0
         keys[positive] = gen.exponential(size=int(positive.sum())) / weights[positive]
         tiebreak = gen.random(size)
-        order = np.lexsort((tiebreak, keys))
+        order = np.lexsort((tiebreak, keys, ~positive))  # a tiny weight's key may be inf
         return class_rows[order[:n]]
+    if np.isinf(weights.sum()):  # keep the draw probabilities finite
+        weights = weights / weights.max()
     extra = gen.choice(size, size=n - size, replace=True, p=weights / weights.sum())
     return np.concatenate([class_rows, class_rows[extra]])
 
@@ -224,10 +191,9 @@ def resample_step(labels, class_index, probs, inter: InterCBStrategy,
     (inter-class balancing), and draws every class to that size. Weights
     of a class that sum to zero fall back to uniform within the class.
 
-    Returns ``(n, per_class_rows, plan, elapsed_ms)`` where
-    ``per_class_rows[c]`` holds the ids drawn for class c.
+    Returns ``(n, per_class_rows, weights)``: the ids drawn for each class
+    and every row's instance weight before the per-class uniform fallback.
     """
-    t0 = time.perf_counter()
     counts = [index.size for index in class_index]
     n = target_class_size(counts, inter)
     errors = batch_errors(probs, labels)
@@ -238,5 +204,4 @@ def resample_step(labels, class_index, probs, inter: InterCBStrategy,
         if w.max() == 0.0:
             w = np.ones(rows.size)
         per_class.append(weighted_resample(rows, w, n, rng.child_seed(seed, c)))
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return n, per_class, SamplingPlan(target_per_class=n, weights=weights), elapsed_ms
+    return n, per_class, weights

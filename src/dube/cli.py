@@ -137,7 +137,7 @@ def tune_alpha(train: Dataset, cfg: DubeConfig, grid, seed: int) -> float:
 
 
 def run_cv_cell(train: Dataset, test: Dataset, base_cfg: DubeConfig, seed: int, alpha_mode):
-    """Fit on train, evaluate on test; returns (EvalReport, alpha, trace)."""
+    """Fit on train, evaluate on test; returns (EvalReport, alpha, resample ms per iteration)."""
     cfg = replace(base_cfg, seed=rng.child_seed(seed, rng.CELL))
     if alpha_mode == "auto":
         cfg = replace(cfg, alpha=tune_alpha(train, cfg, DEFAULT_ALPHA_GRID, seed))
@@ -145,7 +145,7 @@ def run_cv_cell(train: Dataset, test: Dataset, base_cfg: DubeConfig, seed: int, 
     model = dube_fit(train, cfg, trace)
     probs = model.predict_proba_many(test.features)
     report = evaluate(test.labels, probs.argmax(axis=1), probs)
-    return report, cfg.alpha, trace
+    return report, cfg.alpha, [it.resample_ms for it in trace.iterations]
 
 
 def _cv_cells(ds: Dataset, options):
@@ -173,7 +173,7 @@ def _cross_validate(ds: Dataset, options, points, failures: list) -> list:
     A point is (failure label prefix, DubeConfig, training-noise ratio or
     None). The (point, cell) jobs run in point-major order and failed
     cells append their messages to ``failures`` in that order. Returns,
-    per point, the (repeat, fold, metrics, alpha, trace) of every cell
+    per point, the (repeat, fold, metrics, alpha, resample_ms) of every cell
     that succeeded.
     """
     seed = options["seed"]
@@ -239,12 +239,10 @@ def run_bench(options) -> Report:
     report = Report("bench", _config_line("bench", options),
                     ["kind", "repeat", "fold", "alpha", "macro_f1", "mcc", "macro_auroc"])
     [results] = _cross_validate(ds, options, [point], report.failures)
-    resample_ms = []
     detail_rows = []
-    for rep, fold, metrics, alpha, trace in results:
+    for rep, fold, metrics, alpha, _ in results:
         report.rows.append(["cell", rep, fold, alpha, metrics.macro_f1,
                             metrics.mcc, metrics.macro_auroc])
-        resample_ms += [it.resample_ms for it in trace.iterations]
         for c, (precision, recall, f1) in enumerate(metrics.per_class):
             detail_rows.append([rep, fold, c, precision, recall, f1]
                                + metrics.confusion[c].tolist())
@@ -258,6 +256,7 @@ def run_bench(options) -> Report:
             ["repeat", "fold", "class", "precision", "recall", "f1"]
             + [f"pred_{c}" for c in range(m)],
             detail_rows))
+    resample_ms = [ms for *_, cell_ms in results for ms in cell_ms]
     report.timing = {"resample_ms_per_iteration_mean": float(np.mean(resample_ms or [0.0])),
                      "resample_ms_total": float(np.sum(resample_ms))}
     return report

@@ -23,15 +23,16 @@ earlier iterations.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
-from .balancing import InterCBStrategy, IntraCBStrategy, SamplingPlan, resample_step
+from .balancing import InterCBStrategy, IntraCBStrategy, resample_step
 from .dataset import Dataset
-from .learners import (LearnerParams, TreeParams, _Classifier, fit_learner, learner_from_dict,
-                       params_from_dict, params_to_dict)
+from .learners import (LearnerParams, TreeParams, _Classifier, _integer, fit_learner,
+                       learner_from_dict, params_from_dict, params_to_dict)
 from .pbda import ClassCovariance, class_covariance, perturb
 
 
@@ -62,7 +63,7 @@ class IterationTrace:
     """Record of one training iteration (t >= 2)."""
 
     target_size: int
-    plan: SamplingPlan
+    weights: np.ndarray
     sampled_rows: list
     ensemble_probs: np.ndarray
     resample_ms: float
@@ -73,10 +74,6 @@ class TrainingTrace:
     """Optional instrumentation collected by :func:`dube_fit`."""
 
     iterations: list = field(default_factory=list)
-
-    @property
-    def resample_ms_total(self) -> float:
-        return sum(it.resample_ms for it in self.iterations)
 
 
 class EnsembleModel(_Classifier):
@@ -118,20 +115,19 @@ def dube_fit(ds: Dataset, cfg: DubeConfig, trace: TrainingTrace | None = None) -
         raise ValueError("training needs at least two classes")
     covariances = [class_covariance(ds, c) for c in range(ds.m)]
 
-    members = []
-    first = fit_learner(ds, cfg.learner)
-    members.append(first)
-    probs_sum = first.predict_proba_many(ds.features)
+    members = [fit_learner(ds, cfg.learner)]
+    probs_sum = members[0].predict_proba_many(ds.features)
 
     for t in range(2, cfg.k + 1):
         current = probs_sum / (t - 1)
-        n, per_class, plan, ms = resample_step(
+        t0 = time.perf_counter()
+        n, per_class, weights = resample_step(
             ds.labels, ds.class_index, current, cfg.inter, cfg.intra,
             rng.child_seed(cfg.seed, rng.RESAMPLE, t))
         if trace is not None:
             trace.iterations.append(IterationTrace(
-                target_size=n, plan=plan, sampled_rows=per_class,
-                ensemble_probs=current, resample_ms=ms))
+                target_size=n, weights=weights, sampled_rows=per_class, ensemble_probs=current,
+                resample_ms=(time.perf_counter() - t0) * 1000.0))
         parts, labels = [], []
         for c, rows in enumerate(per_class):
             block = perturb(ds.features[rows], cfg.alpha, covariances[c],
@@ -188,7 +184,8 @@ def load_model(path) -> EnsembleModel:
         raise ValueError(f"not a {MODEL_FORMAT} v{MODEL_VERSION} file: {path}")
     try:
         members = [learner_from_dict(b) for b in blob["members"]]
-        model = EnsembleModel(members, blob["m"], blob["d"], _config_from_dict(blob["config"]))
+        model = EnsembleModel(members, _integer(blob, "m"), _integer(blob, "d"),
+                              _config_from_dict(blob["config"]))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
     if not members:

@@ -64,6 +64,14 @@ def params_from_dict(blob: dict) -> LearnerParams:
     return _PARAMS[fields.pop("kind")](**fields)
 
 
+def _integer(blob: dict, key: str, low: int = 1, high: float = float("inf")) -> int:
+    """``blob[key]`` as an int; ValueError unless it is a whole number (3.0 is) in [low, high]."""
+    value = blob[key]
+    if type(value) not in (int, float) or value % 1 != 0 or not low <= value <= high:
+        raise ValueError(f"{key} must be an integer in [{low}, {high:g}], got {value!r}")
+    return int(value)
+
+
 class _Classifier:
     """Shared prediction surface for fitted learners."""
 
@@ -147,7 +155,7 @@ class TreeClassifier(_Classifier):
     def from_dict(cls, blob: dict) -> "TreeClassifier":
         """Rebuild a tree, raising ValueError unless it is well formed."""
         tree = cls(blob["feature"], blob["threshold"], blob["left"],
-                   blob["right"], blob["proba"], blob["m"], blob["d"])
+                   blob["right"], blob["proba"], _integer(blob, "m"), _integer(blob, "d"))
         n, feature = tree.n_nodes, tree.feature
         arrays = (feature, tree.threshold, tree.left, tree.right)
         if n == 0 or tree.proba.shape != (n, tree.m) or any(a.shape != (n,) for a in arrays):
@@ -214,11 +222,10 @@ class KnnClassifier(_Classifier):
     def from_dict(cls, blob: dict) -> "KnnClassifier":
         """Rebuild a KNN member, raising ValueError unless it is well formed."""
         X, y = np.asarray(blob["X"], dtype=np.float64), np.asarray(blob["y"], dtype=np.float64)
-        m, k = int(blob["m"]), float(blob["k_neighbors"])
+        m = _integer(blob, "m")
         if X.ndim != 2 or X.shape[0] == 0 or y.shape != (X.shape[0],):
             raise ValueError("knn X must have shape (n, d) with n >= 1, and y length n")
-        if not (k.is_integer() and 1 <= k <= X.shape[0]):
-            raise ValueError(f"knn k_neighbors must be an integer in [1, {X.shape[0]}], got {k:g}")
+        k = _integer(blob, "k_neighbors", 1, X.shape[0])
         if not ((y >= 0) & (y < m) & (y == np.floor(y))).all():
             raise ValueError(f"knn labels must lie in [0, {m}) and be integers")
         return cls(X, y, m, k)

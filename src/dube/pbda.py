@@ -56,9 +56,8 @@ def class_covariance(ds: Dataset, c: int) -> ClassCovariance:
     centered = X - mean
     cov = centered.T @ centered / (rows.size - 1)
     cov = (cov + cov.T) / 2.0
-    eigvals = np.linalg.eigvalsh(cov)
-    if eigvals.min() < 0:
-        w, v = np.linalg.eigh(cov)
+    w, v = np.linalg.eigh(cov)
+    if w.min() < 0:
         cov = (v * np.clip(w, 0.0, None)) @ v.T
         cov = (cov + cov.T) / 2.0
     return ClassCovariance(c, mean, cov, int(rows.size))

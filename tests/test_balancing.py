@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from balancing_reference import normalize_error, prediction_error
 from dube import rng
 from dube.balancing import (InterCBStrategy, IntraCBStrategy, batch_errors,
-                            error_histogram, hem_weights, normalize_error,
-                            prediction_error, resample_step, shem_weights,
-                            target_class_size, weighted_resample)
+                            error_histogram, hem_weights, resample_step,
+                            shem_weights, target_class_size, weighted_resample)
 
 
 class TestTargetClassSize:
@@ -224,12 +226,57 @@ class TestWeightedResample:
             weighted_resample(np.array([1, 2]), np.zeros(2), 1, seed=0)
 
 
+@st.composite
+def resample_problems(draw):
+    """Distinct row ids, weights with zeros, tiny and huge values, a target size."""
+    size = draw(st.integers(1, 30))
+    weight = st.sampled_from([0.0, 5e-324, 1e-310, 1e308]) | st.floats(0, allow_infinity=False)
+    weights = np.array(draw(st.lists(weight, min_size=size, max_size=size)))
+    if weights.max() == 0.0:
+        weights[draw(st.integers(0, size - 1))] = draw(st.floats(1e-300, 1e300))
+    rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(1000)[:size]
+    return rows, weights, draw(st.integers(1, 3 * size)), draw(st.integers(0, 2**63 - 1))
+
+
+class TestWeightedResampleProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(resample_problems())
+    def test_size_membership_and_zero_weights(self, problem):
+        rows, weights, n, seed = problem
+        out = weighted_resample(rows, weights, n, seed)
+        assert out.size == n and np.isin(out, rows).all()
+        copies = (out[:, None] == rows[None, :]).sum(axis=0)
+        zero = weights == 0.0
+        if n > rows.size:
+            # every original once, and only positive-weight rows drawn again
+            assert (copies >= 1).all() and (copies[zero] == 1).all()
+        else:
+            assert (copies <= 1).all()
+            assert copies[zero].sum() == max(0, n - int((~zero).sum()))
+
+
+class TestBatchErrorsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 30), st.sampled_from([0.05, 0.5, 1.0, 5.0]),
+           st.floats(-1e-12, 1e-12), st.integers(0, 2**32 - 1))
+    def test_equal_to_scalar_definition(self, m, n, concentration, excess, seed):
+        gen = np.random.default_rng(seed)
+        probs = gen.dirichlet(np.full(m, concentration), size=n) * (1.0 + excess)
+        labels = gen.integers(0, m, n)
+        batch = batch_errors(probs, labels)
+        for i in range(n):
+            # a row summing to 1 + 1e-12 with p[y] near 0 lies a residue
+            # above 2; batch_errors clips that residue, so clip it here too
+            raw = min(prediction_error(probs[i], int(labels[i])), 2.0)
+            assert abs(batch[i] - normalize_error(raw)) <= 1e-12
+
+
 class TestResampleStep:
     def test_rus_uniform_step_sizes(self):
         labels = np.repeat([0, 1], [12, 4])
         class_index = (np.arange(12), np.arange(12, 16))
         probs = np.full((16, 2), 0.5)
-        n, per_class, plan, _ = resample_step(
+        n, per_class, _ = resample_step(
             labels, class_index, probs, InterCBStrategy("RUS"),
             IntraCBStrategy("Uniform"), seed=3)
         assert n == 4
@@ -243,7 +290,7 @@ class TestResampleStep:
         probs = np.zeros((9, 2))
         probs[:6, 0] = 1.0
         probs[6:, 0] = 1.0  # class 1 rows fully wrong -> weight 1
-        n, per_class, _, _ = resample_step(
+        n, per_class, _ = resample_step(
             labels, class_index, probs, InterCBStrategy("RUS"),
             IntraCBStrategy("HEM"), seed=1)
         assert per_class[0].size == n == 3

@@ -1,8 +1,12 @@
 import inspect
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dube import (DubeConfig, EnsembleModel, TrainingTrace, class_counts,
                   dube_fit, load_model, make_overlap_2d, save_model)
@@ -14,6 +18,18 @@ from dube.learners import KnnParams, TreeClassifier, TreeParams, tree_fit
 
 def small_dataset(seed=0, n_min=20, n_maj=80):
     return make_overlap_2d(n_min, n_maj, "mid", seed=seed)
+
+
+def save_edited_model(tmp_path, learner, edit):
+    """Save a small fitted ensemble, apply ``edit`` to its JSON, and
+    return the path."""
+    ds = small_dataset(10, n_min=10, n_maj=30)
+    path = tmp_path / "model.json"
+    save_model(dube_fit(ds, DubeConfig(k=2, learner=learner, seed=1)), path)
+    blob = json.loads(path.read_text())
+    edit(blob)
+    path.write_text(json.dumps(blob))
+    return path
 
 
 class _StubLearner:
@@ -143,8 +159,8 @@ class TestDubeFit:
         trace = TrainingTrace()
         dube_fit(ds, cfg, trace)
         for it in trace.iterations:
-            assert it.plan.weights.size == ds.n_rows
-            assert (it.plan.weights >= 0).all()
+            assert it.weights.size == ds.n_rows
+            assert (it.weights >= 0).all()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -275,13 +291,7 @@ class TestModelFileValidation:
 
     @staticmethod
     def save_knn(tmp_path, edit):
-        ds = small_dataset(10, n_min=10, n_maj=30)
-        path = tmp_path / "model.json"
-        save_model(dube_fit(ds, DubeConfig(k=2, learner=KnnParams(k_neighbors=3), seed=1)), path)
-        blob = json.loads(path.read_text())
-        edit(blob)
-        path.write_text(json.dumps(blob))
-        return path
+        return save_edited_model(tmp_path, KnnParams(k_neighbors=3), edit)
 
     def test_model_m_differs_from_member(self, tmp_path):
         with pytest.raises(ValueError, match="member 0 has m=2, d=2; the model has m=3"):
@@ -356,3 +366,82 @@ class TestModelFileValidation:
         model = load_model(self.save_knn(tmp_path, edit))
         assert model.members[0].k_neighbors == 3
         assert model.members[0].y.dtype == np.int64
+
+
+class TestModelFileIntegers:
+    """The file's and each member's m and d, and a KNN member's
+    k_neighbors, must be whole numbers. An int() cast used to load
+    "m": 2.5 as 2, and a null k_neighbors raised TypeError."""
+
+    LEARNERS = [TreeParams(), KnnParams(k_neighbors=3)]
+
+    @pytest.mark.parametrize("learner", LEARNERS, ids=["tree", "knn"])
+    @pytest.mark.parametrize("where,key", [("model", "m"), ("model", "d"), ("member", "m")])
+    @pytest.mark.parametrize("value", [2.5, None, True, "2", float("nan"), float("inf"), 0])
+    def test_size_not_a_whole_number(self, tmp_path, learner, where, key, value):
+        def edit(blob):
+            (blob if where == "model" else blob["members"][-1])[key] = value
+        with pytest.raises(ValueError, match=rf"{key} must be an integer in \[1, inf\], got"):
+            load_model(save_edited_model(tmp_path, learner, edit))
+
+    @pytest.mark.parametrize("value", [2.9, 0, None, True])
+    def test_tree_member_d_not_a_whole_number(self, tmp_path, value):
+        def edit(blob):
+            blob["members"][0]["d"] = value
+        with pytest.raises(ValueError, match=r"d must be an integer in \[1, inf\], got"):
+            load_model(save_edited_model(tmp_path, TreeParams(), edit))
+
+    @pytest.mark.parametrize("value", [None, "3", True, float("nan")])
+    def test_k_neighbors_not_a_number(self, tmp_path, value):
+        def edit(blob):
+            blob["members"][0]["k_neighbors"] = value
+        with pytest.raises(ValueError, match="k_neighbors must be an integer in .*, got"):
+            load_model(save_edited_model(tmp_path, KnnParams(k_neighbors=3), edit))
+
+    @pytest.mark.parametrize("learner", LEARNERS, ids=["tree", "knn"])
+    def test_integral_float_sizes_load(self, tmp_path, learner):
+        def edit(blob):
+            for part in [blob, *blob["members"]]:
+                part.update({key: float(part[key]) for key in ("m", "d") if key in part})
+        model = load_model(save_edited_model(tmp_path, learner, edit))
+        assert (model.m, model.d) == (2, 2) and type(model.m) is int and type(model.d) is int
+        assert all(type(member.m) is int and type(member.d) is int for member in model.members)
+
+
+@st.composite
+def fit_problems(draw):
+    """A small multi-class table and a config for either learner."""
+    m = draw(st.integers(2, 3))
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(3, 25), min_size=m, max_size=m))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # rounding makes duplicate values, so splits and neighbours meet ties
+    X = np.round(np.vstack([gen.normal(c, 1.0, size=(n, d)) for c, n in enumerate(sizes)]), 1)
+    y = np.repeat(np.arange(m), sizes)
+    if draw(st.booleans()):
+        learner = TreeParams(max_depth=draw(st.none() | st.integers(1, 4)),
+                             criterion=draw(st.sampled_from(["gini", "entropy"])))
+    else:
+        learner = KnnParams(k_neighbors=draw(st.integers(1, 3)))
+    cfg = DubeConfig(k=draw(st.integers(1, 4)),
+                     inter=InterCBStrategy(draw(st.sampled_from(["RUS", "ROS", "RHS"]))),
+                     intra=IntraCBStrategy(draw(st.sampled_from(["Uniform", "HEM", "SHEM"]))),
+                     alpha=draw(st.sampled_from([0.0, 0.3])), learner=learner,
+                     seed=draw(st.integers(0, 2**32 - 1)))
+    return Dataset(X, y, m=m), cfg
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(fit_problems())
+    def test_predictions_byte_equal_after_load(self, problem):
+        ds, cfg = problem
+        model = dube_fit(ds, cfg)
+        probe = np.vstack([ds.features, np.random.default_rng(0).normal(0, 3, (30, ds.n_features))])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(model, path)
+            clone = load_model(path)
+        assert clone.config == model.config
+        assert (clone.predict_proba_many(probe).tobytes()
+                == model.predict_proba_many(probe).tobytes())

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dube.metrics import (binary_auroc, confusion_matrix, evaluate,
                           macro_auroc, macro_f1, mcc)
@@ -131,3 +133,19 @@ class TestEvaluate:
         assert report.confusion.tolist() == [[1, 1], [1, 1]]
         assert len(report.per_class) == 2
         assert 0.0 <= report.macro_auroc <= 1.0
+
+
+class TestEvaluatePermutation:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 30), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_row_order_does_not_matter(self, m, extra, coarse, seed):
+        gen = np.random.default_rng(seed)
+        y_true = np.concatenate([np.arange(m), gen.integers(0, m, extra)])
+        scores = gen.dirichlet(np.ones(m), size=y_true.size)
+        if coarse:  # tied scores exercise the midranks
+            scores = np.round(scores, 1)
+        y_pred = gen.integers(0, m, y_true.size)
+        perm = gen.permutation(y_true.size)
+        a = evaluate(y_true, y_pred, scores)
+        b = evaluate(y_true[perm], y_pred[perm], scores[perm])
+        assert (a.macro_f1, a.mcc, a.macro_auroc) == (b.macro_f1, b.mcc, b.macro_auroc)
