@@ -1,11 +1,21 @@
+import csv
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from csv_reference import reference_load_csv
 from dube import (Dataset, DatasetError, class_counts, inject_flip_noise,
                   load_csv, make_gaussian_1d, make_overlap_2d,
                   stratified_k_fold)
 from dube.learners import knn_fit
 from dube.metrics import macro_auroc
+
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -55,6 +65,110 @@ class TestLoadCsv:
     def test_comment_lines_skipped(self, tmp_path):
         ds = load_csv(write(tmp_path, "# a comment\n1.0,a\n2.0,b\n"), 1)
         assert ds.n_rows == 2
+
+    @pytest.mark.parametrize("text,label_column,message", [
+        ("", 1, "empty file"),
+        ("# only a comment\n\n , \n", 1, "empty file"),
+        ("1.0,a\n2.0,3.0,b\n", 1, "ragged rows"),
+        ("x,y\n1.0,a\n", "target", "no column named 'target'"),
+        ("1.0,a\n2.0,b\n", 2, "label column index 2 out of range"),
+        ("1.0,a\n2.0,b\n", -1, "label column index -1 out of range"),
+        ("x,label\n", "label", "no data rows"),
+        ("x,label\n", 1, "no data rows"),
+    ])
+    def test_unusable_table(self, tmp_path, text, label_column, message):
+        path = write(tmp_path, text)
+        with pytest.raises(DatasetError) as info:
+            load_csv(path, label_column)
+        assert str(info.value) == f"{path}: {message}"
+
+
+def outcome(load, path, label_column):
+    """What ``load`` makes of a table: the dataset's arrays and label
+    space, or the message of the DatasetError it raised."""
+    try:
+        ds = load(path, label_column)
+    except DatasetError as exc:
+        return str(exc)
+    return (ds.features.shape, ds.features.tobytes(), ds.labels.tobytes(),
+            ds.label_names, ds.m)
+
+
+FINITE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:e}"),
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:+.3f}"),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_000", "-2_5.0_1", "1E5", "1e-400", "+.5", "5.", " 7 ", "\t-3.25 ",
+                     "\u0661\u0662"]),
+)
+NUMERIC_CELLS = st.one_of(
+    FINITE_CELLS,
+    st.sampled_from(["nan", "-NaN", "inf", "-Infinity", "1e400", " -1e400 "]),
+)
+ANY_CELLS = st.one_of(
+    NUMERIC_CELLS,
+    st.sampled_from(["oops", "", " ", "1__0", "0x10", "nan(1)", "2.0\x00", "1,5", "\"q\""]),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """CSV rows of one table and a label column to load it by."""
+    d = draw(st.integers(0, 3))
+    label_pos = draw(st.integers(0, d))
+    cells = draw(st.sampled_from([FINITE_CELLS, NUMERIC_CELLS, ANY_CELLS]))
+    names = draw(st.sampled_from([["a", "b", "c"], ["0", "1", "2"], [" x", "y ", "x"],
+                                  ["1.5", "-2", "nan"]]))
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        row = draw(st.lists(cells, min_size=d, max_size=d))
+        row.insert(label_pos, draw(st.sampled_from(names)))
+        rows.append(row)
+    header = draw(st.lists(st.sampled_from(["f", " label ", "1", "nan", "x y"]),
+                           min_size=d + 1, max_size=d + 1))
+    by = draw(st.sampled_from(["index", "name", "other"]))
+    if by == "name" or draw(st.booleans()):
+        rows.insert(0, header)
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), ["# note"] + [""] * d)
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [" "] * (d + 1))
+    if by == "index":
+        label_column = label_pos
+    elif by == "name":
+        label_column = header[label_pos].strip()
+    else:
+        label_column = draw(st.one_of(st.integers(-1, d + 1), st.just("missing")))
+    return rows, label_column
+
+
+class TestLoadCsvMatchesReference:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_tables())
+    def test_same_dataset_or_message(self, tmp_path, table):
+        rows, label_column = table
+        path = tmp_path / "table.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        want = outcome(reference_load_csv, path, label_column)
+        assert outcome(load_csv, path, label_column) == want
+
+    def test_benchmark_input_tables(self, tmp_path, monkeypatch):
+        inputs = types.ModuleType("perfbench_inputs")
+        inputs.__file__ = str(INPUTS)
+        monkeypatch.setitem(sys.modules, inputs.__name__, inputs)  # dataclasses look it up
+        exec(compile(INPUTS.read_text(), str(INPUTS), "exec"), inputs.__dict__)
+        for workload, specs in inputs.TABLES.items():
+            if specs["tiny"] is None:
+                continue
+            path = tmp_path / f"{workload}.csv"
+            inputs.write_csv(path, specs["tiny"], seed=1)
+            for label_column in ("label", specs["tiny"].features):
+                got = outcome(load_csv, path, label_column)
+                assert not isinstance(got, str), got
+                assert got == outcome(reference_load_csv, path, label_column)
 
 
 class TestDatasetInvariants:
