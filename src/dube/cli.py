@@ -481,9 +481,9 @@ def _read_config_file(path, command: Command) -> dict:
     settings = {s.name: s for s in command.echoed + command.rest}
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()

@@ -109,14 +109,15 @@ def class_counts(ds: Dataset) -> np.ndarray:
 
 
 def load_csv(path, label_column) -> Dataset:
-    """Load a comma-separated table into a :class:`Dataset`.
+    """Load a comma-separated UTF-8 table into a :class:`Dataset`.
 
     Feature cells must parse as finite reals; the label column may hold
     arbitrary strings, mapped to dense class ids by first appearance in
     file order (the mapping is kept in ``label_names``). A header row is
     required when ``label_column`` is a name; with a column index the
     first row is treated as a header iff any of its feature cells fails
-    to parse as a number.
+    to parse as a number. The feature block is parsed by one numpy call;
+    an error names the first bad cell in row-major order.
 
     Parameters
     ----------
@@ -128,16 +129,17 @@ def load_csv(path, label_column) -> Dataset:
     Raises
     ------
     DatasetError
-        Missing file or column, non-numeric or non-finite feature cell,
-        empty file, or a single distinct label (at least two classes are
-        required).
+        Missing or unreadable file (including bytes that are not UTF-8
+        and a field over the csv module's size limit), missing column,
+        non-numeric or non-finite feature cell, empty file, or a single
+        distinct label (at least two classes are required).
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             raw = [row for row in csv.reader(fh)
                    if row and any(cell.strip() for cell in row)
                    and not row[0].lstrip().startswith("#")]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     if not raw:
         raise DatasetError(f"{path}: empty file")
@@ -147,59 +149,46 @@ def load_csv(path, label_column) -> Dataset:
         raise DatasetError(f"{path}: ragged rows")
 
     if isinstance(label_column, str):
-        header = [cell.strip() for cell in raw[0]]
         try:
-            label_idx = header.index(label_column)
+            label_idx = [cell.strip() for cell in raw[0]].index(label_column)
         except ValueError:
             raise DatasetError(f"{path}: no column named {label_column!r}") from None
-        rows = raw[1:]
     else:
         label_idx = int(label_column)
         if not 0 <= label_idx < width:
             raise DatasetError(f"{path}: label column index {label_idx} out of range")
-        rows = raw
-        if rows and not _numeric_row(rows[0], label_idx):
-            rows = rows[1:]  # header row
-    if not rows:
+    names = [row.pop(label_idx).strip() for row in raw]  # raw keeps the feature cells
+    if isinstance(label_column, str) or _bad_cell(raw[:1], finite=False):
+        raw, names = raw[1:], names[1:]  # header row
+    if not raw:
         raise DatasetError(f"{path}: no data rows")
 
-    n, d = len(rows), width - 1
-    feats = np.empty((n, d), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64)
-    name_to_id: dict[str, int] = {}
+    try:
+        feats = np.array(raw, dtype=np.float64)
+        bad = not np.isfinite(feats).all()
+    except ValueError:
+        bad = True
+    if bad:
+        raise DatasetError(f"{path}: {_bad_cell(raw)}")
+    label_names = tuple(dict.fromkeys(names))
+    if len(label_names) < 2:
+        raise DatasetError(f"{path}: single-class dataset (need m >= 2)")
+    ids = {name: c for c, name in enumerate(label_names)}
+    return Dataset(feats, [ids[name] for name in names], m=len(label_names),
+                   label_names=label_names)
+
+
+def _bad_cell(rows, finite=True):
+    """``row i: non-numeric cell ...`` (or, if ``finite``, ``non-finite``) for the first, or None."""
     for i, row in enumerate(rows):
-        j = 0
-        for k, cell in enumerate(row):
-            if k == label_idx:
-                continue
+        for cell in row:
             try:
                 value = float(cell)
             except ValueError:
-                raise DatasetError(f"{path}: row {i}: non-numeric cell {cell!r}") from None
-            if not math.isfinite(value):
-                raise DatasetError(f"{path}: row {i}: non-finite cell {cell!r}")
-            feats[i, j] = value
-            j += 1
-        name = row[label_idx].strip()
-        if name not in name_to_id:
-            name_to_id[name] = len(name_to_id)
-        labels[i] = name_to_id[name]
-
-    if len(name_to_id) < 2:
-        raise DatasetError(f"{path}: single-class dataset (need m >= 2)")
-    return Dataset(feats, labels, m=len(name_to_id),
-                   label_names=tuple(name_to_id))
-
-
-def _numeric_row(row, label_idx) -> bool:
-    for k, cell in enumerate(row):
-        if k == label_idx:
-            continue
-        try:
-            float(cell)
-        except ValueError:
-            return False
-    return True
+                return f"row {i}: non-numeric cell {cell!r}"
+            if finite and not math.isfinite(value):
+                return f"row {i}: non-finite cell {cell!r}"
+    return None
 
 
 def stratified_k_fold(ds: Dataset, k: int, seed: int) -> FoldPlan:

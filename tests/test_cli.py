@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dube import load_csv, class_counts
 from dube.cli import (CliError, build_parser, main, resolve_options, run_bench, run_biaslab,
@@ -431,3 +433,47 @@ class TestSettingsTable:
         path = tmp_path / "run.conf"
         path.write_text(f"{setting.name} = False\n")
         assert _read_config_file(path, _COMMANDS[command]) == {setting.name: False}
+
+
+KEYS = sorted({setting.name for _, setting in TABLE} | {"vorpal"})
+CONFIG_TEXT = st.lists(st.one_of(
+    st.tuples(st.sampled_from(KEYS), st.sampled_from([" = ", "=", " "]),
+              st.one_of(st.sampled_from([v for vs in SAMPLES.values() for v in vs]),
+                        st.text(max_size=6))).map("".join),
+    st.text(max_size=12))).map("\n".join)
+
+
+class TestUnreadableFiles:
+    def test_csv_field_over_the_csv_module_limit(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("x,label\n" + "1" * 131_073 + ",a\n2,b\n")
+        assert main(["bench", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read {path}: field larger than field limit" in err
+
+    def test_csv_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("x,label\n1.0,caf\xe9\n2.0,b\n".encode("latin-1"))
+        assert main(["bench", "--input", str(path)]) == 2
+        assert f"error: cannot read {path}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        data = write_dataset(tmp_path / "toy.csv")
+        path = tmp_path / "run.conf"
+        path.write_bytes(b"k = 2 # \xff\n")
+        assert main(["bench", "--input", data, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read config file {path}: 'utf-8' codec can't decode" in err
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(sorted(_COMMANDS)),
+           st.one_of(st.binary(), CONFIG_TEXT.map(str.encode), st.text().map(str.encode)))
+    def test_config_file_fuzz_raises_only_cli_error(self, tmp_path, command, content):
+        path = tmp_path / "fuzz.conf"
+        path.write_bytes(content)
+        try:
+            values = _read_config_file(path, _COMMANDS[command])
+        except CliError:
+            return
+        assert set(values) <= {setting.name for c, setting in TABLE if c == command}

@@ -143,6 +143,24 @@ def csv_tables(draw):
     return rows, label_column
 
 
+CSV_TEXT = st.text(alphabet=",\n\r\"# \t.-+_eE0123456789naify\x00\xa0\u0661", max_size=80)
+
+
+class TestLoadCsvFuzz:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(st.binary(), st.text().map(str.encode), CSV_TEXT.map(str.encode)),
+           st.one_of(st.integers(-2, 4), st.sampled_from(["", "label", "a", "1"])))
+    def test_loads_or_raises_dataset_error(self, tmp_path, content, label_column):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(content)
+        try:
+            ds = load_csv(path, label_column)
+        except DatasetError:
+            return
+        assert ds.m >= 2 and np.isfinite(ds.features).all()
+
+
 class TestLoadCsvMatchesReference:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
