@@ -23,6 +23,7 @@ earlier iterations.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -54,8 +55,8 @@ class DubeConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("ensemble size k must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
 
 
 @dataclass
@@ -154,10 +155,10 @@ def _config_to_dict(cfg: DubeConfig) -> dict:
 
 
 def _config_from_dict(blob: dict) -> DubeConfig:
-    return DubeConfig(k=blob["k"], inter=InterCBStrategy(blob["inter"]),
-                      intra=IntraCBStrategy(blob["intra"], bins=blob["bins"]),
+    return DubeConfig(k=_integer(blob, "k"), inter=InterCBStrategy(blob["inter"]),
+                      intra=IntraCBStrategy(blob["intra"], bins=_integer(blob, "bins")),
                       alpha=blob["alpha"], learner=params_from_dict(blob["learner"]),
-                      seed=blob["seed"])
+                      seed=_integer(blob, "seed", 0))
 
 
 def save_model(model: EnsembleModel, path) -> None:
@@ -180,7 +181,8 @@ def load_model(path) -> EnsembleModel:
     member is well formed and agrees with the file's ``m`` and ``d``."""
     with open(path) as fh:
         blob = json.load(fh)
-    if blob.get("format") != MODEL_FORMAT or blob.get("version") != MODEL_VERSION:
+    if (not isinstance(blob, dict) or blob.get("format") != MODEL_FORMAT
+            or blob.get("version") != MODEL_VERSION):
         raise ValueError(f"not a {MODEL_FORMAT} v{MODEL_VERSION} file: {path}")
     try:
         members = [learner_from_dict(b) for b in blob["members"]]
@@ -188,6 +190,8 @@ def load_model(path) -> EnsembleModel:
                               _config_from_dict(blob["config"]))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
+    except TypeError as exc:  # a JSON value of the wrong type, e.g. a list where an object belongs
+        raise ValueError(f"{path}: {exc}") from exc
     if not members:
         raise ValueError(f"{path}: a model needs at least one member")
     for i, member in enumerate(members):

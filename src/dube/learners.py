@@ -60,8 +60,14 @@ def params_to_dict(params: LearnerParams) -> dict:
 
 
 def params_from_dict(blob: dict) -> LearnerParams:
-    fields = dict(blob)
-    return _PARAMS[fields.pop("kind")](**fields)
+    fields = {**blob}
+    kind = fields.pop("kind")
+    if kind not in _PARAMS:
+        raise ValueError(f"unknown learner kind {kind!r}")
+    for key in ("max_depth", "min_samples_leaf", "k_neighbors"):
+        if fields.get(key) is not None:
+            fields[key] = _integer(fields, key)
+    return _PARAMS[kind](**fields)
 
 
 def _integer(blob: dict, key: str, low: int = 1, high: float = float("inf")) -> int:

@@ -408,6 +408,80 @@ class TestModelFileIntegers:
         assert all(type(member.m) is int and type(member.d) is int for member in model.members)
 
 
+
+class TestModelFileTypes:
+    """Every malformed model file raises ValueError. A JSON value of the
+    wrong type used to raise AttributeError or TypeError, an unknown
+    learner kind in the config read as a missing key, and a config k of
+    2.5, an alpha of NaN or a seed of "x" loaded."""
+
+    def test_top_level_not_an_object(self, tmp_path):
+        path = save_edited_model(tmp_path, TreeParams(), lambda blob: None)
+        path.write_text(json.dumps([json.loads(path.read_text())]))
+        with pytest.raises(ValueError, match="not a dube-model v1 file"):
+            load_model(path)
+
+    @pytest.mark.parametrize("where,value", [
+        ("members", 5), ("members", "tree"), ("members", {"kind": "tree"}), ("members", None),
+        ("member", 5), ("member", [1, 2]), ("member", "tree"), ("member", None),
+        ("config", []), ("config", "k = 2"), ("config", None),
+        ("learner", []), ("learner", "tree"), ("learner", None)])
+    def test_value_of_the_wrong_type(self, tmp_path, where, value):
+        def edit(blob):
+            if where == "member":
+                blob["members"][0] = value
+            elif where == "learner":
+                blob["config"]["learner"] = value
+            else:
+                blob[where] = value
+        path = save_edited_model(tmp_path, TreeParams(), edit)
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("k", 2.5, r"k must be an integer in \[1, inf\], got 2.5"),
+        ("k", "3", r"k must be an integer in \[1, inf\], got '3'"),
+        ("bins", 2.5, r"bins must be an integer in \[1, inf\], got 2.5"),
+        ("seed", "x", r"seed must be an integer in \[0, inf\], got 'x'"),
+        ("seed", -1, r"seed must be an integer in \[0, inf\], got -1"),
+        ("alpha", float("nan"), "alpha must be finite and >= 0, got nan"),
+        ("alpha", float("inf"), "alpha must be finite and >= 0, got inf"),
+        ("alpha", -0.1, "alpha must be finite and >= 0, got -0.1"),
+        ("alpha", "0.2", "'<=' not supported")])
+    def test_config_value(self, tmp_path, key, value, message):
+        def edit(blob):
+            blob["config"][key] = value
+        with pytest.raises(ValueError, match=message):
+            load_model(save_edited_model(tmp_path, TreeParams(), edit))
+
+    @pytest.mark.parametrize("learner,key,value,message", [
+        (TreeParams(), "kind", "svm", "unknown learner kind 'svm'"),
+        (TreeParams(), "kind", ["tree"], "unhashable type: 'list'"),
+        (TreeParams(), "depth", 3, "unexpected keyword argument 'depth'"),
+        (TreeParams(), "min_samples_leaf", 2.5, "min_samples_leaf must be an integer"),
+        (TreeParams(), "min_samples_leaf", None, "'<' not supported"),
+        (TreeParams(), "max_depth", "4", "max_depth must be an integer"),
+        (TreeParams(), "max_depth", 0, "max_depth must be an integer"),
+        (KnnParams(k_neighbors=3), "k_neighbors", "3", "k_neighbors must be an integer"),
+        (KnnParams(k_neighbors=3), "k_neighbors", 2.5, "k_neighbors must be an integer")])
+    def test_learner_setting(self, tmp_path, learner, key, value, message):
+        def edit(blob):
+            blob["config"]["learner"][key] = value
+        with pytest.raises(ValueError, match=message):
+            load_model(save_edited_model(tmp_path, learner, edit))
+
+    @pytest.mark.parametrize("learner", TestModelFileIntegers.LEARNERS, ids=["tree", "knn"])
+    def test_whole_floats_load(self, tmp_path, learner):
+        def edit(blob):
+            config = blob["config"]
+            for part in (config, config["learner"]):
+                part.update({key: float(value) for key, value in part.items()
+                             if key in ("k", "bins", "seed", "min_samples_leaf", "k_neighbors")})
+        model = load_model(save_edited_model(tmp_path, learner, edit))
+        assert model.config == DubeConfig(k=2, learner=learner, seed=1)
+        assert type(model.config.k) is int and type(model.config.seed) is int
+
 @st.composite
 def fit_problems(draw):
     """A small multi-class table and a config for either learner."""
