@@ -66,15 +66,18 @@ def class_covariance(ds: Dataset, c: int) -> ClassCovariance:
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
     """Matrix L with L @ L.T ~= cov.
 
-    Cholesky with escalating diagonal jitter; sample covariances of
-    near-collinear data are often numerically semidefinite. Falls back to
-    an eigendecomposition with negative eigenvalues clipped to zero.
+    Cholesky with escalating diagonal jitter, relative to the mean
+    variance ``trace(cov) / d`` so that it means the same at any feature
+    scale; sample covariances of near-collinear data are often
+    numerically semidefinite. Falls back to an eigendecomposition with
+    negative eigenvalues clipped to zero.
     """
     d = cov.shape[0]
+    scale = np.trace(cov) / d
     jitter = 0.0
     for _ in range(8):
         try:
-            return np.linalg.cholesky(cov + jitter * np.eye(d))
+            return np.linalg.cholesky(cov + jitter * scale * np.eye(d))
         except np.linalg.LinAlgError:
             jitter = 1e-12 if jitter == 0.0 else jitter * 10.0
             if jitter > 1e-6:

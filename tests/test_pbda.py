@@ -140,3 +140,17 @@ class TestPsdFactor:
         cov = v @ v.T  # rank 1, singular
         L = _psd_factor(cov)
         assert np.allclose(L @ L.T, cov, atol=1e-6)
+
+    def test_jitter_is_relative_to_the_covariance(self):
+        # 3 rows in 8-D give a rank-2 covariance, which Cholesky factors
+        # only with jitter; scaling the features by a power of two must
+        # scale the noise by the same factor
+        X = np.random.default_rng(3).normal(size=(3, 8))
+        ratios = []
+        for scale in (2.0 ** -30, 2.0 ** 20):
+            cov = class_covariance(dataset(X * scale, [0, 0, 0]), 0)
+            samples = np.repeat(X * scale, 500, axis=0)
+            noise = perturb(samples, alpha=0.2, cov=cov, seed=8) - samples
+            spread = np.sqrt(np.trace(cov.cov))
+            ratios.append(np.linalg.norm(noise, axis=1).mean() / spread)
+        assert ratios[0] == pytest.approx(ratios[1], rel=1e-9)
