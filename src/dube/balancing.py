@@ -55,11 +55,6 @@ class IntraCBStrategy:
             raise ValueError("bins must be >= 1")
 
 
-RUS = InterCBStrategy("RUS")
-ROS = InterCBStrategy("ROS")
-RHS = InterCBStrategy("RHS")
-
-
 @dataclass(frozen=True)
 class ErrorHistogram:
     """Occupancy proportions of b equal-width error bins over [0, 1]."""
@@ -160,6 +155,8 @@ def weighted_resample(class_rows, weights, n: int, seed: int) -> np.ndarray:
     gen = rng.stream(seed, rng.RESAMPLE)
     size = class_rows.size
     if n <= size:
+        if weights.max() < np.finfo(np.float64).tiny:  # else every key Exp(1)/weight overflows
+            weights = weights / weights.max()
         keys = np.full(size, np.inf)
         positive = weights > 0
         keys[positive] = gen.exponential(size=int(positive.sum())) / weights[positive]

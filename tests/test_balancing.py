@@ -193,6 +193,12 @@ class TestWeightedResample:
             hits += weighted_resample(rows, weights, 1, seed=seed)[0]
         assert abs(hits / trials - 0.75) <= 0.01
 
+    def test_subnormal_weights_keep_their_ratio(self):
+        rows, weights = np.array([0, 1]), np.array([1e-310, 3e-310])
+        with np.errstate(over="raise"):  # no sort key may overflow to inf
+            hits = sum(weighted_resample(rows, weights, 1, seed=seed)[0] for seed in range(4000))
+        assert 0.72 <= hits / 4000 <= 0.78
+
     def test_shrink_returns_distinct_rows(self):
         gen = np.random.default_rng(4)
         rows = np.arange(30)
