@@ -179,7 +179,8 @@ def load_csv(path, label_column) -> Dataset:
 
 
 def _bad_cell(rows, finite=True):
-    """``row i: non-numeric cell ...`` (or, if ``finite``, ``non-finite``) for the first, or None."""
+    """``row i: non-numeric cell '...'`` for the first cell of ``rows``, in
+    row-major order, that is not a number (or, if ``finite``, not finite); else None."""
     for i, row in enumerate(rows):
         for cell in row:
             try:

@@ -23,7 +23,6 @@ earlier iterations.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -55,7 +54,7 @@ class DubeConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("ensemble size k must be >= 1")
-        if not 0 <= self.alpha < math.inf:
+        if not 0 <= self.alpha < float("inf"):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
 
 

@@ -60,7 +60,7 @@ def params_to_dict(params: LearnerParams) -> dict:
 
 
 def params_from_dict(blob: dict) -> LearnerParams:
-    fields = {**blob}
+    fields = {**blob}  # TypeError unless blob is a mapping
     kind = fields.pop("kind")
     if kind not in _PARAMS:
         raise ValueError(f"unknown learner kind {kind!r}")

@@ -403,10 +403,14 @@ class TestModelFileIntegers:
         def edit(blob):
             for part in [blob, *blob["members"]]:
                 part.update({key: float(part[key]) for key in ("m", "d") if key in part})
+            for part in (blob["config"], blob["config"]["learner"]):
+                part.update({key: float(value) for key, value in part.items()
+                             if key in ("k", "bins", "seed", "min_samples_leaf", "k_neighbors")})
         model = load_model(save_edited_model(tmp_path, learner, edit))
         assert (model.m, model.d) == (2, 2) and type(model.m) is int and type(model.d) is int
         assert all(type(member.m) is int and type(member.d) is int for member in model.members)
-
+        assert model.config == DubeConfig(k=2, learner=learner, seed=1)
+        assert type(model.config.k) is int and type(model.config.seed) is int
 
 
 class TestModelFileTypes:
@@ -471,16 +475,6 @@ class TestModelFileTypes:
         with pytest.raises(ValueError, match=message):
             load_model(save_edited_model(tmp_path, learner, edit))
 
-    @pytest.mark.parametrize("learner", TestModelFileIntegers.LEARNERS, ids=["tree", "knn"])
-    def test_whole_floats_load(self, tmp_path, learner):
-        def edit(blob):
-            config = blob["config"]
-            for part in (config, config["learner"]):
-                part.update({key: float(value) for key, value in part.items()
-                             if key in ("k", "bins", "seed", "min_samples_leaf", "k_neighbors")})
-        model = load_model(save_edited_model(tmp_path, learner, edit))
-        assert model.config == DubeConfig(k=2, learner=learner, seed=1)
-        assert type(model.config.k) is int and type(model.config.seed) is int
 
 @st.composite
 def fit_problems(draw):
