@@ -8,8 +8,7 @@ A Monte Carlo bias lab quantifies how each resampling strategy moves a
 max-margin boundary on 1-D two-Gaussian toys.
 """
 
-from .balancing import (ErrorHistogram, InterCBStrategy, IntraCBStrategy,
-                        error_histogram, hem_weights, resample_step,
+from .balancing import (InterCBStrategy, IntraCBStrategy, hem_weights, resample_step,
                         shem_weights, target_class_size, weighted_resample)
 from .biaslab import (BiasTrialReport, BoundCheck, ToyConfig, check_pbda_bound,
                       d_max, max_margin_1d, run_bias_trials, smote_1d)
@@ -28,12 +27,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiasTrialReport", "BoundCheck", "ClassCovariance", "Dataset",
-    "DatasetError", "DubeConfig", "EnsembleModel", "ErrorHistogram",
+    "DatasetError", "DubeConfig", "EnsembleModel",
     "EvalReport", "FoldPlan", "InterCBStrategy", "IntraCBStrategy",
     "KnnParams", "RNG_ALGORITHM", "ToyConfig", "TrainingTrace",
     "TreeParams", "check_pbda_bound", "class_counts",
     "class_covariance", "confusion_matrix", "d_max", "dube_fit",
-    "error_histogram", "evaluate", "fit_learner", "hem_weights",
+    "evaluate", "fit_learner", "hem_weights",
     "inject_flip_noise", "knn_fit", "load_csv", "load_model",
     "macro_auroc", "macro_f1", "make_gaussian_1d", "make_overlap_2d",
     "max_margin_1d", "mcc", "perturb", "resample_step",

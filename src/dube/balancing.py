@@ -55,19 +55,6 @@ class IntraCBStrategy:
             raise ValueError("bins must be >= 1")
 
 
-@dataclass(frozen=True)
-class ErrorHistogram:
-    """Occupancy proportions of b equal-width error bins over [0, 1]."""
-
-    b: int
-    density: np.ndarray
-
-    def bin_of(self, e) -> np.ndarray:
-        """0-based bin index of error value(s); e = 1.0 closes into the top bin."""
-        e = np.asarray(e, dtype=np.float64)
-        return np.minimum((e * self.b).astype(np.int64), self.b - 1)
-
-
 def target_class_size(counts, strategy: InterCBStrategy) -> int:
     """Common resampling target for all classes under a strategy."""
     counts = np.asarray(counts)
@@ -90,20 +77,6 @@ def batch_errors(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.clip(((1.0 - p_true) + others) / 2.0, 0.0, 1.0)
 
 
-def error_histogram(errors, b: int) -> ErrorHistogram:
-    """Occupancy histogram of errors over b equal-width bins of [0, 1]."""
-    errors = np.asarray(errors, dtype=np.float64)
-    if errors.size == 0:
-        raise ValueError("empty error list")
-    if b < 1:
-        raise ValueError("bins must be >= 1")
-    if (errors < 0).any() or (errors > 1).any():
-        raise ValueError("errors must lie in [0, 1]")
-    idx = np.minimum((errors * b).astype(np.int64), b - 1)
-    counts = np.bincount(idx, minlength=b)
-    return ErrorHistogram(b=b, density=counts / errors.size)
-
-
 def hem_weights(errors) -> np.ndarray:
     """Weights proportional to the raw error; uniform when all errors vanish."""
     errors = np.asarray(errors, dtype=np.float64)
@@ -117,14 +90,23 @@ def hem_weights(errors) -> np.ndarray:
 
 
 def shem_weights(errors, b: int) -> np.ndarray:
-    """Inverse error-density weights.
+    """Inverse error-density weights over b equal-width bins of [0, 1].
 
-    The histogram is built over all provided errors, so an instance's own
-    bin is never empty and the reciprocal is always finite. With b = 1
-    every instance shares the single bin and the weights are uniform.
+    An error of 1.0 closes into the top bin. The histogram is built over
+    all provided errors, so an instance's own bin is never empty and the
+    reciprocal is always finite. With b = 1 every instance shares the
+    single bin and the weights are uniform.
     """
-    hist = error_histogram(errors, b)
-    return 1.0 / hist.density[hist.bin_of(errors)]
+    errors = np.asarray(errors, dtype=np.float64)
+    if errors.size == 0:
+        raise ValueError("empty error list")
+    if b < 1:
+        raise ValueError("bins must be >= 1")
+    if (errors < 0).any() or (errors > 1).any():
+        raise ValueError("errors must lie in [0, 1]")
+    bins = np.minimum((errors * b).astype(np.int64), b - 1)
+    density = np.bincount(bins, minlength=b) / errors.size
+    return 1.0 / density[bins]
 
 
 def weighted_resample(class_rows, weights, n: int, seed: int) -> np.ndarray:

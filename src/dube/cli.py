@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from typing import NamedTuple
@@ -26,9 +25,9 @@ from .balancing import InterCBStrategy, IntraCBStrategy
 from .biaslab import BIAS_STRATEGIES, ToyConfig, check_pbda_bound, run_bias_trials
 from .dataset import Dataset, DatasetError, inject_flip_noise, \
     load_csv, make_gaussian_1d, make_overlap_2d, stratified_k_fold
-from .ensemble import DubeConfig, TrainingTrace, dube_fit
+from .ensemble import DubeConfig, TrainingTrace, dube_fit, write_atomic
 from .learners import KnnParams, TreeParams
-from .metrics import evaluate
+from .metrics import evaluate, macro_auroc
 
 REPORT_SCHEMA = "dube-report-v1"
 
@@ -129,8 +128,7 @@ def tune_alpha(train: Dataset, cfg: DubeConfig, grid, seed: int) -> float:
     for alpha in grid:
         candidate = replace(cfg, alpha=float(alpha), seed=rng.child_seed(seed, rng.TUNE, 1))
         model = dube_fit(inner, candidate)
-        probs = model.predict_proba_many(validation.features)
-        score = evaluate(validation.labels, probs.argmax(axis=1), probs).macro_auroc
+        score = macro_auroc(validation.labels, model.predict_proba_many(validation.features))
         if score > best_score:
             best_alpha, best_score = float(alpha), score
     return best_alpha
@@ -160,40 +158,43 @@ def _cv_cells(ds: Dataset, options):
     return cells
 
 
-def _map_cells(fn, cells, jobs: int):
-    if jobs <= 1:
-        return [fn(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, cells))
+def _cv_job(job):
+    """One (point, cell) job of :func:`_cross_validate`, picklable for a worker
+    process: the cell's (repeat, fold, metrics, alpha, resample_ms) or failure."""
+    seed, alpha_mode, (label, cfg, noise), (rep, fold, train, test) = job
+    try:
+        if noise is not None:
+            # noise goes into the training split only; the noise seed is
+            # shared across points so comparisons are paired
+            train = inject_flip_noise(train, noise, rng.child_seed(seed, rng.FLIP, rep, fold))
+        cell_seed = rng.child_seed(seed, rng.CELL, rep, fold)
+        return (rep, fold, *run_cv_cell(train, test, cfg, cell_seed, alpha_mode))
+    except Exception as exc:  # cell failures are reported, not fatal
+        return f"{label}repeat={rep} fold={fold}: {exc}"
 
 
 def _cross_validate(ds: Dataset, options, points, failures: list) -> list:
     """Cross-validate every point over the same repeated stratified cells.
 
     A point is (failure label prefix, DubeConfig, training-noise ratio or
-    None). The (point, cell) jobs run in point-major order and failed
-    cells append their messages to ``failures`` in that order. Returns,
-    per point, the (repeat, fold, metrics, alpha, resample_ms) of every cell
-    that succeeded.
+    None). The (point, cell) jobs run in point-major order, in worker
+    processes if ``options["jobs"]`` > 1; failed cells append their messages
+    to ``failures`` in that order. Returns, per point, the (repeat, fold,
+    metrics, alpha, resample_ms) of every cell that succeeded.
     """
-    seed = options["seed"]
     cells = _cv_cells(ds, options)
-
-    def one(job):
-        (label, cfg, noise), (rep, fold, train, test) = job
-        try:
-            if noise is not None:
-                # noise goes into the training split only; the noise seed is
-                # shared across points so comparisons are paired
-                train = inject_flip_noise(train, noise, rng.child_seed(seed, rng.FLIP, rep, fold))
-            cell_seed = rng.child_seed(seed, rng.CELL, rep, fold)
-            return (rep, fold, *run_cv_cell(train, test, cfg, cell_seed, options["alpha"]))
-        except Exception as exc:  # cell failures are reported, not fatal
-            return f"{label}repeat={rep} fold={fold}: {exc}"
-
-    jobs = [(point, cell) for point in points for cell in cells]
+    jobs = [(options["seed"], options["alpha"], point, cell) for point in points for cell in cells]
+    if options["jobs"] <= 1:
+        outcomes = [_cv_job(job) for job in jobs]  # in this process, where a tracer can see it
+    else:
+        # imported here: at module level these add ~1.2 MB to every run's peak memory
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(options["jobs"], len(jobs)),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            outcomes = list(pool.map(_cv_job, jobs))
     results = [[] for _ in points]
-    for i, outcome in enumerate(_map_cells(one, jobs, options["jobs"])):
+    for i, outcome in enumerate(outcomes):
         if isinstance(outcome, str):
             failures.append(outcome)
         else:
@@ -425,7 +426,7 @@ _OUTPUT = (
 )
 # jobs is deliberately not echoed: worker count may not influence the body
 _CV_REST = (
-    Setting("jobs", 1, int, help="worker threads for CV cells"),
+    Setting("jobs", 1, int, help="worker processes for CV cells"),
     Setting("details", False, switch=True,
             help="append per-class precision/recall and confusion rows"),
     *_OUTPUT,
@@ -536,8 +537,7 @@ def main(argv=None) -> int:
         text = report.render(options.get("format") or "csv")
         if options.get("out"):
             try:
-                with open(options["out"], "w") as fh:
-                    fh.write(text)
+                write_atomic(options["out"], lambda fh: fh.write(text))
             except OSError as exc:
                 raise CliError(f"cannot write {options['out']}: {exc.strerror}") from exc
         else:

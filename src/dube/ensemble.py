@@ -23,6 +23,7 @@ earlier iterations.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -54,7 +55,7 @@ class DubeConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("ensemble size k must be >= 1")
-        if not 0 <= self.alpha < float("inf"):
+        if isinstance(self.alpha, bool) or not 0 <= self.alpha < float("inf"):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
 
 
@@ -160,8 +161,26 @@ def _config_from_dict(blob: dict) -> DubeConfig:
                       seed=_integer(blob, "seed", 0))
 
 
+def write_atomic(path, write) -> None:
+    """Replace ``path`` whole by a text file that ``write(fh)`` fills; if
+    anything fails, that file is removed and ``path`` keeps its bytes."""
+    if os.path.exists(path) and not os.path.isfile(path):  # a pipe or device, e.g. /dev/stdout
+        with open(path, "w") as fh:
+            write(fh)
+        return
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "x")  # never truncates a file this call did not create
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the move failed
+            os.unlink(tmp)
+
+
 def save_model(model: EnsembleModel, path) -> None:
-    """Write a versioned JSON dump; floats round-trip exactly."""
+    """Write a versioned JSON dump atomically; floats round-trip exactly."""
     blob = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -171,25 +190,24 @@ def save_model(model: EnsembleModel, path) -> None:
         "config": _config_to_dict(model.config),
         "members": [member.to_dict() for member in model.members],
     }
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
+    write_atomic(path, lambda fh: json.dump(blob, fh))
 
 
 def load_model(path) -> EnsembleModel:
     """Read a :func:`save_model` file, raising ValueError unless every
     member is well formed and agrees with the file's ``m`` and ``d``."""
-    with open(path) as fh:
-        blob = json.load(fh)
-    if (not isinstance(blob, dict) or blob.get("format") != MODEL_FORMAT
-            or blob.get("version") != MODEL_VERSION):
-        raise ValueError(f"not a {MODEL_FORMAT} v{MODEL_VERSION} file: {path}")
     try:
+        with open(path) as fh:
+            blob = json.load(fh)
+        if (not isinstance(blob, dict) or blob.get("format") != MODEL_FORMAT
+                or blob.get("version") != MODEL_VERSION):
+            raise ValueError(f"not a {MODEL_FORMAT} v{MODEL_VERSION} file: {path}")
         members = [learner_from_dict(b) for b in blob["members"]]
         model = EnsembleModel(members, _integer(blob, "m"), _integer(blob, "d"),
                               _config_from_dict(blob["config"]))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
-    except TypeError as exc:  # a JSON value of the wrong type, e.g. a list where an object belongs
+    except (TypeError, RecursionError) as exc:  # a value of the wrong JSON type, or deep nesting
         raise ValueError(f"{path}: {exc}") from exc
     if not members:
         raise ValueError(f"{path}: a model needs at least one member")

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from balancing_reference import normalize_error, prediction_error
 from dube import rng
-from dube.balancing import (InterCBStrategy, IntraCBStrategy, batch_errors,
-                            error_histogram, hem_weights, resample_step,
-                            shem_weights, target_class_size, weighted_resample)
+from dube.balancing import (InterCBStrategy, IntraCBStrategy, batch_errors, hem_weights,
+                            resample_step, shem_weights, target_class_size,
+                            weighted_resample)
 
 
 class TestTargetClassSize:
@@ -82,44 +82,6 @@ class TestNormalizeError:
             normalize_error(-0.1)
 
 
-class TestErrorHistogram:
-    def test_counting_example(self):
-        hist = error_histogram([0.05, 0.05, 0.45, 0.95], 5)
-        assert hist.density.tolist() == [0.5, 0.0, 0.25, 0.0, 0.25]
-
-    def test_degenerate_single_value(self):
-        hist = error_histogram([0.31] * 7, 10)
-        assert hist.density.sum() == 1.0
-        assert hist.density[3] == 1.0
-
-    def test_top_edge_closes_into_last_bin(self):
-        hist = error_histogram([1.0], 4)
-        assert hist.density.tolist() == [0.0, 0.0, 0.0, 1.0]
-
-    def test_uniform_errors_law_of_large_numbers(self):
-        gen = rng.stream(123, 99)
-        errors = gen.random(1000)
-        hist = error_histogram(errors, 10)
-        assert np.abs(hist.density - 0.1).max() <= 0.05
-        # seeded draw checked against a direct per-bin count
-        for i in range(10):
-            lo, hi = i / 10, (i + 1) / 10
-            direct = ((errors >= lo) & (errors < hi)).sum() if i < 9 else \
-                ((errors >= lo) & (errors <= hi)).sum()
-            assert hist.density[i] == direct / 1000
-
-    def test_density_sums_to_one(self):
-        gen = np.random.default_rng(5)
-        for _ in range(50):
-            errors = gen.random(int(gen.integers(1, 60)))
-            hist = error_histogram(errors, int(gen.integers(1, 12)))
-            assert abs(hist.density.sum() - 1.0) < 1e-9
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            error_histogram([], 5)
-
-
 class TestHemWeights:
     def test_proportional_to_error(self):
         w = hem_weights([0.2, 0.4])
@@ -159,6 +121,30 @@ class TestShemWeights:
     def test_b1_uniform_regardless_of_errors(self):
         w = shem_weights([0.0, 0.3, 0.9, 1.0], 1)
         assert w.tolist() == [1.0, 1.0, 1.0, 1.0]
+
+    def test_degenerate_single_value(self):
+        assert shem_weights([0.31] * 7, 10).tolist() == [1.0] * 7
+
+    def test_top_edge_closes_into_last_bin(self):
+        # 1.0 shares the top bin [0.75, 1] with 0.9
+        assert shem_weights([0.9, 1.0, 0.1], 4).tolist() == [1.5, 1.5, 3.0]
+
+    def test_uniform_errors_law_of_large_numbers(self):
+        gen = rng.stream(123, 99)
+        errors = gen.random(1000)
+        w = shem_weights(errors, 10)
+        assert np.abs(1.0 / w - 0.1).max() <= 0.05
+        # seeded draw checked against a direct per-bin count
+        for i in range(10):
+            lo, hi = i / 10, (i + 1) / 10
+            in_bin = (errors >= lo) & ((errors < hi) if i < 9 else (errors <= hi))
+            assert (w[in_bin] == 1.0 / (in_bin.sum() / 1000)).all()
+
+    @pytest.mark.parametrize("errors, b", [([], 5), ([0.5, 1.5], 5), ([-0.1, 0.5], 5), ([0.5], 0)],
+                             ids=["empty", "above_one", "negative", "no_bins"])
+    def test_invalid_input_rejected(self, errors, b):
+        with pytest.raises(ValueError):
+            shem_weights(errors, b)
 
     def test_same_bin_same_weight_and_reciprocal_identity(self):
         gen = np.random.default_rng(3)

@@ -1,12 +1,18 @@
+import concurrent.futures
+import errno
+import os
+import pickle
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dube import load_csv, class_counts
-from dube.cli import (CliError, build_parser, main, resolve_options, run_bench, run_biaslab,
-                      run_noise_sweep, run_param_sweep, run_synth, _COMMANDS, _DEFAULTS,
-                      _read_config_file)
+from dube.cli import (CliError, build_dube_config, build_parser, main, resolve_options,
+                      run_bench, run_biaslab, run_noise_sweep, run_param_sweep, run_synth,
+                      _COMMANDS, _DEFAULTS, _cv_cells, _cv_job, _read_config_file)
 
 
 def options(command, **overrides):
@@ -59,8 +65,41 @@ class TestBench:
     def test_serial_equals_concurrent(self, tmp_path):
         path = write_dataset(tmp_path / "toy.csv")
         serial = run_bench(options("bench", input=path, k=3, folds=3, seed=5, jobs=1))
-        threaded = run_bench(options("bench", input=path, k=3, folds=3, seed=5, jobs=4))
-        assert serial.body() == threaded.body()
+        parallel = run_bench(options("bench", input=path, k=3, folds=3, seed=5, jobs=4))
+        assert serial.body() == parallel.body()
+
+    def test_cv_job_and_result_survive_pickle(self, tmp_path):
+        # worker processes receive each job and return its result pickled
+        opts = options("bench", input=write_dataset(tmp_path / "toy.csv"), k=2, folds=2, seed=5)
+        cell = _cv_cells(load_csv(opts["input"], "label"), opts)[0]
+        job = (opts["seed"], "auto", ("", build_dube_config(opts), 0.1), cell)
+        result = _cv_job(job)
+        assert isinstance(result, tuple), result  # a string is a failed cell
+        # the last field holds wall-clock resample times
+        assert pickle.dumps(_cv_job(pickle.loads(pickle.dumps(job)))[:-1]) == \
+            pickle.dumps(result[:-1])
+        blob = pickle.dumps(result)
+        assert pickle.dumps(pickle.loads(blob)) == blob
+
+    def test_no_more_workers_than_jobs(self, tmp_path, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, mp_context):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        path = write_dataset(tmp_path / "toy.csv")
+        run_bench(options("bench", input=path, k=2, folds=3, jobs=8))
+        assert started == [3]
 
     def test_folds_must_be_at_least_two(self, tmp_path):
         path = write_dataset(tmp_path / "toy.csv")
@@ -333,6 +372,29 @@ class TestMainEntry:
             argv = argv + ["--input", data]
         assert main(argv + ["--out", str(out)]) == 2
         assert f"error: cannot write {out}" in capsys.readouterr().err
+
+    def test_failed_out_write_keeps_the_old_report(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "lab.csv"
+        out.write_text("old report\n")
+
+        def disk_full(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(os, "replace", disk_full)
+        assert main(["biaslab", "--trials", "20", "--out", str(out)]) == 2
+        assert f"error: cannot write {out}: No space left on device" in capsys.readouterr().err
+        assert out.read_text() == "old report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["lab.csv"]
+
+    def test_out_to_a_pipe_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["biaslab", "--trials", "20", "--out", str(fifo)]) == 0
+            text = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert "mean_bias" in text and stat.S_ISFIFO(os.stat(fifo).st_mode)
 
     def test_unknown_config_key(self, tmp_path, capsys):
         data = write_dataset(tmp_path / "toy.csv")

@@ -1,3 +1,4 @@
+import errno
 import inspect
 import json
 import tempfile
@@ -229,6 +230,20 @@ class TestSaveLoad:
         assert np.array_equal(model.predict_proba_many(probe),
                               clone.predict_proba_many(probe))
 
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        model = dube_fit(small_dataset(9), DubeConfig(k=2, seed=13))
+        path = tmp_path / "model.json"
+        path.write_bytes(b"old model")
+
+        def disk_full(blob, fh):
+            fh.write('{"format": ')
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(json, "dump", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            save_model(model, path)
+        assert path.read_bytes() == b"old model"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
     def test_version_guard(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "other", "version": 1}')
@@ -416,8 +431,9 @@ class TestModelFileIntegers:
 class TestModelFileTypes:
     """Every malformed model file raises ValueError. A JSON value of the
     wrong type used to raise AttributeError or TypeError, an unknown
-    learner kind in the config read as a missing key, and a config k of
-    2.5, an alpha of NaN or a seed of "x" loaded."""
+    learner kind in the config read as a missing key, a config k of 2.5,
+    an alpha of NaN or true, or a seed of "x" loaded, and deeply nested
+    JSON raised RecursionError."""
 
     def test_top_level_not_an_object(self, tmp_path):
         path = save_edited_model(tmp_path, TreeParams(), lambda blob: None)
@@ -452,12 +468,21 @@ class TestModelFileTypes:
         ("alpha", float("nan"), "alpha must be finite and >= 0, got nan"),
         ("alpha", float("inf"), "alpha must be finite and >= 0, got inf"),
         ("alpha", -0.1, "alpha must be finite and >= 0, got -0.1"),
-        ("alpha", "0.2", "'<=' not supported")])
+        ("alpha", "0.2", "'<=' not supported"),
+        ("alpha", True, "alpha must be finite and >= 0, got True")])
     def test_config_value(self, tmp_path, key, value, message):
         def edit(blob):
             blob["config"][key] = value
         with pytest.raises(ValueError, match=message):
             load_model(save_edited_model(tmp_path, TreeParams(), edit))
+
+    def test_deeply_nested_json(self, tmp_path):
+        path = save_edited_model(tmp_path, TreeParams(), lambda blob: None)
+        blob = {**json.loads(path.read_text()), "members": "@"}
+        path.write_text(json.dumps(blob).replace('"@"', "[" * 100_000 + "]" * 100_000))
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: maximum recursion depth exceeded")
 
     @pytest.mark.parametrize("learner,key,value,message", [
         (TreeParams(), "kind", "svm", "unknown learner kind 'svm'"),
