@@ -141,11 +141,14 @@ def weighted_resample(class_rows, weights, n: int, seed: int) -> np.ndarray:
             weights = weights / weights.max()
         keys = np.full(size, np.inf)
         positive = weights > 0
-        keys[positive] = gen.exponential(size=int(positive.sum())) / weights[positive]
+        with np.errstate(over="ignore"):  # a tiny weight's key may overflow to inf
+            keys[positive] = gen.exponential(size=int(positive.sum())) / weights[positive]
         tiebreak = gen.random(size)
-        order = np.lexsort((tiebreak, keys, ~positive))  # a tiny weight's key may be inf
+        order = np.lexsort((tiebreak, keys, ~positive))
         return class_rows[order[:n]]
-    if np.isinf(weights.sum()):  # keep the draw probabilities finite
+    with np.errstate(over="ignore"):
+        overflows = np.isinf(weights.sum())
+    if overflows:  # keep the draw probabilities finite
         weights = weights / weights.max()
     extra = gen.choice(size, size=n - size, replace=True, p=weights / weights.sum())
     return np.concatenate([class_rows, class_rows[extra]])

@@ -207,7 +207,7 @@ def load_model(path) -> EnsembleModel:
                               _config_from_dict(blob["config"]))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
-    except (TypeError, RecursionError) as exc:  # a value of the wrong JSON type, or deep nesting
+    except (TypeError, OverflowError, RecursionError) as exc:  # wrong JSON type, huge number, deep nesting
         raise ValueError(f"{path}: {exc}") from exc
     if not members:
         raise ValueError(f"{path}: a model needs at least one member")

@@ -106,8 +106,10 @@ class TreeClassifier(_Classifier):
     leaf with probability row ``proba[i]``. Routing rule: go left when
     ``x[feature] <= threshold``. A batch is routed one tree level per
     step: every row still at an internal node moves to a child at once.
-    Children are numbered above their parent (depth-first numbering;
-    ``from_dict`` checks it), so routing ends after at most depth steps.
+    Children are numbered above their parent (``from_dict`` checks it),
+    so routing ends after at most depth steps. ``tree_fit`` numbers nodes
+    in the order a depth-first stack creates them: a popped split node
+    numbers its children next, left then right, and the right is popped first.
     """
 
     def __init__(self, feature, threshold, left, right, proba, m, d):
@@ -168,6 +170,8 @@ class TreeClassifier(_Classifier):
             raise ValueError(f"tree arrays must share a nonzero length n, proba (n, {tree.m})")
         if feature.min() < -1 or feature.max() >= tree.d:
             raise ValueError(f"tree feature index outside [-1, {tree.d})")
+        if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.proba).all()):
+            raise ValueError("tree thresholds and probabilities must be finite")
         inner = np.flatnonzero(feature >= 0)
         children = np.concatenate([tree.left[inner], tree.right[inner]])
         if (children <= np.tile(inner, 2)).any() or (children >= n).any():
@@ -229,8 +233,8 @@ class KnnClassifier(_Classifier):
         """Rebuild a KNN member, raising ValueError unless it is well formed."""
         X, y = np.asarray(blob["X"], dtype=np.float64), np.asarray(blob["y"], dtype=np.float64)
         m = _integer(blob, "m")
-        if X.ndim != 2 or X.shape[0] == 0 or y.shape != (X.shape[0],):
-            raise ValueError("knn X must have shape (n, d) with n >= 1, and y length n")
+        if X.ndim != 2 or X.shape[0] == 0 or y.shape != (X.shape[0],) or not np.isfinite(X).all():
+            raise ValueError("knn X must be finite with shape (n, d), n >= 1, and y length n")
         k = _integer(blob, "k_neighbors", 1, X.shape[0])
         if not ((y >= 0) & (y < m) & (y == np.floor(y))).all():
             raise ValueError(f"knn labels must lie in [0, {m}) and be integers")
@@ -260,92 +264,148 @@ def _nearest(d2, k):
 def tree_fit(ds: Dataset, params: TreeParams = TreeParams()) -> TreeClassifier:
     """Grow a decision tree on ``ds``.
 
-    Greedy depth-first choice of the split minimizing the size-weighted
-    child impurity, over midpoints of adjacent sorted distinct feature
-    values. Score ties resolve to the lowest feature index, then the
-    lowest threshold. Growth draws no random numbers, so the tree is a
-    pure function of ``ds`` and ``params``.
+    Greedy choice of the split minimizing the size-weighted child
+    impurity, over midpoints of adjacent sorted distinct feature values.
+    Score ties resolve to the lowest feature index, then the lowest
+    threshold. Growth draws no random numbers, so the tree is a pure
+    function of ``ds`` and ``params``.
 
-    Rows are sorted by every feature once per tree (stable sort). Each
-    node holds a (d, n) block whose row f lists its row ids by feature
-    f, and a split partitions every block row stably. Blocks thus order
-    rows by (value, row id), as a stable sort of the node's rows in
-    ascending id would: no node sorts, and every split is unchanged.
+    The tree grows a level at a time from one stable sort of the rows by
+    every feature. A level's nodes share (d, L) blocks of row ids, values
+    and labels, one column segment per node, whose row f lists the node's
+    rows by feature f. One fixed set of numpy calls scores every candidate
+    of every node (``_level_splits``); a stable partition of each block
+    row makes the next level's blocks, left children first. Segments so
+    order rows by (value, row id), as a stable sort of each node's rows
+    would, and every split is the one a depth-first builder finds. Nodes
+    are numbered last, as a depth-first stack would have created them.
     """
-    X, y, m = ds.features, ds.labels, ds.m
-    XT = np.ascontiguousarray(X.T)
-    offsets = np.arange(ds.n_features)[:, None] * ds.n_rows  # where row f starts in XT.ravel()
+    y, m, (N, d) = ds.labels, ds.m, ds.features.shape
     entropy = params.criterion == "entropy"
     min_leaf = params.min_samples_leaf
     max_depth = params.max_depth if params.max_depth is not None else np.inf
 
-    leaf, zeros = [-1, 0.0, -1, -1], np.zeros(m)  # feature, threshold, left, right; proba
-    nodes, proba = [leaf], [zeros]
-    in_left = np.zeros(ds.n_rows, dtype=bool)  # reused by every partition
-    stack = [(0, np.argsort(XT, axis=1, kind="stable"), 0)]
-    while stack:
-        node, block, depth = stack.pop()
-        n = block.shape[1]
-        counts = np.bincount(y[block[0]], minlength=m)
-        split = None
-        if counts.max() < n and depth < max_depth and n >= 2 * min_leaf:
-            split = _best_split(XT.ravel()[block + offsets], y, block, counts, m, min_leaf, entropy)
-        if split is None:
-            proba[node] = counts / n
-            continue
-        f, i, thr = split
-        in_left[block[f, :i + 1]] = True
+    # Nodes in order of growth, at most 2N - 1; proba is set for leaves only.
+    feature, left, right = np.full((3, 2 * N - 1), -1, dtype=np.int64)
+    threshold, proba = np.zeros(2 * N - 1), np.zeros((2 * N - 1, m))
+
+    def settle(ids, sizes, counts, depth):
+        """Make leaves of the nodes that cannot split; mask of the others."""
+        grow = (counts.max(axis=1) < sizes) & (sizes >= 2 * min_leaf) & (depth < max_depth)
+        proba[ids[~grow]] = counts[~grow] / sizes[~grow, None]
+        return grow
+
+    ids, sizes, counts = np.zeros(1, dtype=np.int64), np.array([N]), np.bincount(y, minlength=m)[None]
+    grow, depth, n_nodes = settle(ids, sizes, counts, 0), 0, 1
+    ids, sizes, counts = ids[grow], sizes[grow], counts[grow]
+    block = np.argsort(ds.features.T, axis=1, kind="stable")
+    Xs, ys = np.take_along_axis(ds.features.T, block, axis=1), y.astype(np.min_scalar_type(m))[block]
+    while ids.size:
+        K, starts = ids.size, np.cumsum(sizes) - sizes
+        seg, col = np.repeat(np.arange(K), sizes), np.arange(block.shape[1])  # node of each column
+        found, f, cut, thr = _level_splits(Xs, ys, starts, seg, counts, min_leaf, entropy)
+        proba[ids[~found]] = counts[~found] / sizes[~found, None]
+        S = int(found.sum())
+        kids = n_nodes + np.arange(2 * S)
+        feature[ids[found]], threshold[ids[found]] = f[found], thr[found]
+        left[ids[found]], right[ids[found]] = kids[:S], kids[S:]
+
+        # A split node's left rows fill its segment up to the cut in its feature's row.
+        to_left = found[seg] & (col <= cut[seg])
+        rows = block[f[seg], col][to_left]
+        n_left = (cut - starts + 1)[found]
+        c_left = np.bincount(seg[to_left] * m + y[rows], minlength=K * m).reshape(K, m)[found]
+        ids, n_nodes, depth = kids, n_nodes + 2 * S, depth + 1
+        sizes = np.concatenate([n_left, sizes[found] - n_left])
+        counts = np.concatenate([c_left, counts[found] - c_left])
+        grow = settle(ids, sizes, counts, depth)
+
+        # A stable partition of every block row: growing left children, then right.
+        keep = np.zeros((2, K), dtype=bool)
+        keep[:, found] = grow.reshape(2, S)
+        in_left = np.zeros(N, dtype=bool)
+        in_left[rows] = True
         goes_left = in_left[block]
-        in_left[block[f, :i + 1]] = False
-        child = len(nodes)
-        nodes[node] = [f, thr, child, child + 1]
-        nodes += [leaf, leaf]
-        proba += [zeros, zeros]
-        stack.append((child, block[goes_left].reshape(-1, i + 1), depth + 1))
-        stack.append((child + 1, block[~goes_left].reshape(-1, n - i - 1), depth + 1))
+        take = np.concatenate([np.flatnonzero(goes_left & keep[0, seg]).reshape(d, -1),
+                               np.flatnonzero(~goes_left & keep[1, seg]).reshape(d, -1)], axis=1)
+        block, Xs, ys = block.take(take), Xs.take(take), ys.take(take)
+        del take, goes_left  # freed before the next level's search allocates
+        ids, sizes, counts = ids[grow], sizes[grow], counts[grow]
 
-    feature, threshold, left, right = zip(*nodes)
-    return TreeClassifier(feature, threshold, left, right, np.vstack(proba), m, ds.n_features)
+    # Replay a depth-first stack (right child popped first) to number the nodes.
+    lt, rt = left.tolist(), right.tolist()
+    order, stack = [0], [0]
+    while stack:
+        g = stack.pop()
+        if lt[g] >= 0:
+            order += (lt[g], rt[g])
+            stack += (lt[g], rt[g])
+    number = np.full(n_nodes + 1, -1)  # number[-1] maps a leaf's -1 child to -1
+    number[order] = np.arange(n_nodes)
+    return TreeClassifier(feature[order], threshold[order], number[left[order]],
+                          number[right[order]], proba[order], m, d)
 
 
-def _best_split(Xs, y, block, counts, m, min_leaf, entropy):
-    """Best (feature, position, threshold) for one node, or None.
+def _level_splits(Xs, ys, starts, seg, counts, min_leaf, entropy):
+    """Best split of every node of a level: (found, feature, cut, threshold).
 
-    ``Xs`` holds the values of the presorted row ids in ``block`` (d, n).
-    Candidate i puts the first i+1 rows of a feature's order to the left
-    and is valid only between distinct values and respecting min_leaf.
+    Row f of ``Xs`` and ``ys`` (d, L) holds feature f's values and the labels
+    of each node's rows sorted by feature f, in the segment of columns from
+    ``starts``; ``seg`` is each column's node, ``counts`` its class counts.
+    Candidate column c puts its segment's rows up to c to the left, valid
+    between distinct values with min_leaf rows on each side (so never a
+    segment's last column). ``found`` is False where no candidate is valid.
     """
-    d, n = block.shape
-    n_left = np.arange(1, n, dtype=np.float64)
-    n_right = n - n_left
-    valid = (Xs[:, :-1] < Xs[:, 1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    if not valid.any():
-        return None
+    d, L = Xs.shape
+    m = counts.shape[1]
+    seg = seg[:-1]  # the last column is no candidate
+    n_left = np.arange(1.0, L) - starts[seg]
+    n_right = counts.sum(axis=1)[seg] - n_left
+    valid = (Xs[:, :-1] < Xs[:, 1:]) & ((n_left >= min_leaf) & (n_right >= min_leaf))
 
-    ys = y[block[:, :-1]]                          # labels in per-feature sort order
-    score = np.zeros((d, n - 1))
-    sum_sq_left, sum_sq_right = np.zeros((2, d, n - 1))
-    for c in range(m):
-        cl = np.cumsum(ys == c, axis=1, dtype=np.float64)
-        cr = counts[c] - cl
-        if entropy:
-            score -= _xlog2x(cl / n_left) * n_left + _xlog2x(cr / n_right) * n_right
-        else:
-            sum_sq_left += cl * cl
-            sum_sq_right += cr * cr
-    if not entropy:
-        # Weighted gini = n - (sum_sq_left/n_left + sum_sq_right/n_right), n dropped.
-        score = -(sum_sq_left / n_left + sum_sq_right / n_right)
-    score = np.where(valid, score, np.inf)
+    # Class counts are whole numbers below 2**53, so every sum of them and
+    # of their products is exact in any order. The last class's left count
+    # is n_left minus the others'.
+    ys, totals = ys[:, :-1], counts.T[:, seg]
+    score, sum_sq_left, dot, tmp = np.zeros((4, d, L - 1))
+    rest = n_left
+    with np.errstate(invalid="ignore"):  # 0/0 in each segment's last column
+        for c in range(m):
+            if c < m - 1:
+                cl = (ys == c).astype(np.float64)
+                cl[:, starts[1:]] -= counts[:-1, c]  # restart the cumsum at each segment
+                np.cumsum(cl, axis=1, out=cl)
+                rest = rest - cl
+            else:
+                cl = rest
+            if entropy:
+                score -= _xlog2x(cl / n_left) * n_left + _xlog2x((totals[c] - cl) / n_right) * n_right
+            else:
+                sum_sq_left += np.multiply(cl, cl, out=tmp)
+                dot += np.multiply(cl, totals[c], out=tmp)
+        if not entropy:
+            # Weighted gini = n - (sum_sq_left/n_left + sum_sq_right/n_right), n dropped; with
+            # dot = sum_c C_c * cl_c, sum_sq_right = sum_c C_c**2 - 2 * dot + sum_sq_left.
+            dot *= -2.0
+            dot += (counts * counts).sum(axis=1)[seg]
+            dot += sum_sq_left
+            score = np.divide(sum_sq_left, n_left, out=sum_sq_left)
+            score += np.divide(dot, n_right, out=dot)
+            np.negative(score, out=score)
+    score[~valid] = np.inf
 
-    # Feature-major argmin: ties go to the lowest feature index, then the
-    # lowest threshold (candidates ascend within a feature).
-    f, i = divmod(int(np.argmin(score)), n - 1)
-    lo, hi = Xs[f, i:i + 2].tolist()
-    thr = (lo + hi) / 2.0
-    if not lo <= thr < hi:  # rounded up to hi, or lo + hi overflowed
-        thr = lo
-    return f, i, thr
+    # Feature-major argmin per node: ties go to the lowest feature index,
+    # then the lowest threshold (candidates ascend within a segment).
+    seg_min = np.minimum.reduceat(score, starts, axis=1)
+    best = seg_min.min(axis=0)
+    f = np.argmax(seg_min == best, axis=0)
+    col = np.arange(L - 1)
+    cut = np.minimum.reduceat(np.where(score[f[seg], col] == best[seg], col, L), starts)
+    lo, hi = Xs[f, cut], Xs[f, cut + 1]
+    with np.errstate(over="ignore"):
+        thr = (lo + hi) / 2.0
+    thr = np.where((lo <= thr) & (thr < hi), thr, lo)  # rounded up to hi, or lo + hi overflowed
+    return best < np.inf, f, cut, thr
 
 
 def _xlog2x(p):

@@ -1,4 +1,5 @@
 import errno
+import functools
 import inspect
 import json
 import tempfile
@@ -433,7 +434,8 @@ class TestModelFileTypes:
     wrong type used to raise AttributeError or TypeError, an unknown
     learner kind in the config read as a missing key, a config k of 2.5,
     an alpha of NaN or true, or a seed of "x" loaded, and deeply nested
-    JSON raised RecursionError."""
+    JSON raised RecursionError. A tree leaf of NaNs, a NaN or infinite
+    threshold, and a non-finite KNN feature loaded and predicted NaN rows."""
 
     def test_top_level_not_an_object(self, tmp_path):
         path = save_edited_model(tmp_path, TreeParams(), lambda blob: None)
@@ -484,6 +486,23 @@ class TestModelFileTypes:
             load_model(path)
         assert str(info.value).startswith(f"{path}: maximum recursion depth exceeded")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", ["leaf", "threshold", "knn X"])
+    def test_non_finite_member_value(self, tmp_path, where, value):
+        def edit(blob):
+            member = blob["members"][0]
+            if where == "knn X":
+                member["X"][0][1] = value
+            elif where == "leaf":
+                member["proba"][member["feature"].index(-1)] = [value, value]
+            else:
+                assert member["feature"][0] >= 0
+                member["threshold"][0] = value
+        learner = KnnParams(k_neighbors=3) if where == "knn X" else TreeParams()
+        message = "knn X must be finite" if where == "knn X" else "must be finite"
+        with pytest.raises(ValueError, match=message):
+            load_model(save_edited_model(tmp_path, learner, edit))
+
     @pytest.mark.parametrize("learner,key,value,message", [
         (TreeParams(), "kind", "svm", "unknown learner kind 'svm'"),
         (TreeParams(), "kind", ["tree"], "unhashable type: 'list'"),
@@ -499,6 +518,57 @@ class TestModelFileTypes:
             blob["config"]["learner"][key] = value
         with pytest.raises(ValueError, match=message):
             load_model(save_edited_model(tmp_path, learner, edit))
+
+
+def json_paths(value, path=()):
+    """The key path of every value inside a JSON blob."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**64, -2**64]) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@functools.lru_cache(maxsize=None)
+def saved_model_text(learner):
+    with tempfile.TemporaryDirectory() as tmp:
+        return save_edited_model(Path(tmp), learner, lambda blob: None).read_text()
+
+
+class TestModelFileFuzz:
+    """Any one value of a saved model replaced by any JSON value, NaN and
+    Infinity included: the file loads and predicts probability rows, or
+    load_model raises ValueError."""
+
+    @pytest.mark.parametrize("learner", [TreeParams(), KnnParams(k_neighbors=3)], ids=["tree", "knn"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), value=JSON_VALUES)
+    def test_one_value_replaced(self, learner, data, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            blob = json.loads(saved_model_text(learner))
+            *parents, key = data.draw(st.sampled_from(list(json_paths(blob))))
+            parent = blob
+            for step in parents:
+                parent = parent[step]
+            parent[key] = value
+            path = Path(tmp) / "edited.json"
+            path.write_text(json.dumps(blob))
+            # A huge finite KNN feature overflows its squared norm at load and
+            # its squared distances at predict; the vote ranks such rows last.
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    model = load_model(path)
+                except ValueError:
+                    return
+                probs = model.predict_proba_many(np.random.default_rng(0).normal(0, 3, (20, model.d)))
+        assert probs.shape == (20, model.m) and (probs >= 0).all()
+        assert (np.abs(probs.sum(axis=1) - 1.0) <= 1e-9).all()
 
 
 @st.composite

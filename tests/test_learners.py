@@ -140,8 +140,52 @@ def tree_problems(draw):
     return Dataset(distinct[pick], y, m=m), params
 
 
+def reference_table():
+    """2,000 rows of 8 features in three classes, drawn from 1,300 distinct
+    rows with labels drawn per row, so duplicates may disagree. Feature 2
+    is constant and 3 is binary: wherever a level's segments meet, their
+    rows hold equal values on both sides of the boundary."""
+    gen = np.random.default_rng(2021)
+    n = 1300
+    distinct = np.column_stack([
+        gen.normal(size=n).round(1), gen.integers(0, 4, n), np.ones(n), gen.integers(0, 2, n),
+        gen.normal(size=n).round(2), gen.random(n), gen.integers(0, 10, n), (3 * gen.normal(size=n)).round()])
+    X = distinct[gen.integers(0, n, 2000)]
+    signal = X[:, 0] + 0.5 * X[:, 1] - X[:, 3] + gen.normal(0, 1.0, 2000)
+    return Dataset(X, np.digitize(signal, [-0.5, 1.0]), m=3)
+
+
+class TestTreeReferenceTable:
+    """The level-wise builder against the depth-first reference on one fixed
+    table, for both criteria, two leaf sizes and two depth limits."""
+
+    @pytest.mark.parametrize("max_depth", [3, None])
+    @pytest.mark.parametrize("min_leaf", [1, 5])
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_reference_table(self, criterion, min_leaf, max_depth):
+        ds = reference_table()
+        params = TreeParams(max_depth=max_depth, min_samples_leaf=min_leaf, criterion=criterion)
+        boundaries = []
+        level_splits = learners._level_splits
+
+        def spy(Xs, ys, starts, *args):
+            boundaries.append((Xs[:, starts[1:] - 1] == Xs[:, starts[1:]]).any())
+            return level_splits(Xs, ys, starts, *args)
+        with mock.patch.object(learners, "_level_splits", spy):
+            tree = tree_fit(ds, params)
+        reference = reference_tree_fit(ds, params)
+        for name in ("feature", "threshold", "left", "right", "proba"):
+            got, want = getattr(tree, name), getattr(reference, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert any(boundaries)  # a level whose segments meet at equal values
+        assert tree.depth() == max_depth or max_depth is None
+        queries = np.vstack([ds.features, np.random.default_rng(1).normal(0, 2, (200, 8))])
+        assert (tree.predict_proba_many(queries).tobytes()
+                == reference_predict_proba_many(reference, queries).tobytes())
+
+
 class TestTreeMatchesReference:
-    """The presorted builder and level-wise router against a builder that
+    """The level-wise builder and router against a depth-first builder that
     sorts every node anew and a router that walks a stack."""
 
     @settings(max_examples=200, deadline=None,

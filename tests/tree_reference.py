@@ -1,11 +1,14 @@
 """Reference tree builder and predictor for equivalence tests.
 
 This is the straightforward form of :func:`dube.learners.tree_fit` and
-``TreeClassifier.predict_proba_many``: every node re-sorts its own rows
-(``argsort`` per node), and prediction walks the tree with an explicit
-stack of (node, row ids). The library grows trees from one presort per
-tree and routes rows one depth level at a time; both must give the same
-arrays and probabilities, bit for bit, as the functions here.
+``TreeClassifier.predict_proba_many``: a depth-first stack grows one
+node at a time, every node re-sorts its own rows (``argsort`` per node)
+and sums its class counts in float, and prediction walks the tree with
+an explicit stack of (node, row ids). The library grows all nodes of a
+level at once from one presort per tree, with integer class counts, and
+routes rows one depth level at a time; both must give the same arrays,
+node numbers included, and probabilities, bit for bit, as the functions
+here.
 """
 
 import numpy as np
