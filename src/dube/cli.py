@@ -25,7 +25,7 @@ from .balancing import InterCBStrategy, IntraCBStrategy
 from .biaslab import BIAS_STRATEGIES, ToyConfig, check_pbda_bound, run_bias_trials
 from .dataset import Dataset, DatasetError, inject_flip_noise, \
     load_csv, make_gaussian_1d, make_overlap_2d, stratified_k_fold
-from .ensemble import DubeConfig, TrainingTrace, dube_fit, write_atomic
+from .ensemble import DubeConfig, TrainingTrace, dube_fit, dube_fit_lockstep, write_atomic
 from .learners import KnnParams, TreeParams
 from .metrics import evaluate, macro_auroc
 
@@ -121,16 +121,17 @@ def build_dube_config(options) -> DubeConfig:
 
 def tune_alpha(train: Dataset, cfg: DubeConfig, grid, seed: int) -> float:
     """Pick the grid alpha with the best macro-AUROC on a stratified
-    20% validation split of the training data (ties to the smaller alpha)."""
+    20% validation split of the training data (ties to the smaller alpha).
+    The grid's ensembles are fitted in lockstep (``dube_fit_lockstep``)."""
     plan = stratified_k_fold(train, 5, rng.child_seed(seed, rng.TUNE))
     inner, validation = plan.split(train, 0)
+    candidates = [replace(cfg, alpha=float(alpha), seed=rng.child_seed(seed, rng.TUNE, 1))
+                  for alpha in grid]
     best_alpha, best_score = None, -1.0
-    for alpha in grid:
-        candidate = replace(cfg, alpha=float(alpha), seed=rng.child_seed(seed, rng.TUNE, 1))
-        model = dube_fit(inner, candidate)
+    for candidate, model in zip(candidates, dube_fit_lockstep(inner, candidates)):
         score = macro_auroc(validation.labels, model.predict_proba_many(validation.features))
         if score > best_score:
-            best_alpha, best_score = float(alpha), score
+            best_alpha, best_score = candidate.alpha, score
     return best_alpha
 
 

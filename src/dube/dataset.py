@@ -131,8 +131,8 @@ def load_csv(path, label_column) -> Dataset:
     DatasetError
         Missing or unreadable file (including bytes that are not UTF-8
         and a field over the csv module's size limit), missing column,
-        non-numeric or non-finite feature cell, empty file, or a single
-        distinct label (at least two classes are required).
+        no feature column, non-numeric or non-finite feature cell, empty
+        file, or a single distinct label (at least two classes are required).
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -157,6 +157,8 @@ def load_csv(path, label_column) -> Dataset:
         label_idx = int(label_column)
         if not 0 <= label_idx < width:
             raise DatasetError(f"{path}: label column index {label_idx} out of range")
+    if width < 2:
+        raise DatasetError(f"{path}: no feature columns besides the label column")
     names = [row.pop(label_idx).strip() for row in raw]  # raw keeps the feature cells
     if isinstance(label_column, str) or _bad_cell(raw[:1], finite=False):
         raw, names = raw[1:], names[1:]  # header row

@@ -25,16 +25,16 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import rng
 from .balancing import InterCBStrategy, IntraCBStrategy, resample_step
 from .dataset import Dataset
-from .learners import (LearnerParams, TreeParams, _Classifier, _integer, fit_learner,
-                       learner_from_dict, params_from_dict, params_to_dict)
-from .pbda import ClassCovariance, class_covariance, perturb
+from .learners import (LearnerParams, TreeParams, _Classifier, _integer, fit_learner, forest_batches,
+                       forest_fit, learner_from_dict, params_from_dict, params_to_dict)
+from .pbda import class_covariance, perturb
 
 
 @dataclass(frozen=True)
@@ -105,43 +105,70 @@ class EnsembleModel(_Classifier):
 
 
 def dube_fit(ds: Dataset, cfg: DubeConfig, trace: TrainingTrace | None = None) -> EnsembleModel:
-    """Train a duple-balanced ensemble on ``ds``.
+    """Train a duple-balanced ensemble on ``ds``: the one-config case of
+    :func:`dube_fit_lockstep`.
 
     Requires m >= 2. With k = 1 the result is a single learner trained on
     the raw data and no resampling is performed. Pass a
     :class:`TrainingTrace` to capture per-iteration targets, weights,
     drawn rows, the soft-vote matrix in effect, and resampling wall time.
     """
+    return dube_fit_lockstep(ds, [cfg], trace)[0]
+
+
+def dube_fit_lockstep(ds: Dataset, configs, trace: TrainingTrace | None = None) -> list:
+    """The ensemble :func:`dube_fit` trains for each of ``configs``, which
+    differ only in alpha, all trained at once.
+
+    The configs share a seed, so they share the first member, the whole
+    t=2 resample step, and at every iteration the standard-normal draws
+    of each class, which each alpha only scales: one :func:`perturb` call
+    per class perturbs every config's rows. Each iteration's members grow
+    in forests (:func:`forest_batches`); a forest of one goes through
+    :func:`fit_learner`. ``trace`` records the first config's iterations.
+    """
+    cfg = configs[0]
+    if any(replace(other, alpha=cfg.alpha) != cfg for other in configs):
+        raise ValueError("lockstep configs may differ only in alpha")
     if ds.m < 2:
         raise ValueError("training needs at least two classes")
     covariances = [class_covariance(ds, c) for c in range(ds.m)]
 
-    members = [fit_learner(ds, cfg.learner)]
-    probs_sum = members[0].predict_proba_many(ds.features)
+    first = fit_learner(ds, cfg.learner)
+    members = [[first] for _ in configs]
+    probs_sum = first.predict_proba_many(ds.features)
+    sums = [probs_sum] + [probs_sum.copy() for _ in configs[1:]]
 
     for t in range(2, cfg.k + 1):
-        current = probs_sum / (t - 1)
-        t0 = time.perf_counter()
-        n, per_class, weights = resample_step(
-            ds.labels, ds.class_index, current, cfg.inter, cfg.intra,
-            rng.child_seed(cfg.seed, rng.RESAMPLE, t))
-        if trace is not None:
-            trace.iterations.append(IterationTrace(
-                target_size=n, weights=weights, sampled_rows=per_class, ensemble_probs=current,
-                resample_ms=(time.perf_counter() - t0) * 1000.0))
-        parts, labels = [], []
-        for c, rows in enumerate(per_class):
-            block = perturb(ds.features[rows], cfg.alpha, covariances[c],
-                            rng.child_seed(cfg.seed, rng.PERTURB, t, c))
-            parts.append(block)
-            labels.append(np.full(rows.size, c, dtype=np.int64))
-        resampled = Dataset(np.concatenate(parts), np.concatenate(labels),
-                            m=ds.m, label_names=ds.label_names)
-        member = fit_learner(resampled, cfg.learner)
-        members.append(member)
-        probs_sum += member.predict_proba_many(ds.features)
+        steps = []
+        for total in sums[:1] if t == 2 else sums:  # at t=2 every config has the first member's vote
+            current = total / (t - 1)
+            t0 = time.perf_counter()
+            steps.append(resample_step(ds.labels, ds.class_index, current, cfg.inter, cfg.intra,
+                                       rng.child_seed(cfg.seed, rng.RESAMPLE, t)))
+            if trace is not None and len(steps) == 1:
+                n, per_class, weights = steps[0]
+                trace.iterations.append(IterationTrace(
+                    target_size=n, weights=weights, sampled_rows=per_class, ensemble_probs=current,
+                    resample_ms=(time.perf_counter() - t0) * 1000.0))
+        blocks = [perturb(ds.features[np.stack([per_class[c] for _, per_class, _ in steps])],
+                          [other.alpha for other in configs], covariances[c],
+                          rng.child_seed(cfg.seed, rng.PERTURB, t, c))
+                  for c in range(ds.m)]
+        labels = np.repeat(np.arange(ds.m), steps[0][0])  # n rows per class, n shared by all configs
+        resampled = [Dataset(np.concatenate([block[i] for block in blocks]), labels,
+                             m=ds.m, label_names=ds.label_names) for i in range(len(configs))]
+        del blocks  # freed before the members grow
+        fitted = []
+        for batch in forest_batches(resampled, cfg.learner):
+            alone = len(batch) == 1
+            fitted += [fit_learner(batch[0], cfg.learner)] if alone else forest_fit(batch, cfg.learner)
+        for member, ensemble, total in zip(fitted, members, sums):
+            ensemble.append(member)
+            total += member.predict_proba_many(ds.features)
 
-    return EnsembleModel(members, ds.m, ds.n_features, cfg)
+    return [EnsembleModel(ensemble, ds.m, ds.n_features, other)
+            for ensemble, other in zip(members, configs)]
 
 
 MODEL_FORMAT = "dube-model"

@@ -94,10 +94,6 @@ class _Classifier:
     def predict_proba_many(self, X) -> np.ndarray:
         raise NotImplementedError
 
-    def predict_many(self, X) -> np.ndarray:
-        """Argmax class ids (ties to the lowest id)."""
-        return np.argmax(self.predict_proba_many(X), axis=1)
-
 
 class TreeClassifier(_Classifier):
     """Axis-aligned binary decision tree with frequency leaves.
@@ -107,9 +103,11 @@ class TreeClassifier(_Classifier):
     ``x[feature] <= threshold``. A batch is routed one tree level per
     step: every row still at an internal node moves to a child at once.
     Children are numbered above their parent (``from_dict`` checks it),
-    so routing ends after at most depth steps. ``tree_fit`` numbers nodes
-    in the order a depth-first stack creates them: a popped split node
-    numbers its children next, left then right, and the right is popped first.
+    so routing ends after at most depth steps. ``forest_fit`` (and so
+    ``tree_fit``) numbers each tree's nodes in the order a depth-first
+    stack from its root creates them: a popped split node numbers its
+    children next, left then right, and the right is popped first. A tree
+    grown in a forest is the tree grown alone, array for array.
     """
 
     def __init__(self, feature, threshold, left, right, proba, m, d):
@@ -202,7 +200,8 @@ class KnnClassifier(_Classifier):
         self.m = int(m)
         self.k_neighbors = int(k_neighbors)
         self.d = self.X.shape[1]
-        self._sq_norms = (self.X ** 2).sum(axis=1)
+        with np.errstate(over="ignore"):  # a value above ~1.3e154 squares to inf; it ranks last
+            self._sq_norms = (self.X ** 2).sum(axis=1)
 
     def predict_proba_many(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -213,7 +212,8 @@ class KnnClassifier(_Classifier):
         step = max(1, _BLOCK_BYTES // (8 * self.X.shape[0]))
         for start in range(0, X.shape[0], step):
             Q = X[start:start + step]
-            d2 = (Q ** 2).sum(axis=1)[:, None] + self._sq_norms[None, :] - 2.0 * (Q @ self.X.T)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf, or NaN from inf - inf
+                d2 = (Q ** 2).sum(axis=1)[:, None] + self._sq_norms[None, :] - 2.0 * (Q @ self.X.T)
             votes = self.y[np.nonzero(_nearest(d2, k))[1].reshape(-1, k)]
             for c in range(self.m):
                 out[start:start + step, c] = (votes == c).sum(axis=1) / k
@@ -262,32 +262,64 @@ def _nearest(d2, k):
 
 
 def tree_fit(ds: Dataset, params: TreeParams = TreeParams()) -> TreeClassifier:
-    """Grow a decision tree on ``ds``.
+    """Grow a decision tree on ``ds``: the one-tree case of :func:`forest_fit`.
 
     Greedy choice of the split minimizing the size-weighted child
     impurity, over midpoints of adjacent sorted distinct feature values.
     Score ties resolve to the lowest feature index, then the lowest
     threshold. Growth draws no random numbers, so the tree is a pure
     function of ``ds`` and ``params``.
-
-    The tree grows a level at a time from one stable sort of the rows by
-    every feature. A level's nodes share (d, L) blocks of row ids, values
-    and labels, one column segment per node, whose row f lists the node's
-    rows by feature f. One fixed set of numpy calls scores every candidate
-    of every node (``_level_splits``); a stable partition of each block
-    row makes the next level's blocks, left children first. Segments so
-    order rows by (value, row id), as a stable sort of each node's rows
-    would, and every split is the one a depth-first builder finds. Nodes
-    are numbered last, as a depth-first stack would have created them.
     """
-    y, m, (N, d) = ds.labels, ds.m, ds.features.shape
+    return forest_fit([ds], params)[0]
+
+
+# Trees grown as one forest share level blocks of at most this many bytes
+# of float64 feature values (one tree at least). A level's scratch memory
+# is about seven times its block. Batching pays on small trees, whose
+# levels cost numpy call overhead more than row work: six trees of
+# 1,278 x 8 rows grew 1.5x faster as one forest, two of 8,000 x 8 rows
+# (1 MB of values) 0.95x as fast. This cap grows six trees of 1,280 x 8
+# rows as forests of four and two.
+_FOREST_BYTES = 384 << 10
+
+
+def forest_batches(datasets, params: LearnerParams) -> list:
+    """``datasets`` cut into consecutive runs whose trees :func:`forest_fit`
+    grows together: as many per run as fit ``_FOREST_BYTES`` at the size
+    of the largest, one at least. KNN datasets are runs of one."""
+    if not isinstance(params, TreeParams):
+        return [[ds] for ds in datasets]
+    step = max(1, _FOREST_BYTES // max(1, *(ds.features.nbytes for ds in datasets)))
+    return [datasets[i:i + step] for i in range(0, len(datasets), step)]
+
+
+def forest_fit(datasets, params: TreeParams = TreeParams()) -> list:
+    """The tree :func:`tree_fit` grows on each of ``datasets``, which share
+    m and d, all grown at once; each is the same, array for array.
+
+    The forest grows a level at a time from one stable sort of each
+    dataset's rows by every feature, its row ids offset past those of the
+    datasets before it. A level's nodes, in every tree, share (d, L)
+    blocks of row ids, values and labels, one column segment per node,
+    whose row f lists the node's rows by feature f. One fixed set of numpy
+    calls scores every candidate of every node (``_level_splits``); a
+    stable partition of each block row makes the next level's blocks,
+    left children first. Segments so order rows by (value, row id), as a
+    stable sort of each node's rows would, and every split is the one a
+    depth-first builder finds; no segment's result depends on another's.
+    Each tree's nodes are numbered last, as a depth-first stack from its
+    root would have created them.
+    """
+    m, d = datasets[0].m, datasets[0].n_features
+    y = np.concatenate([ds.labels for ds in datasets])
+    R, N = len(datasets), y.size
     entropy = params.criterion == "entropy"
     min_leaf = params.min_samples_leaf
     max_depth = params.max_depth if params.max_depth is not None else np.inf
 
-    # Nodes in order of growth, at most 2N - 1; proba is set for leaves only.
-    feature, left, right = np.full((3, 2 * N - 1), -1, dtype=np.int64)
-    threshold, proba = np.zeros(2 * N - 1), np.zeros((2 * N - 1, m))
+    # Nodes in order of growth, at most 2N - R; roots first; proba is set for leaves only.
+    feature, left, right = np.full((3, 2 * N - R), -1, dtype=np.int64)
+    threshold, proba = np.zeros(2 * N - R), np.zeros((2 * N - R, m))
 
     def settle(ids, sizes, counts, depth):
         """Make leaves of the nodes that cannot split; mask of the others."""
@@ -295,11 +327,17 @@ def tree_fit(ds: Dataset, params: TreeParams = TreeParams()) -> TreeClassifier:
         proba[ids[~grow]] = counts[~grow] / sizes[~grow, None]
         return grow
 
-    ids, sizes, counts = np.zeros(1, dtype=np.int64), np.array([N]), np.bincount(y, minlength=m)[None]
-    grow, depth, n_nodes = settle(ids, sizes, counts, 0), 0, 1
+    ids, sizes = np.arange(R), np.array([ds.n_rows for ds in datasets])
+    counts = np.array([np.bincount(ds.labels, minlength=m) for ds in datasets])
+    grow, depth, n_nodes = settle(ids, sizes, counts, 0), 0, R
+    # One presort per growing root, its row ids offset past the earlier datasets' rows.
+    block = np.concatenate([np.zeros((d, 0), dtype=np.int64)] + [  # empty if no root grows
+        np.argsort(ds.features.T, axis=1, kind="stable") + start
+        for ds, start, g in zip(datasets, np.cumsum(sizes) - sizes, grow) if g], axis=1)
+    X = np.concatenate([ds.features for ds in datasets])
+    Xs, ys = np.take_along_axis(X.T, block, axis=1), y.astype(np.min_scalar_type(m))[block]
+    del X
     ids, sizes, counts = ids[grow], sizes[grow], counts[grow]
-    block = np.argsort(ds.features.T, axis=1, kind="stable")
-    Xs, ys = np.take_along_axis(ds.features.T, block, axis=1), y.astype(np.min_scalar_type(m))[block]
     while ids.size:
         K, starts = ids.size, np.cumsum(sizes) - sizes
         seg, col = np.repeat(np.arange(K), sizes), np.arange(block.shape[1])  # node of each column
@@ -332,18 +370,21 @@ def tree_fit(ds: Dataset, params: TreeParams = TreeParams()) -> TreeClassifier:
         del take, goes_left  # freed before the next level's search allocates
         ids, sizes, counts = ids[grow], sizes[grow], counts[grow]
 
-    # Replay a depth-first stack (right child popped first) to number the nodes.
+    # Replay a depth-first stack from each root (right child popped first) to number its nodes.
     lt, rt = left.tolist(), right.tolist()
-    order, stack = [0], [0]
-    while stack:
-        g = stack.pop()
-        if lt[g] >= 0:
-            order += (lt[g], rt[g])
-            stack += (lt[g], rt[g])
     number = np.full(n_nodes + 1, -1)  # number[-1] maps a leaf's -1 child to -1
-    number[order] = np.arange(n_nodes)
-    return TreeClassifier(feature[order], threshold[order], number[left[order]],
-                          number[right[order]], proba[order], m, d)
+    trees = []
+    for root in range(R):
+        order, stack = [root], [root]
+        while stack:
+            g = stack.pop()
+            if lt[g] >= 0:
+                order += (lt[g], rt[g])
+                stack += (lt[g], rt[g])
+        number[order] = np.arange(len(order))
+        trees.append(TreeClassifier(feature[order], threshold[order], number[left[order]],
+                                    number[right[order]], proba[order], m, d))
+    return trees
 
 
 def _level_splits(Xs, ys, starts, seg, counts, min_leaf, entropy):
@@ -367,7 +408,8 @@ def _level_splits(Xs, ys, starts, seg, counts, min_leaf, entropy):
     # of their products is exact in any order. The last class's left count
     # is n_left minus the others'.
     ys, totals = ys[:, :-1], counts.T[:, seg]
-    score, sum_sq_left, dot, tmp = np.zeros((4, d, L - 1))
+    sum_sq_left, dot, tmp = np.zeros((3, d, L - 1))
+    score = sum_sq_left  # entropy's; gini's is made from sum_sq_left after the loop
     rest = n_left
     with np.errstate(invalid="ignore"):  # 0/0 in each segment's last column
         for c in range(m):
@@ -375,7 +417,6 @@ def _level_splits(Xs, ys, starts, seg, counts, min_leaf, entropy):
                 cl = (ys == c).astype(np.float64)
                 cl[:, starts[1:]] -= counts[:-1, c]  # restart the cumsum at each segment
                 np.cumsum(cl, axis=1, out=cl)
-                rest = rest - cl
             else:
                 cl = rest
             if entropy:
@@ -383,6 +424,8 @@ def _level_splits(Xs, ys, starts, seg, counts, min_leaf, entropy):
             else:
                 sum_sq_left += np.multiply(cl, cl, out=tmp)
                 dot += np.multiply(cl, totals[c], out=tmp)
+            if c < m - 1:  # cl is used up: the first one's buffer takes rest
+                rest = np.subtract(rest, cl, out=rest if c else cl)
         if not entropy:
             # Weighted gini = n - (sum_sq_left/n_left + sum_sq_right/n_right), n dropped; with
             # dot = sum_c C_c * cl_c, sum_sq_right = sum_c C_c**2 - 2 * dot + sum_sq_left.

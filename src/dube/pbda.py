@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
-from .dataset import Dataset
+from .dataset import Dataset, DatasetError
 
 
 @dataclass(frozen=True)
@@ -86,22 +86,31 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def perturb(samples, alpha: float, cov: ClassCovariance, seed: int) -> np.ndarray:
+def perturb(samples, alpha, cov: ClassCovariance, seed: int) -> np.ndarray:
     """Add ``alpha``-scaled class-calibrated Gaussian noise to each row.
 
     ``alpha = 0`` or a zero covariance returns the rows unchanged.
     Draws come from the stream for (seed,); fixed inputs give identical
-    output.
+    output. ``alpha`` may be a list of scales and ``samples`` a (K, n, d)
+    stack of blocks (or one block for all): every scale then perturbs its
+    own block, as alone, and they all share one noise draw. A result that
+    is not finite raises DatasetError.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    if alpha < 0:
+    scale = np.asarray(alpha, dtype=np.float64)[..., None, None]
+    if (scale < 0).any():
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if samples.shape[1] != cov.cov.shape[0]:
+    if samples.shape[-1] != cov.cov.shape[0]:
         raise ValueError(
-            f"dimension mismatch: samples have {samples.shape[1]} features, "
+            f"dimension mismatch: samples have {samples.shape[-1]} features, "
             f"covariance is {cov.cov.shape[0]}x{cov.cov.shape[0]}")
-    if alpha == 0.0 or not cov.cov.any():
-        return samples.copy()
+    if not scale.any() or not cov.cov.any():
+        return np.broadcast_to(samples, np.broadcast_shapes(samples.shape, scale.shape)).copy()
     gen = rng.stream(seed, rng.PERTURB)
-    noise = gen.standard_normal(samples.shape) @ cov.factor.T
-    return samples + alpha * noise
+    noise = gen.standard_normal(samples.shape[-2:]) @ cov.factor.T
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        out = np.where(scale == 0, samples, samples + scale * noise)
+    if not np.isfinite(out).all():
+        raise DatasetError(f"perturbing class {cov.class_id} with alpha up to {scale.max():g} "
+                           f"gives non-finite features")
+    return out

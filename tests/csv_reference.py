@@ -47,6 +47,8 @@ def reference_load_csv(path, label_column) -> Dataset:
         rows = raw
         if rows and not _numeric_row(rows[0], label_idx):
             rows = rows[1:]  # header row
+    if width == 1:
+        raise DatasetError(f"{path}: no feature columns besides the label column")
     if not rows:
         raise DatasetError(f"{path}: no data rows")
 

@@ -64,6 +64,7 @@ def test_traced_bench_runs_without_hook_errors(tracing, tmp_path, capsys):
             "learners.fit_learner", "cli.cell", "cli.tune_alpha", "metrics.evaluate",
             "dataset.load_csv", "dataset.fold_split", "cli.render"} <= names
     metrics = tracing.layer_metrics(tracer.spans, None)
-    # 2 cells, each 6 tuning fits and 1 final fit of 3 members
-    assert metrics["cli.tune_fits"] == 2 * 6
-    assert metrics["ensemble.members"] == 2 * 7 * 3
+    # 2 cells, each tuned by one dube_fit_lockstep call over the 6 grid alphas
+    # (no dube_fit span) and then 1 final dube_fit of 3 members
+    assert metrics["cli.tune_fits"] == 0
+    assert metrics["ensemble.members"] == 2 * 3

@@ -332,6 +332,19 @@ class TestMainEntry:
     def test_missing_file_exit_code(self, capsys):
         assert main(["bench", "--input", "/nonexistent.csv"]) == 2
 
+    def test_label_only_table_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("label\n" + "a\nb\n" * 4)
+        assert main(["bench", "--input", str(data), "--folds", "2"]) == 2
+        assert "no feature columns besides the label column" in capsys.readouterr().err
+
+    def test_huge_alpha_ends_in_library_error(self, tmp_path, capsys):
+        # alpha * noise overflows; perturb reports it rather than a RuntimeWarning
+        data = write_dataset(tmp_path / "toy.csv", n_min=12, n_maj=48)
+        assert main(["bench", "--input", data, "--k", "2", "--folds", "2", "--alpha", "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert "all cells failed" in err and "gives non-finite features" in err
+
     def test_text_format(self, tmp_path, capsys):
         data = write_dataset(tmp_path / "toy.csv")
         code = main(["bench", "--input", data, "--k", "2", "--folds", "2",

@@ -3,6 +3,8 @@ import functools
 import inspect
 import json
 import tempfile
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,10 @@ from dube import (DubeConfig, EnsembleModel, TrainingTrace, class_counts,
                   dube_fit, load_model, make_overlap_2d, save_model)
 from dube import balancing, pbda
 from dube.balancing import InterCBStrategy, IntraCBStrategy
-from dube.dataset import Dataset
+from dube.dataset import Dataset, DatasetError
+from dube.ensemble import dube_fit_lockstep
 from dube.learners import KnnParams, TreeClassifier, TreeParams, tree_fit
+from ensemble_reference import reference_members
 
 
 def small_dataset(seed=0, n_min=20, n_maj=80):
@@ -559,14 +563,11 @@ class TestModelFileFuzz:
             parent[key] = value
             path = Path(tmp) / "edited.json"
             path.write_text(json.dumps(blob))
-            # A huge finite KNN feature overflows its squared norm at load and
-            # its squared distances at predict; the vote ranks such rows last.
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    model = load_model(path)
-                except ValueError:
-                    return
-                probs = model.predict_proba_many(np.random.default_rng(0).normal(0, 3, (20, model.d)))
+            try:
+                model = load_model(path)
+            except ValueError:
+                return
+            probs = model.predict_proba_many(np.random.default_rng(0).normal(0, 3, (20, model.d)))
         assert probs.shape == (20, model.m) and (probs >= 0).all()
         assert (np.abs(probs.sum(axis=1) - 1.0) <= 1e-9).all()
 
@@ -608,3 +609,56 @@ class TestRoundTripProperty:
         assert clone.config == model.config
         assert (clone.predict_proba_many(probe).tobytes()
                 == model.predict_proba_many(probe).tobytes())
+
+
+def assert_same_member(got, want):
+    """Fitted members equal array for array, dtype and bytes, and in every other field."""
+    assert type(got) is type(want) and vars(got).keys() == vars(want).keys()
+    for name, value in vars(got).items():
+        if isinstance(value, np.ndarray):
+            other = vars(want)[name]
+            assert value.dtype == other.dtype and value.tobytes() == other.tobytes(), name
+        else:
+            assert value == vars(want)[name], name
+
+
+class TestLockstepMatchesDubeFit:
+    """A grid of alphas fitted in lockstep against one dube_fit per alpha
+    and against the one-config-at-a-time reference loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fit_problems(), st.data())
+    def test_members_bit_identical(self, problem, data):
+        ds, cfg = problem
+        alphas = data.draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 1.0]), min_size=1, max_size=4))
+        grid = data.draw(st.permutations([0.0, alphas[0], *alphas]))  # 0.0 and a repeat
+        configs = [replace(cfg, alpha=alpha) for alpha in grid]
+        models = dube_fit_lockstep(ds, configs)
+        assert [model.config for model in models] == configs
+        for model, config in zip(models, configs):
+            alone, reference = dube_fit(ds, config).members, reference_members(ds, config)
+            assert len(model.members) == len(alone) == len(reference) == cfg.k
+            for got, want, ref in zip(model.members, alone, reference):
+                assert_same_member(got, want)
+                assert_same_member(got, ref)
+
+    def test_configs_must_differ_only_in_alpha(self):
+        ds = small_dataset(3)
+        with pytest.raises(ValueError, match="differ only in alpha"):
+            dube_fit_lockstep(ds, [DubeConfig(k=2, seed=1), DubeConfig(k=2, seed=2, alpha=0.1)])
+
+
+class TestHugeAlpha:
+    """alpha * noise overflows: the fit ends in the library's error, with no warning."""
+
+    @pytest.mark.parametrize("grid", [[1e308], [0.0, 1e308, 0.1]])
+    def test_non_finite_perturbation_raises(self, grid):
+        ds = small_dataset(6)
+        configs = [DubeConfig(k=3, alpha=alpha, seed=2) for alpha in grid]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError, match="alpha up to 1e\\+308 gives non-finite features"):
+                if len(configs) == 1:
+                    dube_fit(ds, configs[0])
+                else:
+                    dube_fit_lockstep(ds, configs)

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -36,7 +37,7 @@ class TestTree:
         y = [0, 0, 1, 1]
         ds = dataset(X, y)
         model = tree_fit(ds, TreeParams(max_depth=2))
-        assert np.array_equal(model.predict_many(np.asarray(X, float)), y)
+        assert np.array_equal(model.predict_proba_many(np.asarray(X, float)).argmax(axis=1), y)
         assert model.depth() == 2
 
     def test_training_accuracy_monotone_in_depth(self):
@@ -47,7 +48,7 @@ class TestTree:
         last = 0.0
         for depth in range(1, 8):
             model = tree_fit(ds, TreeParams(max_depth=depth))
-            acc = (model.predict_many(X) == y).mean()
+            acc = (model.predict_proba_many(X).argmax(axis=1) == y).mean()
             assert acc >= last - 1e-12
             last = acc
 
@@ -84,7 +85,7 @@ class TestTree:
         X = gen.normal(size=(60, 2))
         y = (X[:, 0] > 0).astype(int)
         model = tree_fit(dataset(X, y), TreeParams(criterion="entropy"))
-        assert (model.predict_many(X) == y).all()
+        assert (model.predict_proba_many(X).argmax(axis=1) == y).all()
 
     def test_deterministic_fit(self):
         gen = np.random.default_rng(4)
@@ -113,7 +114,7 @@ class TestTree:
         ds = dataset([[1e308], [1.5e308]], [0, 1])
         model = tree_fit(ds)
         assert model.threshold[0] == 1e308
-        assert model.predict_many(ds.features).tolist() == [0, 1]
+        assert model.predict_proba_many(ds.features).argmax(axis=1).tolist() == [0, 1]
 
 
 # Feature values: small integers (heavy ties), signed zeros, subnormals,
@@ -210,6 +211,44 @@ class TestTreeMatchesReference:
                 == reference_predict_proba_many(reference, queries).tobytes())
 
 
+@st.composite
+def forest_problems(draw):
+    """One to six training sets sharing m and d, with duplicated rows;
+    a set may hold one class only, so its root is a leaf."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 4))
+    datasets = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 120))
+        distinct = draw(hnp.arrays(np.float64, (draw(st.integers(1, n)), d), elements=_VALUES))
+        pick = draw(hnp.arrays(np.int64, n, elements=st.integers(0, distinct.shape[0] - 1)))
+        top = draw(st.integers(0, m - 1))
+        y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, top)))
+        datasets.append(Dataset(distinct[pick], y, m=m))
+    return datasets
+
+
+class TestForestMatchesTrees:
+    """A forest grown over K datasets against K tree_fit calls."""
+
+    @pytest.mark.parametrize("max_depth", [3, None])
+    @pytest.mark.parametrize("min_leaf", [1, 5])
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(datasets=forest_problems())
+    def test_each_tree_as_if_grown_alone(self, criterion, min_leaf, max_depth, datasets):
+        params = TreeParams(max_depth=max_depth, min_samples_leaf=min_leaf, criterion=criterion)
+        forest = learners.forest_fit(datasets, params)
+        assert len(forest) == len(datasets)
+        for tree, ds in zip(forest, datasets):
+            alone = tree_fit(ds, params)
+            for name in ("feature", "threshold", "left", "right", "proba"):
+                got, want = getattr(tree, name), getattr(alone, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert (tree.m, tree.d) == (alone.m, alone.d)
+
+
 class TestKnn:
     def test_exact_match_with_k1(self):
         ds = dataset([[0, 0], [3, 3]], [0, 1])
@@ -248,7 +287,18 @@ class TestKnn:
         X = gen.normal(size=(40, 2))
         y = gen.integers(0, 3, 40)
         model = knn_fit(dataset(X, y, m=3), 1)
-        assert (model.predict_many(X) == y).all()
+        assert (model.predict_proba_many(X).argmax(axis=1) == y).all()
+
+    def test_huge_finite_values_warn_nothing(self):
+        # squares above ~1.8e308 overflow to inf; such rows rank last, silently
+        queries = np.array([[1e155, 0.0], [0.0, 1.0], [-2e155, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = KnnClassifier([[1e155, 0.0], [0.0, 1.0]], [0, 1], 2, 1)
+            got = model.predict_proba_many(queries)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_knn_predict_proba_many(model, queries)
+        assert got.tobytes() == want.tobytes()
 
     def test_k_larger_than_n_rejected(self):
         ds = dataset([[0.0], [1.0]], [0, 1])

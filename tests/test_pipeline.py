@@ -12,8 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from dube.cli import _DEFAULTS, run_bench, tune_alpha
-from dube.dataset import Dataset
+from dube import ensemble, rng
+from dube.cli import _DEFAULTS, DEFAULT_ALPHA_GRID, run_bench, tune_alpha
+from dube.dataset import Dataset, stratified_k_fold
 from dube.ensemble import DubeConfig
 
 
@@ -60,3 +61,17 @@ def test_tune_alpha_returns_grid_member():
     grid = (0.0, 0.25, 0.5)
     chosen = tune_alpha(ds, DubeConfig(k=4, seed=1), grid, seed=9)
     assert chosen in grid
+
+
+def test_tune_alpha_fits_the_first_member_once(monkeypatch):
+    # the grid's configs share their first member: one fit on the raw inner split
+    gen = np.random.default_rng(4)
+    X = np.concatenate([gen.normal(0, 1, (120, 3)), gen.normal(1.2, 1, (30, 3))])
+    ds = Dataset(X, np.repeat([0, 1], [120, 30]))
+    inner, _ = stratified_k_fold(ds, 5, rng.child_seed(9, rng.TUNE)).split(ds, 0)
+    fitted, fit_learner = [], ensemble.fit_learner
+    monkeypatch.setattr(ensemble, "fit_learner",
+                        lambda data, params: fitted.append(data) or fit_learner(data, params))
+    tune_alpha(ds, DubeConfig(k=4, seed=1), DEFAULT_ALPHA_GRID, seed=9)
+    first = [data for data in fitted if data.features.tobytes() == inner.features.tobytes()]
+    assert len(first) == 1 and first[0].labels.tobytes() == inner.labels.tobytes()
