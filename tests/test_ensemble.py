@@ -651,14 +651,14 @@ class TestLockstepMatchesDubeFit:
 class TestHugeAlpha:
     """alpha * noise overflows: the fit ends in the library's error, with no warning."""
 
-    @pytest.mark.parametrize("grid", [[1e308], [0.0, 1e308, 0.1]])
-    def test_non_finite_perturbation_raises(self, grid):
+    @pytest.mark.parametrize("fit, grid", [
+        (lambda ds, configs: dube_fit(ds, *configs), [1e308]),
+        (dube_fit_lockstep, [0.0, 1e308, 0.1]),
+    ], ids=["dube_fit", "lockstep"])
+    def test_non_finite_perturbation_raises(self, fit, grid):
         ds = small_dataset(6)
         configs = [DubeConfig(k=3, alpha=alpha, seed=2) for alpha in grid]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DatasetError, match="alpha up to 1e\\+308 gives non-finite features"):
-                if len(configs) == 1:
-                    dube_fit(ds, configs[0])
-                else:
-                    dube_fit_lockstep(ds, configs)
+                fit(ds, configs)
