@@ -11,7 +11,7 @@ max-margin boundary on 1-D two-Gaussian toys.
 from .balancing import (InterCBStrategy, IntraCBStrategy, hem_weights, resample_step,
                         shem_weights, target_class_size, weighted_resample)
 from .biaslab import (BiasTrialReport, BoundCheck, ToyConfig, check_pbda_bound,
-                      d_max, max_margin_1d, run_bias_trials, smote_1d)
+                      run_bias_trials)
 from .dataset import (Dataset, DatasetError, FoldPlan, class_counts,
                       inject_flip_noise, load_csv, make_gaussian_1d,
                       make_overlap_2d, stratified_k_fold)
@@ -26,17 +26,13 @@ from .rng import RNG_ALGORITHM
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiasTrialReport", "BoundCheck", "ClassCovariance", "Dataset",
-    "DatasetError", "DubeConfig", "EnsembleModel",
-    "EvalReport", "FoldPlan", "InterCBStrategy", "IntraCBStrategy",
-    "KnnParams", "RNG_ALGORITHM", "ToyConfig", "TrainingTrace",
-    "TreeParams", "check_pbda_bound", "class_counts",
-    "class_covariance", "confusion_matrix", "d_max", "dube_fit",
-    "evaluate", "fit_learner", "hem_weights",
-    "inject_flip_noise", "knn_fit", "load_csv", "load_model",
-    "macro_auroc", "macro_f1", "make_gaussian_1d", "make_overlap_2d",
-    "max_margin_1d", "mcc", "perturb", "resample_step",
-    "run_bias_trials", "save_model", "shem_weights", "smote_1d",
-    "stratified_k_fold", "target_class_size", "tree_fit",
-    "weighted_resample",
+    "BiasTrialReport", "BoundCheck", "ClassCovariance", "Dataset", "DatasetError",
+    "DubeConfig", "EnsembleModel", "EvalReport", "FoldPlan", "InterCBStrategy",
+    "IntraCBStrategy", "KnnParams", "RNG_ALGORITHM", "ToyConfig", "TrainingTrace",
+    "TreeParams", "check_pbda_bound", "class_counts", "class_covariance",
+    "confusion_matrix", "dube_fit", "evaluate", "fit_learner", "hem_weights",
+    "inject_flip_noise", "knn_fit", "load_csv", "load_model", "macro_auroc", "macro_f1",
+    "make_gaussian_1d", "make_overlap_2d", "mcc", "perturb", "resample_step",
+    "run_bias_trials", "save_model", "shem_weights", "stratified_k_fold",
+    "target_class_size", "tree_fit", "weighted_resample",
 ]

@@ -13,7 +13,9 @@ Trial datasets depend only on (seed, trial index), never on the
 strategy, so reports for different strategies built from the same config
 are paired trial-by-trial: a strategy that provably cannot move the
 boundary (e.g. plain over-sampling) reproduces the baseline bias
-exactly, trial for trial.
+exactly, trial for trial. :func:`draw_trials` draws them once, and every
+strategy row run on the result resumes each trial's random stream where
+its data draws ended.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ class ToyConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.mu_min, self.mu_maj, self.sigma)):
+            raise ValueError("mu_min, mu_maj and sigma must be finite")
         if self.n_min < 1 or self.n_maj < 1:
             raise ValueError("class sizes must be >= 1")
         if self.sigma <= 0:
@@ -81,63 +85,66 @@ class BoundCheck:
     trials: int
 
 
-def max_margin_1d(xs, ys) -> float:
-    """Midpoint between the rightmost positive and the leftmost negative.
+@dataclass(frozen=True, eq=False)
+class TrialDraws:
+    """Every trial's class samples, and the Philox state that follows them.
 
-    Positives (label 1) are the left class; the same midpoint formula is
-    applied whether or not the sample is separable, so heavily perturbed
-    trials stay well-defined.
+    Trial ``i`` draws ``x_maj[i]`` and then ``x_min[i]`` from
+    ``rng.stream(cfg.seed, rng.TRIAL, i)``. The stream's state after
+    those draws is kept in the fixed-size arrays below, one row per
+    trial, so that every strategy row can resume trial ``i``'s stream
+    exactly where the data draws left off. Philox is counter-based, so
+    restoring a saved state reproduces the continuation bit for bit.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys)
-    pos = xs[ys == 1]
-    neg = xs[ys == 0]
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("both classes must be nonempty")
-    return float((pos.max() + neg.min()) / 2.0)
+
+    cfg: ToyConfig
+    x_maj: np.ndarray       # (trials, n_maj)
+    x_min: np.ndarray       # (trials, n_min)
+    counter: np.ndarray     # (trials, 4) uint64
+    key: np.ndarray         # (trials, 2) uint64
+    buffer: np.ndarray      # (trials, 4) uint64
+    buffer_pos: np.ndarray  # (trials,)
+    has_uint32: np.ndarray  # (trials,)
+    uinteger: np.ndarray    # (trials,)
+
+    def state(self, i: int) -> dict:
+        """Trial ``i``'s saved state, in the form ``Philox.state`` takes."""
+        return {"bit_generator": "Philox",
+                "state": {"counter": self.counter[i], "key": self.key[i]},
+                "buffer": self.buffer[i], "buffer_pos": int(self.buffer_pos[i]),
+                "has_uint32": int(self.has_uint32[i]), "uinteger": int(self.uinteger[i])}
 
 
-def d_max(points, mu: float) -> float:
-    """Largest absolute deviation of a sample from the distribution mean."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.size == 0:
-        raise ValueError("empty sample")
-    return float(np.abs(points - mu).max())
+def draw_trials(cfg: ToyConfig) -> TrialDraws:
+    """Draw every trial's data once, for all strategy rows to share."""
+    t = cfg.trials
+    x_maj, x_min = np.empty((t, cfg.n_maj)), np.empty((t, cfg.n_min))
+    counter, key, buffer = (np.empty((t, w), dtype=np.uint64) for w in (4, 2, 4))
+    buffer_pos, has_uint32, uinteger = (np.empty(t, dtype=np.int64) for _ in range(3))
+    for i in range(t):
+        # the dataset is a fixed-size prefix of the trial's stream, drawn
+        # before any strategy-dependent consumption
+        gen = rng.stream(cfg.seed, rng.TRIAL, i)
+        x_maj[i] = gen.normal(cfg.mu_maj, cfg.sigma, cfg.n_maj)
+        x_min[i] = gen.normal(cfg.mu_min, cfg.sigma, cfg.n_min)
+        state = gen.bit_generator.state
+        counter[i], key[i] = state["state"]["counter"], state["state"]["key"]
+        buffer[i], buffer_pos[i] = state["buffer"], state["buffer_pos"]
+        has_uint32[i], uinteger[i] = state["has_uint32"], state["uinteger"]
+    arrays = (x_maj, x_min, counter, key, buffer, buffer_pos, has_uint32, uinteger)
+    for arr in arrays:
+        arr.flags.writeable = False  # shared by every row
+    return TrialDraws(cfg, *arrays)
 
 
-def smote_1d(points, k_neighbors: int, n_new: int, seed: int) -> np.ndarray:
-    """1-D nearest-neighbor interpolation over-sampling.
-
-    Each synthetic point is ``seed + u * (neighbor - seed)`` with u
-    uniform in [0, 1], the neighbor drawn from the seed's k nearest
-    (ties to the lower index). All outputs lie inside
-    [min(points), max(points)], so the sample extremes never move.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    n = points.size
-    if n < 2:
-        raise ValueError("need at least two points")
-    if not 1 <= k_neighbors < n:
-        raise ValueError(f"k_neighbors must be in [1, {n - 1}]")
-    if n_new < 0:
-        raise ValueError("n_new must be >= 0")
-    return _smote_draws(points, k_neighbors, n_new, rng.stream(seed, rng.TRIAL))
-
-
-def _resample_trial(x_min, x_maj, strategy: str, gen: np.random.Generator):
-    """Apply one strategy's resampling to a trial's class samples."""
-    if strategy == "none":
-        return x_min, x_maj
-    counts = [x_min.size, x_maj.size]
-    if strategy == "SMOTE1D":
-        if x_min.size < 2:
-            raise ValueError("SMOTE1D needs at least two minority points")
-        n = max(counts)
-        k = min(5, x_min.size - 1)
-        extra = _smote_draws(x_min, k, n - x_min.size, gen)
-        return np.concatenate([x_min, extra]), x_maj
-    n = target_class_size(counts, InterCBStrategy(strategy))
-    return _uniform_resample(x_min, n, gen), _uniform_resample(x_maj, n, gen)
+def validate_row(cfg: ToyConfig, strategy: str, alpha_sigma: float) -> None:
+    """Raise ``ValueError`` if (strategy, alpha_sigma) cannot run on cfg."""
+    if strategy not in BIAS_STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {BIAS_STRATEGIES}")
+    if alpha_sigma < 0:
+        raise ValueError("alpha_sigma must be >= 0")
+    if strategy == "SMOTE1D" and cfg.n_min < 2:
+        raise ValueError("SMOTE1D needs at least two minority points")
 
 
 def _uniform_resample(x, n, gen):
@@ -149,6 +156,12 @@ def _uniform_resample(x, n, gen):
 
 
 def _smote_draws(points, k, n_new, gen):
+    """1-D nearest-neighbor interpolation over-sampling.
+
+    Each synthetic point is ``seed + u * (neighbor - seed)`` with u
+    uniform in [0, 1], the neighbor drawn from the seed's k nearest
+    (ties to the lower index), so the sample extremes never move.
+    """
     if n_new <= 0:
         return np.empty(0)
     dist = np.abs(points[:, None] - points[None, :])
@@ -161,31 +174,45 @@ def _smote_draws(points, k, n_new, gen):
     return base + u * (points[picks] - base)
 
 
-def run_bias_trials(cfg: ToyConfig, strategy: str, alpha_sigma: float = 0.0) -> BiasTrialReport:
+def run_bias_trials(cfg: ToyConfig, strategy: str, alpha_sigma: float = 0.0,
+                    draws: TrialDraws | None = None) -> BiasTrialReport:
     """Mean and variance of the decision bias over seeded trials.
 
     ``alpha_sigma`` is the standard deviation of the isotropic noise
-    added to every resampled point (0 disables perturbation).
+    added to every resampled point (0 disables perturbation). ``draws``
+    are the trials from :func:`draw_trials` for this same cfg, shared
+    with other rows; ``None`` draws them here. The decision boundary is
+    the max-margin midpoint between the rightmost minority point and the
+    leftmost majority point of the processed sample.
     """
-    if strategy not in BIAS_STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {BIAS_STRATEGIES}")
-    if alpha_sigma < 0:
-        raise ValueError("alpha_sigma must be >= 0")
-    optimal = cfg.optimal_boundary
-    biases = np.empty(cfg.trials)
-    for i in range(cfg.trials):
-        # one child stream per trial; the dataset is drawn as a fixed-size
-        # prefix before any strategy-dependent consumption, so trial i's
-        # data is identical for every (strategy, alpha_sigma)
-        gen = rng.stream(cfg.seed, rng.TRIAL, i)
-        x_maj = gen.normal(cfg.mu_maj, cfg.sigma, cfg.n_maj)
-        x_min = gen.normal(cfg.mu_min, cfg.sigma, cfg.n_min)
-        r_min, r_maj = _resample_trial(x_min, x_maj, strategy, gen)
-        if alpha_sigma > 0:
-            r_min = r_min + gen.normal(0.0, alpha_sigma, r_min.size)
-            r_maj = r_maj + gen.normal(0.0, alpha_sigma, r_maj.size)
-        boundary = (r_min.max() + r_maj.min()) / 2.0
-        biases[i] = abs(optimal - boundary)
+    validate_row(cfg, strategy, alpha_sigma)
+    if draws is None:
+        draws = draw_trials(cfg)
+    elif draws.cfg != cfg:
+        raise ValueError("draws were made for a different ToyConfig")
+    if strategy == "none" and alpha_sigma == 0:
+        boundaries = (draws.x_min.max(axis=1) + draws.x_maj.min(axis=1)) / 2.0
+    else:
+        # every trial has cfg's class sizes, so the targets are fixed per row
+        counts = [cfg.n_min, cfg.n_maj]
+        n = (max(counts) if strategy in ("none", "SMOTE1D")
+             else target_class_size(counts, InterCBStrategy(strategy)))
+        bit_generator = np.random.Philox(0)  # its state is replaced before every trial
+        gen = np.random.Generator(bit_generator)
+        boundaries = np.empty(cfg.trials)
+        for i in range(cfg.trials):
+            bit_generator.state = draws.state(i)
+            r_min, r_maj = draws.x_min[i], draws.x_maj[i]
+            if strategy == "SMOTE1D":
+                extra = _smote_draws(r_min, min(5, cfg.n_min - 1), n - cfg.n_min, gen)
+                r_min = np.concatenate([r_min, extra])
+            elif strategy != "none":
+                r_min, r_maj = _uniform_resample(r_min, n, gen), _uniform_resample(r_maj, n, gen)
+            if alpha_sigma > 0:
+                r_min = r_min + gen.normal(0.0, alpha_sigma, r_min.size)
+                r_maj = r_maj + gen.normal(0.0, alpha_sigma, r_maj.size)
+            boundaries[i] = (r_min.max() + r_maj.min()) / 2.0
+    biases = np.abs(cfg.optimal_boundary - boundaries)
     return BiasTrialReport(strategy=strategy, alpha_sigma=alpha_sigma,
                            mean_bias=float(biases.mean()),
                            var_bias=float(biases.var()),

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import rng
 from .balancing import InterCBStrategy, IntraCBStrategy
-from .biaslab import BIAS_STRATEGIES, ToyConfig, check_pbda_bound, run_bias_trials
+from .biaslab import (BIAS_STRATEGIES, ToyConfig, check_pbda_bound, draw_trials,
+                      run_bias_trials, validate_row)
 from .dataset import Dataset, DatasetError, inject_flip_noise, \
     load_csv, make_gaussian_1d, make_overlap_2d, stratified_k_fold
 from .ensemble import DubeConfig, TrainingTrace, dube_fit, dube_fit_lockstep, write_atomic
@@ -314,10 +315,14 @@ def run_biaslab(options) -> Report:
     cfg = ToyConfig(**{f.name: options[f.name] for f in fields(ToyConfig)})
     report = Report("biaslab", _config_line("biaslab", options),
                     ["strategy", "alpha", "mean_bias", "var_bias", "trials"])
-    for strategy in BIAS_STRATEGIES:
-        for alpha_sigma in options["alpha_sigmas"]:
-            res = run_bias_trials(cfg, strategy, alpha_sigma)
-            report.rows.append([strategy, alpha_sigma, res.mean_bias, res.var_bias, res.trials])
+    rows = [(strategy, alpha_sigma) for strategy in BIAS_STRATEGIES
+            for alpha_sigma in options["alpha_sigmas"]]
+    for strategy, alpha_sigma in rows:
+        validate_row(cfg, strategy, alpha_sigma)
+    draws = draw_trials(cfg)  # every row resumes the same trials
+    for strategy, alpha_sigma in rows:
+        res = run_bias_trials(cfg, strategy, alpha_sigma, draws)
+        report.rows.append([strategy, alpha_sigma, res.mean_bias, res.var_bias, res.trials])
     bound_rows = []
     for n_rep in (2, 4, 16):
         for sigma_p in (0.1, 0.5):

@@ -57,6 +57,8 @@ class Dataset:
             raise DatasetError("labels length must match feature rows")
         if feats.shape[0] == 0:
             raise DatasetError("empty dataset")
+        if feats.shape[1] == 0:
+            raise DatasetError("features have no columns")
         if not np.isfinite(feats).all():
             raise DatasetError("features contain NaN or infinite values")
         if labels.size and labels.min() < 0:

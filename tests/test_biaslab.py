@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dube import rng
-from dube.biaslab import (ToyConfig, check_pbda_bound, d_max, max_margin_1d,
-                          pbda_bound_values, run_bias_trials, smote_1d)
+from biaslab_reference import d_max, max_margin_1d, reference_run_bias_trials, smote_1d
+from dube import biaslab, rng
+from dube.biaslab import (BIAS_STRATEGIES, ToyConfig, check_pbda_bound, draw_trials,
+                          pbda_bound_values, run_bias_trials)
 
 FIG_TOY = dict(n_min=3, n_maj=15, mu_min=0.0, mu_maj=4.0, sigma=1.0)
 
@@ -139,6 +142,49 @@ class TestRunBiasTrials:
             ToyConfig(mu_min=4.0, mu_maj=0.0)
         with pytest.raises(ValueError):
             ToyConfig(sigma=0.0)
+
+    @pytest.mark.parametrize("field", ["mu_min", "mu_maj", "sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            ToyConfig(**{field: value})
+
+    def test_smote_needs_two_minority_points_before_any_draw(self, monkeypatch):
+        def no_draws(cfg):
+            raise AssertionError("trials drawn")
+        monkeypatch.setattr(biaslab, "draw_trials", no_draws)
+        with pytest.raises(ValueError, match="SMOTE1D needs at least two minority points"):
+            run_bias_trials(ToyConfig(**dict(FIG_TOY, n_min=1), trials=5, seed=0), "SMOTE1D")
+
+    def test_draws_for_another_config_rejected(self):
+        cfg = ToyConfig(**FIG_TOY, trials=5, seed=0)
+        draws = draw_trials(cfg)
+        for other in (ToyConfig(**FIG_TOY, trials=5, seed=1),
+                      ToyConfig(**FIG_TOY, trials=6, seed=0)):
+            with pytest.raises(ValueError, match="different ToyConfig"):
+                run_bias_trials(other, "RUS", draws=draws)
+
+    def test_draws_are_read_only(self):
+        draws = draw_trials(ToyConfig(**FIG_TOY, trials=3, seed=0))
+        with pytest.raises(ValueError):
+            draws.x_min[0, 0] = 0.0
+
+
+class TestSharedDrawsMatchReference:
+    @settings(max_examples=100, deadline=None)
+    @given(trials=st.integers(1, 40), n_min=st.integers(2, 6), n_maj=st.integers(1, 20),
+           seed=st.integers(0, 2**64 - 1))
+    def test_every_row_equals_the_per_row_loop(self, trials, n_min, n_maj, seed):
+        cfg = ToyConfig(n_min=n_min, n_maj=n_maj, trials=trials, seed=seed)
+        draws = draw_trials(cfg)  # one set for all rows, in the CLI's row order
+        for strategy in BIAS_STRATEGIES:
+            for alpha_sigma in (0.0, 0.2):
+                shared = run_bias_trials(cfg, strategy, alpha_sigma, draws)
+                own = run_bias_trials(cfg, strategy, alpha_sigma)
+                ref = reference_run_bias_trials(cfg, strategy, alpha_sigma)
+                for got in (shared, own):
+                    assert (got.mean_bias, got.var_bias) == (ref.mean_bias, ref.var_bias), \
+                        (strategy, alpha_sigma)
 
 
 class TestPbdaBound:

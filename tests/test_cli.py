@@ -312,6 +312,40 @@ class TestBiaslab:
         b = run_biaslab(options("biaslab", trials=150, seed=2)).body()
         assert a == b
 
+    def test_one_draw_and_one_call_per_row(self, monkeypatch):
+        import dube.cli as cli
+        calls = {"draw_trials": [], "run_bias_trials": []}
+
+        def counting(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(args)
+                return original(*args, **kwargs)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name))
+        report = run_biaslab(options("biaslab", trials=30, seed=5, alpha_sigmas=[0.0, 0.1, 0.3]))
+        assert len(calls["draw_trials"]) == 1
+        rows = [(strategy, alpha) for strategy, alpha, *_ in report.rows]
+        assert [args[1:3] for args in calls["run_bias_trials"]] == rows
+        assert len(rows) == 5 * 3
+
+    @pytest.mark.parametrize("flags", [["--sigma", "nan"], ["--mu-maj", "inf"],
+                                       ["--mu-min=-inf"]])
+    def test_non_finite_toy_exit_code(self, capsys, flags):
+        assert main(["biaslab", "--trials", "5"] + flags) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_one_minority_point_fails_before_any_trial(self, capsys, monkeypatch):
+        import dube.cli as cli
+
+        def no_draws(cfg):
+            raise AssertionError("trials drawn")
+        monkeypatch.setattr(cli, "draw_trials", no_draws)
+        assert main(["biaslab", "--trials", "5", "--n-min", "1"]) == 2
+        assert "SMOTE1D needs at least two minority points" in capsys.readouterr().err
+
 
 class TestMainEntry:
     def test_bench_writes_report(self, tmp_path, capsys):

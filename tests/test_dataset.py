@@ -205,6 +205,10 @@ class TestDatasetInvariants:
         with pytest.raises(DatasetError):
             Dataset(np.array([[np.inf]]), np.array([0]))
 
+    def test_featureless_table_rejected(self):
+        with pytest.raises(DatasetError, match="no columns"):
+            Dataset(np.zeros((4, 0)), [0, 1, 0, 1])
+
 
 class TestClassCounts:
     def test_toy_imbalance(self):
