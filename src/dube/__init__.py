@@ -26,13 +26,17 @@ from .rng import RNG_ALGORITHM
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiasTrialReport", "BoundCheck", "ClassCovariance", "Dataset", "DatasetError",
-    "DubeConfig", "EnsembleModel", "EvalReport", "FoldPlan", "InterCBStrategy",
-    "IntraCBStrategy", "KnnParams", "RNG_ALGORITHM", "ToyConfig", "TrainingTrace",
-    "TreeParams", "check_pbda_bound", "class_counts", "class_covariance",
-    "confusion_matrix", "dube_fit", "evaluate", "fit_learner", "hem_weights",
-    "inject_flip_noise", "knn_fit", "load_csv", "load_model", "macro_auroc", "macro_f1",
-    "make_gaussian_1d", "make_overlap_2d", "mcc", "perturb", "resample_step",
-    "run_bias_trials", "save_model", "shem_weights", "stratified_k_fold",
-    "target_class_size", "tree_fit", "weighted_resample",
+    "BiasTrialReport", "BoundCheck", "ClassCovariance", "Dataset",
+    "DatasetError", "DubeConfig", "EnsembleModel",
+    "EvalReport", "FoldPlan", "InterCBStrategy", "IntraCBStrategy",
+    "KnnParams", "RNG_ALGORITHM", "ToyConfig", "TrainingTrace",
+    "TreeParams", "check_pbda_bound", "class_counts",
+    "class_covariance", "confusion_matrix", "dube_fit",
+    "evaluate", "fit_learner", "hem_weights",
+    "inject_flip_noise", "knn_fit", "load_csv", "load_model",
+    "macro_auroc", "macro_f1", "make_gaussian_1d", "make_overlap_2d",
+    "mcc", "perturb", "resample_step",
+    "run_bias_trials", "save_model", "shem_weights",
+    "stratified_k_fold", "target_class_size", "tree_fit",
+    "weighted_resample",
 ]
