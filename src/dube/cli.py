@@ -543,7 +543,7 @@ def main(argv=None) -> int:
         text = report.render(options.get("format") or "csv")
         if options.get("out"):
             try:
-                write_atomic(options["out"], lambda fh: fh.write(text))
+                write_atomic(options["out"], text)
             except OSError as exc:
                 raise CliError(f"cannot write {options['out']}: {exc.strerror}") from exc
         else:

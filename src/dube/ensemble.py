@@ -188,18 +188,18 @@ def _config_from_dict(blob: dict) -> DubeConfig:
                       seed=_integer(blob, "seed", 0))
 
 
-def write_atomic(path, write) -> None:
-    """Replace ``path`` whole by a text file that ``write(fh)`` fills; if
-    anything fails, that file is removed and ``path`` keeps its bytes."""
+def write_atomic(path, text: str) -> None:
+    """Replace ``path`` whole by a text file holding ``text``; if anything
+    fails, that file is removed and ``path`` keeps its bytes."""
     if os.path.exists(path) and not os.path.isfile(path):  # a pipe or device, e.g. /dev/stdout
         with open(path, "w") as fh:
-            write(fh)
+            fh.write(text)
         return
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     fh = open(tmp, "x")  # never truncates a file this call did not create
     try:
         with fh:
-            write(fh)
+            fh.write(text)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the write or the move failed
@@ -207,7 +207,9 @@ def write_atomic(path, write) -> None:
 
 
 def save_model(model: EnsembleModel, path) -> None:
-    """Write a versioned JSON dump atomically; floats round-trip exactly."""
+    """Write a versioned JSON dump atomically; floats round-trip exactly.
+    ``json.dumps`` encodes it in one call to the C encoder, where
+    ``json.dump`` would stream it through the pure-Python one."""
     blob = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -217,7 +219,7 @@ def save_model(model: EnsembleModel, path) -> None:
         "config": _config_to_dict(model.config),
         "members": [member.to_dict() for member in model.members],
     }
-    write_atomic(path, lambda fh: json.dump(blob, fh))
+    write_atomic(path, json.dumps(blob))
 
 
 def load_model(path) -> EnsembleModel:

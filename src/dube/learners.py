@@ -182,8 +182,12 @@ class TreeClassifier(_Classifier):
 
 # Query rows are scored in blocks of at most this many bytes of float64
 # squared distances (one row at least), so a block's memory grows with the
-# training set and not with a fixed row count times it.
+# training set and not with a fixed row count times it. A row's distances
+# come from its block's one BLAS product, whose bits depend on its shape.
 _BLOCK_BYTES = 8 << 20
+# A block's rows are then voted in slices of at most this many bytes of
+# distances (one row at least), small enough to stay in cache.
+_SLICE_BYTES = 256 << 10
 
 
 class KnnClassifier(_Classifier):
@@ -208,13 +212,30 @@ class KnnClassifier(_Classifier):
         if X.shape[1] != self.d:
             raise ValueError(f"expected {self.d} features, got {X.shape[1]}")
         out = np.empty((X.shape[0], self.m))
-        k = self.k_neighbors
-        step = max(1, _BLOCK_BYTES // (8 * self.X.shape[0]))
+        n, k = self.X.shape[0], self.k_neighbors
+        step, rows = (max(1, size // (8 * n)) for size in (_BLOCK_BYTES, _SLICE_BYTES))
+        work = np.empty((min(rows, X.shape[0]), n))
         for start in range(0, X.shape[0], step):
             Q = X[start:start + step]
             with np.errstate(over="ignore", invalid="ignore"):  # inf, or NaN from inf - inf
-                d2 = (Q ** 2).sum(axis=1)[:, None] + self._sq_norms[None, :] - 2.0 * (Q @ self.X.T)
-            votes = self.y[np.nonzero(_nearest(d2, k))[1].reshape(-1, k)]
+                D, q2 = Q @ self.X.T, (Q ** 2).sum(axis=1)
+                kept = np.empty(D.shape, dtype=bool)
+                for s in range(0, Q.shape[0], rows):
+                    # (q2 + |x|^2) - 2p formed in place as -2p + (q2 + |x|^2), the same bits
+                    d2, w = D[s:s + rows], work[:min(rows, Q.shape[0] - s)]
+                    d2 *= -2.0
+                    d2 += np.add(q2[s:s + rows, None], self._sq_norms, out=w)
+                    np.copyto(w, d2)
+                    w.partition(k - 1, axis=1)
+                    np.less_equal(d2, w[:, k - 1:k], out=kept[s:s + rows])
+            # A row with exactly k distances <= its k-th smallest keeps them; _nearest
+            # settles the others (surplus ties, or a NaN k-th value).
+            at = np.flatnonzero(kept)
+            odd = np.flatnonzero(np.bincount(at // n, minlength=Q.shape[0]) != k)
+            if odd.size:
+                kept[odd] = _nearest(D[odd], k)
+                at = np.flatnonzero(kept)
+            votes = self.y[at.reshape(-1, k) % n]
             for c in range(self.m):
                 out[start:start + step, c] = (votes == c).sum(axis=1) / k
         return out

@@ -236,14 +236,22 @@ class TestSaveLoad:
                               clone.predict_proba_many(probe))
 
     def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        import dube.ensemble as ens
         model = dube_fit(small_dataset(9), DubeConfig(k=2, seed=13))
         path = tmp_path / "model.json"
         path.write_bytes(b"old model")
 
-        def disk_full(blob, fh):
-            fh.write('{"format": ')
-            raise OSError(errno.ENOSPC, "No space left on device")
-        monkeypatch.setattr(json, "dump", disk_full)
+        def disk_full(file, mode="r"):
+            # the temporary file stores part of the text, then the disk is full
+            fh = open(file, mode)
+            write = fh.write
+
+            def write_part(text):
+                write(text[:11])
+                raise OSError(errno.ENOSPC, "No space left on device")
+            fh.write = write_part
+            return fh
+        monkeypatch.setattr(ens, "open", disk_full, raising=False)
         with pytest.raises(OSError, match="No space left"):
             save_model(model, path)
         assert path.read_bytes() == b"old model"

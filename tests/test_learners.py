@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from dube import Dataset, DatasetError, learners
 from dube.learners import (KnnClassifier, KnnParams, TreeParams, fit_learner,
                            learner_from_dict, knn_fit, tree_fit)
-from knn_reference import reference_knn_predict_proba_many
+from knn_reference import (blocked_distances, blocked_knn_predict_proba_many,
+                           reference_knn_predict_proba_many)
 from tree_reference import reference_predict_proba_many, reference_tree_fit
 
 
@@ -321,8 +322,9 @@ _QUERY_VALUES = st.one_of(_SMALL, st.sampled_from([np.nan, np.inf, -np.inf]))
 
 @st.composite
 def knn_problems(draw):
-    """A KNN model with duplicated training rows, its queries, and a block
-    byte budget from one row per block up to a single block."""
+    """A KNN model with duplicated training rows, its queries, a block byte
+    budget from one row per block up to a single block, and a slice byte
+    budget from one row per slice up to the default."""
     n = draw(st.integers(1, 60))
     d = draw(st.integers(1, 4))
     m = draw(st.integers(2, 4))
@@ -334,22 +336,23 @@ def knn_problems(draw):
     nan_rows = draw(hnp.arrays(np.bool_, queries.shape[0]))
     queries[nan_rows] = np.nan
     block_bytes = draw(st.sampled_from([1, 8 * n - 1, 8 * n, 8 * n * 3 + 5, 8 << 20]))
+    slice_bytes = draw(st.sampled_from([1, 8 * n, 8 * n * 3 + 5, learners._SLICE_BYTES]))
     with np.errstate(over="ignore"):
         model = KnnClassifier(distinct[pick], y, m, k)
-    return model, queries, block_bytes
+    return model, queries, block_bytes, slice_bytes
 
 
 class TestKnnMatchesReference:
-    """The partition vote over byte-sized blocks against a stable argsort of
-    every distance row over 512-row blocks."""
+    """The partition vote over byte-sized blocks and slices against a stable
+    argsort of every distance row over 512-row blocks."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     @given(knn_problems())
     def test_identical_probabilities(self, problem):
-        model, queries, block_bytes = problem
+        model, queries, block_bytes, slice_bytes = problem
         with np.errstate(over="ignore", invalid="ignore"):
-            with mock.patch.object(learners, "_BLOCK_BYTES", block_bytes):
+            with mock.patch.multiple(learners, _BLOCK_BYTES=block_bytes, _SLICE_BYTES=slice_bytes):
                 got = model.predict_proba_many(queries)
             want = reference_knn_predict_proba_many(model, queries)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -359,6 +362,77 @@ class TestKnnMatchesReference:
         model = KnnClassifier([[-1.0], [0.0], [1.0], [2.0]], [0, 1, 2, 0], 3, 2)
         with np.errstate(invalid="ignore"):
             assert model.predict_proba_many([[np.inf]]).tolist() == [[0.5, 0.5, 0.0]]
+
+
+@st.composite
+def gaussian_knn_problems(draw):
+    """A KNN model on Gaussian rows, some of them repeated, its queries (new
+    rows, then training rows, some of either all NaN), and block and slice
+    byte budgets."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 120))
+    d = draw(st.integers(1, 8))
+    m = draw(st.integers(2, 4))
+    distinct = gen.normal(size=(draw(st.integers(1, n)), d))
+    X = distinct[gen.integers(0, distinct.shape[0], n)]
+    k = draw(st.sampled_from([1, n]) | st.integers(1, n))
+    queries = np.concatenate([gen.normal(size=(draw(st.integers(1, 60)), d)),
+                              X[:draw(st.integers(0, n))]])
+    queries[gen.random(queries.shape[0]) < draw(st.sampled_from([0.0, 0.1]))] = np.nan
+    block_bytes = draw(st.sampled_from([1, 8 * n - 1, 8 * n, 8 * n * 3 + 5, 8 * n * 17, 8 << 20]))
+    slice_bytes = draw(st.sampled_from([1, 8 * n, 8 * n * 2 + 3, learners._SLICE_BYTES]))
+    return KnnClassifier(X, gen.integers(0, m, n), m, k), queries, block_bytes, slice_bytes
+
+
+class TestKnnMatchesBlockedForm:
+    """Distances formed in place and voted by slices against the earlier
+    form, whole-block temporaries and ``_nearest``, on data whose distance
+    arithmetic rounds: the bits must match for every block and slice size."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(gaussian_knn_problems())
+    def test_identical_probabilities(self, problem):
+        model, queries, block_bytes, slice_bytes = problem
+        with mock.patch.multiple(learners, _BLOCK_BYTES=block_bytes, _SLICE_BYTES=slice_bytes):
+            got = model.predict_proba_many(queries)
+        want = blocked_knn_predict_proba_many(model, queries, block_bytes)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block_rows, slice_rows", [(7, 3), (100, 16), (None, 1), (None, None)])
+    def test_identical_probabilities_at_size(self, block_rows, slice_rows):
+        gen = np.random.default_rng(23)
+        distinct = gen.normal(size=(600, 8))
+        X = np.concatenate([distinct, distinct[:300]])
+        model = KnnClassifier(X, gen.integers(0, 3, X.shape[0]), 3, 5)
+        queries = np.concatenate([gen.normal(size=(400, 8)), X[::7]])
+        n = X.shape[0]
+        block_bytes = 8 * n * block_rows + 1 if block_rows else learners._BLOCK_BYTES
+        slice_bytes = 8 * n * slice_rows if slice_rows else learners._SLICE_BYTES
+        with mock.patch.multiple(learners, _BLOCK_BYTES=block_bytes, _SLICE_BYTES=slice_bytes):
+            got = model.predict_proba_many(queries)
+        want = blocked_knn_predict_proba_many(model, queries, block_bytes)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(gaussian_knn_problems())
+    def test_only_rows_without_exactly_k_reach_nearest(self, problem):
+        # a row's k nearest are found by _nearest only where its k-th smallest
+        # distance is NaN or equals the next one
+        model, queries, block_bytes, slice_bytes = problem
+        k, real, seen = model.k_neighbors, learners._nearest, []
+
+        def nearest(d2, k):
+            seen.append(d2.shape[0])
+            return real(d2, k)
+        with mock.patch.multiple(learners, _BLOCK_BYTES=block_bytes, _SLICE_BYTES=slice_bytes,
+                                 _nearest=nearest):
+            model.predict_proba_many(queries)
+        want = 0
+        for _, d2 in blocked_distances(model, queries, block_bytes):
+            ranked = np.sort(d2, axis=1)
+            tied = ranked[:, k - 1] == ranked[:, k] if k < ranked.shape[1] else False
+            want += np.count_nonzero(np.isnan(ranked[:, k - 1]) | tied)
+        assert sum(seen) == want
 
 
 class TestSerialization:
