@@ -417,22 +417,26 @@ class TestKnnMatchesBlockedForm:
     @given(gaussian_knn_problems())
     def test_only_rows_without_exactly_k_reach_nearest(self, problem):
         # a row's k nearest are found by _nearest only where its k-th smallest
-        # distance is NaN or equals the next one
+        # distance is NaN or equals the next one; those rows' distances, which
+        # _nearest sees, must be the earlier form's bit for bit (NaN for NaN)
         model, queries, block_bytes, slice_bytes = problem
-        k, real, seen = model.k_neighbors, learners._nearest, []
+        k, real, seen = model.k_neighbors, learners._nearest, [np.empty((0, model.X.shape[0]))]
 
         def nearest(d2, k):
-            seen.append(d2.shape[0])
+            seen.append(d2.copy())
             return real(d2, k)
         with mock.patch.multiple(learners, _BLOCK_BYTES=block_bytes, _SLICE_BYTES=slice_bytes,
                                  _nearest=nearest):
             model.predict_proba_many(queries)
-        want = 0
+        want = [seen[0]]
         for _, d2 in blocked_distances(model, queries, block_bytes):
             ranked = np.sort(d2, axis=1)
             tied = ranked[:, k - 1] == ranked[:, k] if k < ranked.shape[1] else False
-            want += np.count_nonzero(np.isnan(ranked[:, k - 1]) | tied)
-        assert sum(seen) == want
+            want.append(d2[np.isnan(ranked[:, k - 1]) | tied])
+        got, want = np.concatenate(seen), np.concatenate(want)
+        assert got.shape == want.shape
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
 
 
 class TestSerialization:
