@@ -188,18 +188,27 @@ def _config_from_dict(blob: dict) -> DubeConfig:
                       seed=_integer(blob, "seed", 0))
 
 
+# write_atomic writes its text this many characters at a time, so the whole
+# text and all of its encoded bytes are never in memory together.
+_WRITE_SLICE = 1 << 20
+
+
 def write_atomic(path, text: str) -> None:
     """Replace ``path`` whole by a text file holding ``text``; if anything
     fails, that file is removed and ``path`` keeps its bytes."""
+    def write(fh):
+        for start in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[start:start + _WRITE_SLICE])
+
     if os.path.exists(path) and not os.path.isfile(path):  # a pipe or device, e.g. /dev/stdout
         with open(path, "w") as fh:
-            fh.write(text)
+            write(fh)
         return
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     fh = open(tmp, "x")  # never truncates a file this call did not create
     try:
         with fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the write or the move failed
@@ -209,7 +218,8 @@ def write_atomic(path, text: str) -> None:
 def save_model(model: EnsembleModel, path) -> None:
     """Write a versioned JSON dump atomically; floats round-trip exactly.
     ``json.dumps`` encodes it in one call to the C encoder, where
-    ``json.dump`` would stream it through the pure-Python one."""
+    ``json.dump`` would stream it through the pure-Python one;
+    :func:`write_atomic` then writes the text a slice at a time."""
     blob = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,

@@ -295,8 +295,10 @@ def tree_fit(ds: Dataset, params: TreeParams = TreeParams()) -> TreeClassifier:
 
 
 # Trees grown as one forest share level blocks of at most this many bytes
-# of float64 feature values (one tree at least). A level's scratch memory
-# is about seven times its block. Batching pays on small trees, whose
+# of float64 feature values (one tree at least). A forest keeps its level
+# arrays in five to seven buffers the size of its block, and its memory
+# peaks at about 9.5 times the block for gini and 15 for entropy (an
+# 8,000 x 16 tree, all arrays counted). Batching pays on small trees, whose
 # levels cost numpy call overhead more than row work: six trees of
 # 1,278 x 8 rows grew 1.5x faster as one forest, two of 8,000 x 8 rows
 # (1 MB of values) 0.95x as fast. This cap grows six trees of 1,280 x 8
@@ -318,9 +320,10 @@ def forest_fit(datasets, params: TreeParams = TreeParams()) -> list:
     """The tree :func:`tree_fit` grows on each of ``datasets``, which share
     m and d, all grown at once; each is the same, array for array.
 
-    The forest grows a level at a time from one stable sort of each
-    dataset's rows by every feature, its row ids offset past those of the
-    datasets before it. A level's nodes, in every tree, share (d, L)
+    The forest grows a level at a time from one presort of each dataset's
+    rows by every feature (``_presort``, equal to a stable argsort), its
+    row ids offset past those of the datasets before it; the sorted values
+    come with it. A level's nodes, in every tree, share (d, L)
     blocks of row ids, values and labels, one column segment per node,
     whose row f lists the node's rows by feature f. One fixed set of numpy
     calls scores every candidate of every node (``_level_splits``); a
@@ -352,17 +355,31 @@ def forest_fit(datasets, params: TreeParams = TreeParams()) -> list:
     counts = np.array([np.bincount(ds.labels, minlength=m) for ds in datasets])
     grow, depth, n_nodes = settle(ids, sizes, counts, 0), 0, R
     # One presort per growing root, its row ids offset past the earlier datasets' rows.
-    block = np.concatenate([np.zeros((d, 0), dtype=np.int64)] + [  # empty if no root grows
-        np.argsort(ds.features.T, axis=1, kind="stable") + start
-        for ds, start, g in zip(datasets, np.cumsum(sizes) - sizes, grow) if g], axis=1)
-    X = np.concatenate([ds.features for ds in datasets])
-    Xs, ys = np.take_along_axis(X.T, block, axis=1), y.astype(np.min_scalar_type(m))[block]
-    del X
+    sorts = [_presort(ds.features.T, start)
+             for ds, start, g in zip(datasets, np.cumsum(sizes) - sizes, grow) if g]
+    sorts = sorts or [(np.zeros((d, 0), dtype=np.int64), np.zeros((d, 0)))]  # no root grows
+    block, Xs = (np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0] for parts in zip(*sorts))
+    ys = y.astype(np.min_scalar_type(m))[block]
+    del sorts
+    # Every level's (d, L) arrays of 8-byte items live in buffers sized for
+    # the roots: the row ids, the values, and three to five more that the
+    # split search takes as scratch and the partition as the next level's
+    # arrays. So no level allocates a large array: an 8,000 x 16 tree took
+    # 622 minor page faults, against 8,873 with a new buffer for each use.
+    pool = [block.ravel().view(np.float64), Xs.ravel()]
+    pool += [np.empty(block.size) for _ in range(3 if entropy else 4 + (m > 2))]
+    held = [0, 1]  # the buffers of block and Xs
+
+    def buffer(i, width, dtype=np.float64):
+        return pool[i][:d * width].view(dtype).reshape(d, width)
+
     ids, sizes, counts = ids[grow], sizes[grow], counts[grow]
     while ids.size:
         K, starts = ids.size, np.cumsum(sizes) - sizes
         seg, col = np.repeat(np.arange(K), sizes), np.arange(block.shape[1])  # node of each column
-        found, f, cut, thr = _level_splits(Xs, ys, starts, seg, counts, min_leaf, entropy)
+        free = [i for i in range(len(pool)) if i not in held]
+        found, f, cut, thr = _level_splits(Xs, ys, starts, seg, counts, min_leaf, entropy,
+                                           [pool[i] for i in free])
         proba[ids[~found]] = counts[~found] / sizes[~found, None]
         S = int(found.sum())
         kids = n_nodes + np.arange(2 * S)
@@ -385,10 +402,13 @@ def forest_fit(datasets, params: TreeParams = TreeParams()) -> list:
         in_left = np.zeros(N, dtype=bool)
         in_left[rows] = True
         goes_left = in_left[block]
-        take = np.concatenate([np.flatnonzero(goes_left & keep[0, seg]).reshape(d, -1),
-                               np.flatnonzero(~goes_left & keep[1, seg]).reshape(d, -1)], axis=1)
-        block, Xs, ys = block.take(take), Xs.take(take), ys.take(take)
-        del take, goes_left  # freed before the next level's search allocates
+        parts = [np.flatnonzero(goes_left & keep[0, seg]).reshape(d, -1),
+                 np.flatnonzero(~goes_left & keep[1, seg]).reshape(d, -1)]
+        width = parts[0].shape[1] + parts[1].shape[1]
+        take = np.concatenate(parts, axis=1, out=buffer(free[0], width, np.int64))
+        del parts, goes_left
+        block = block.take(take, out=buffer(free[1], width, np.int64), mode="clip")
+        Xs, ys, held = Xs.take(take, out=buffer(free[2], width), mode="clip"), ys.take(take), free[1:3]
         ids, sizes, counts = ids[grow], sizes[grow], counts[grow]
 
     # Replay a depth-first stack from each root (right child popped first) to number its nodes.
@@ -408,7 +428,36 @@ def forest_fit(datasets, params: TreeParams = TreeParams()) -> list:
     return trees
 
 
-def _level_splits(Xs, ys, starts, seg, counts, min_leaf, entropy):
+def _presort(Xt, start=0):
+    """``np.argsort(Xt, axis=1, kind="stable") + start`` and the finite
+    ``Xt`` sorted by it, without the stable (timsort) kernel.
+
+    numpy's default argsort orders equal values arbitrarily, so each run
+    of equal values (-0.0 equals 0.0) is then re-sorted by index: its
+    cells, listed by (row, index), are stably sorted by run. Where no
+    neighbours are equal that costs one comparison pass.
+    """
+    order = Xt.argsort(axis=1)
+    values = np.take_along_axis(Xt, order, axis=1)
+    tied = values[:, 1:] == values[:, :-1]
+    if tied.any():
+        d, n = Xt.shape
+        after = np.zeros((d, n), dtype=bool)  # equal to the value before it
+        after[:, 1:] = tied
+        at = np.flatnonzero(after | np.pad(tied, ((0, 0), (0, 1))))  # every place in a run
+        run = np.cumsum(~after.ravel()[at])  # runs numbered from 1, row by row
+        run_of = np.zeros(d * n, dtype=np.min_scalar_type(run[-1]))  # small: a radix sort
+        run_of[order.ravel()[at] + at // n * n] = run  # by cell, row * n + index
+        cell = np.flatnonzero(run_of)
+        row, index = np.divmod(cell[np.argsort(run_of[cell], kind="stable")], n)
+        order.put(at, index)
+        values.put(at, Xt[row, index])  # their bits: -0.0 and 0.0 differ
+    if start:
+        order += start
+    return order, values
+
+
+def _level_splits(Xs, ys, starts, seg, counts, min_leaf, entropy, scratch):
     """Best split of every node of a level: (found, feature, cut, threshold).
 
     Row f of ``Xs`` and ``ys`` (d, L) holds feature f's values and the labels
@@ -417,59 +466,66 @@ def _level_splits(Xs, ys, starts, seg, counts, min_leaf, entropy):
     Candidate column c puts its segment's rows up to c to the left, valid
     between distinct values with min_leaf rows on each side (so never a
     segment's last column). ``found`` is False where no candidate is valid.
+    The float scratch is the first d * (L - 1) items of each of the flat
+    ``scratch`` buffers: three for entropy, four for gini (five if m > 2).
     """
     d, L = Xs.shape
     m = counts.shape[1]
     seg = seg[:-1]  # the last column is no candidate
     n_left = np.arange(1.0, L) - starts[seg]
     n_right = counts.sum(axis=1)[seg] - n_left
-    valid = (Xs[:, :-1] < Xs[:, 1:]) & ((n_left >= min_leaf) & (n_right >= min_leaf))
+    invalid = (Xs[:, :-1] >= Xs[:, 1:]) | ((n_left < min_leaf) | (n_right < min_leaf))
 
-    # Class counts are whole numbers below 2**53, so every sum of them and
-    # of their products is exact in any order. The last class's left count
-    # is n_left minus the others'.
+    # A candidate's gain is its weighted child impurity negated (gini's plus
+    # n): entropy's is sum_c cl_c * log2(cl_c / n_left) plus the right's,
+    # gini's sum_c cl_c**2 / n_left + sum_c cr_c**2 / n_right, with right
+    # counts cr_c = C_c - cl_c. Class counts are whole numbers below 2**53,
+    # so every sum of them and of their squares is exact in any order. The
+    # last class's left count is n_left minus the others'.
     ys, totals = ys[:, :-1], counts.T[:, seg]
-    sum_sq_left, dot, tmp = np.zeros((3, d, L - 1))
-    score = sum_sq_left  # entropy's; gini's is made from sum_sq_left after the loop
+    # Class 0 is counted in sq_right, which then sums gini's right squares;
+    # classes 1 to m - 2 in middle.
+    views = [b[:d * (L - 1)].reshape(d, L - 1) for b in scratch]
+    sq_right, rest_buf, middle = views[0], views[1], views[-1]
+    sq_left, tmp = (None, None) if entropy else views[2:4]
     rest = n_left
     with np.errstate(invalid="ignore"):  # 0/0 in each segment's last column
         for c in range(m):
             if c < m - 1:
-                cl = (ys == c).astype(np.float64)
+                cl = np.equal(ys, c, out=sq_right if c == 0 else middle)
                 cl[:, starts[1:]] -= counts[:-1, c]  # restart the cumsum at each segment
                 np.cumsum(cl, axis=1, out=cl)
+                rest = np.subtract(rest, cl, out=rest_buf)
             else:
                 cl = rest
             if entropy:
-                score -= _xlog2x(cl / n_left) * n_left + _xlog2x((totals[c] - cl) / n_right) * n_right
+                part = _xlog2x(cl / n_left) * n_left + _xlog2x((totals[c] - cl) / n_right) * n_right
+                gain = part if c == 0 else np.add(gain, part, out=gain)
+                continue
+            if c == 0:
+                np.square(cl, out=sq_left)
             else:
-                sum_sq_left += np.multiply(cl, cl, out=tmp)
-                dot += np.multiply(cl, totals[c], out=tmp)
-            if c < m - 1:  # cl is used up: the first one's buffer takes rest
-                rest = np.subtract(rest, cl, out=rest if c else cl)
+                sq_left += np.square(cl, out=tmp)
+            right = np.square(np.subtract(totals[c], cl, out=cl), out=cl)  # cl's buffer is used up
+            if c:
+                sq_right += right
         if not entropy:
-            # Weighted gini = n - (sum_sq_left/n_left + sum_sq_right/n_right), n dropped; with
-            # dot = sum_c C_c * cl_c, sum_sq_right = sum_c C_c**2 - 2 * dot + sum_sq_left.
-            dot *= -2.0
-            dot += (counts * counts).sum(axis=1)[seg]
-            dot += sum_sq_left
-            score = np.divide(sum_sq_left, n_left, out=sum_sq_left)
-            score += np.divide(dot, n_right, out=dot)
-            np.negative(score, out=score)
-    score[~valid] = np.inf
+            gain = np.divide(sq_left, n_left, out=sq_left)
+            gain += np.divide(sq_right, n_right, out=sq_right)
+    np.copyto(gain, -np.inf, where=invalid)
 
-    # Feature-major argmin per node: ties go to the lowest feature index,
+    # Feature-major argmax per node: ties go to the lowest feature index,
     # then the lowest threshold (candidates ascend within a segment).
-    seg_min = np.minimum.reduceat(score, starts, axis=1)
-    best = seg_min.min(axis=0)
-    f = np.argmax(seg_min == best, axis=0)
+    seg_max = np.maximum.reduceat(gain, starts, axis=1)
+    best = seg_max.max(axis=0)
+    f = np.argmax(seg_max == best, axis=0)
     col = np.arange(L - 1)
-    cut = np.minimum.reduceat(np.where(score[f[seg], col] == best[seg], col, L), starts)
+    cut = np.minimum.reduceat(np.where(gain[f[seg], col] == best[seg], col, L), starts)
     lo, hi = Xs[f, cut], Xs[f, cut + 1]
     with np.errstate(over="ignore"):
         thr = (lo + hi) / 2.0
     thr = np.where((lo <= thr) & (thr < hi), thr, lo)  # rounded up to hi, or lo + hi overflowed
-    return best < np.inf, f, cut, thr
+    return best > -np.inf, f, cut, thr
 
 
 def _xlog2x(p):

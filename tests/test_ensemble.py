@@ -257,6 +257,57 @@ class TestSaveLoad:
         assert path.read_bytes() == b"old model"
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
+    @staticmethod
+    def large_model():
+        """A one-member KNN model whose JSON text spans two write slices."""
+        gen = np.random.default_rng(3)
+        ds = Dataset(gen.normal(size=(7000, 8)), np.arange(7000) % 2)
+        return dube_fit(ds, DubeConfig(k=1, learner=KnnParams(k_neighbors=1)))
+
+    @staticmethod
+    def recorded_writes(ens, monkeypatch, fail_at=None):
+        """Record the length of every write to a file ``ens`` opens; the
+        write numbered ``fail_at`` (from 0) finds the disk full."""
+        lengths = []
+
+        def recording(file, mode="r"):
+            fh = open(file, mode)
+            write = fh.write
+
+            def write_slice(text):
+                if len(lengths) == fail_at:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                lengths.append(len(text))
+                return write(text)
+            fh.write = write_slice
+            return fh
+        monkeypatch.setattr(ens, "open", recording, raising=False)
+        return lengths
+
+    def test_large_model_written_in_slices(self, tmp_path, monkeypatch):
+        import dube.ensemble as ens
+        model, path, texts = self.large_model(), tmp_path / "model.json", []
+        lengths = self.recorded_writes(ens, monkeypatch)
+        dumps = json.dumps
+        monkeypatch.setattr(ens.json, "dumps", lambda blob: texts.append(dumps(blob)) or texts[-1])
+        save_model(model, path)
+        (text,) = texts
+        assert len(text) > ens._WRITE_SLICE
+        assert path.read_bytes() == text.encode()
+        assert lengths == [ens._WRITE_SLICE, len(text) - ens._WRITE_SLICE]
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_failed_second_slice_keeps_the_old_file(self, tmp_path, monkeypatch):
+        import dube.ensemble as ens
+        model, path = self.large_model(), tmp_path / "model.json"
+        path.write_bytes(b"old model")
+        lengths = self.recorded_writes(ens, monkeypatch, fail_at=1)
+        with pytest.raises(OSError, match="No space left"):
+            save_model(model, path)
+        assert lengths == [ens._WRITE_SLICE]  # one whole slice reached the temporary file
+        assert path.read_bytes() == b"old model"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
     def test_version_guard(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "other", "version": 1}')

@@ -186,6 +186,77 @@ class TestTreeReferenceTable:
                 == reference_predict_proba_many(reference, queries).tobytes())
 
 
+def tie_table():
+    """3,000 rows of six features, each drawn from a few values: signed zeros
+    with the smallest subnormal, a constant -0.0, small integers, and short
+    lists of two- and six-decimal values. Every root presort row is made of
+    long runs of equal values, at a width where numpy's default argsort
+    orders them by its vectorized kernel."""
+    gen = np.random.default_rng(3000)
+    n = 3000
+    X = np.column_stack([
+        gen.choice([-0.0, 0.0, 5e-324, 1.0], n), np.full(n, -0.0), gen.integers(-3, 4, n),
+        gen.normal(size=40).round(2)[gen.integers(0, 40, n)],
+        gen.normal(size=300).round(6)[gen.integers(0, 300, n)], gen.integers(0, 2, n)])
+    signal = X[:, 0] + 0.5 * X[:, 2] + X[:, 3] - X[:, 5] + gen.normal(0, 1.0, n)
+    return Dataset(X, np.digitize(signal, [-0.5, 1.0]), m=3)
+
+
+class TestTreeTieTable:
+    """The level-wise builder against the depth-first reference on a
+    tie-heavy table ten times the size of the hypothesis trees."""
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_identical_trees_and_predictions(self, criterion):
+        ds, params = tie_table(), TreeParams(criterion=criterion)
+        tree, reference = tree_fit(ds, params), reference_tree_fit(ds, params)
+        for name in ("feature", "threshold", "left", "right", "proba"):
+            got, want = getattr(tree, name), getattr(reference, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert tree.n_nodes > 500
+        assert (tree.predict_proba_many(ds.features).tobytes()
+                == reference_predict_proba_many(reference, ds.features).tobytes())
+
+
+@st.composite
+def presort_tables(draw):
+    """A (d, n) feature table and a row-id offset. Each row holds signed
+    zeros, one value only, a few values repeated many times, or six-decimal
+    values; widths reach past 4,096, where numpy's default argsort is its
+    vectorized kernel. Half the tables are transposed views, as forest_fit
+    passes them."""
+    n = draw(st.sampled_from([4096, 4097, 6000, 9000]) | st.integers(1, 600))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["zeros", "one", "few", "six"]), min_size=1, max_size=4)):
+        if kind == "zeros":
+            rows.append(gen.choice([-0.0, 0.0, 1.0, -1.0], n))
+        elif kind == "one":
+            rows.append(np.full(n, gen.choice([-0.0, 0.0, 2.5])))
+        elif kind == "few":
+            values = gen.normal(size=int(gen.integers(2, 30))).round(6)
+            rows.append(values[gen.integers(0, values.size, n)])
+        else:
+            rows.append(gen.normal(0, 10, n).round(6))
+    Xt = np.array(rows)
+    if draw(st.booleans()):
+        Xt = np.ascontiguousarray(Xt.T).T
+    return Xt, draw(st.sampled_from([0, 1, 7_000]))
+
+
+class TestPresort:
+    """The presort against numpy's stable (timsort) argsort."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(presort_tables())
+    def test_equals_stable_argsort(self, table):
+        Xt, start = table
+        order, values = learners._presort(Xt, start)
+        want = np.argsort(Xt, axis=1, kind="stable")
+        assert order.dtype == want.dtype and np.array_equal(order, want + start)
+        assert values.tobytes() == np.take_along_axis(Xt, want, axis=1).tobytes()
+
+
 class TestTreeMatchesReference:
     """The level-wise builder and router against a depth-first builder that
     sorts every node anew and a router that walks a stack."""
