@@ -353,18 +353,17 @@ def run_synth(options) -> Report:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _float_list(text: str):
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from None
+def _list_of(kind):
+    """Parser of a comma-separated list of ``kind`` (float or int); empty items are skipped."""
+    def parse(text: str):
+        try:
+            return [kind(part) for part in text.split(",") if part.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {kind.__name__} list {text!r}") from None
+    return parse
 
 
-def _int_list(text: str):
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad int list {text!r}") from None
+_float_list, _int_list = _list_of(float), _list_of(int)
 
 
 def _label_col(text: str):

@@ -92,9 +92,7 @@ class EnsembleModel(_Classifier):
 
     def predict_proba_many(self, X) -> np.ndarray:
         """Arithmetic mean of member probability rows."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.d:
-            raise ValueError(f"expected {self.d} features, got {X.shape[1]}")
+        X = self._rows(X)
         total = np.zeros((X.shape[0], self.m))
         for member in self.members:
             total += member.predict_proba_many(X)

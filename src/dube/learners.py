@@ -94,6 +94,13 @@ class _Classifier:
     def predict_proba_many(self, X) -> np.ndarray:
         raise NotImplementedError
 
+    def _rows(self, X) -> np.ndarray:
+        """``X`` as a float64 row batch; ValueError unless its rows have d features."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        if X.shape[1] != self.d:
+            raise ValueError(f"expected {self.d} features, got {X.shape[1]}")
+        return X
+
 
 class TreeClassifier(_Classifier):
     """Axis-aligned binary decision tree with frequency leaves.
@@ -107,7 +114,8 @@ class TreeClassifier(_Classifier):
     ``tree_fit``) numbers each tree's nodes in the order a depth-first
     stack from its root creates them: a popped split node numbers its
     children next, left then right, and the right is popped first. A tree
-    grown in a forest is the tree grown alone, array for array.
+    grown in a forest is the tree grown alone, array for array; neither
+    depends on the order of the training rows.
     """
 
     def __init__(self, feature, threshold, left, right, proba, m, d):
@@ -120,9 +128,7 @@ class TreeClassifier(_Classifier):
         self.d = int(d)
 
     def predict_proba_many(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.d:
-            raise ValueError(f"expected {self.d} features, got {X.shape[1]}")
+        X = self._rows(X)
         node = np.zeros(X.shape[0], dtype=np.int64)
         active = np.arange(X.shape[0] if self.feature[0] >= 0 else 0)
         while active.size:
@@ -208,9 +214,7 @@ class KnnClassifier(_Classifier):
             self._sq_norms = (self.X ** 2).sum(axis=1)
 
     def predict_proba_many(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.d:
-            raise ValueError(f"expected {self.d} features, got {X.shape[1]}")
+        X = self._rows(X)
         out = np.empty((X.shape[0], self.m))
         n, k = self.X.shape[0], self.k_neighbors
         step, rows = (max(1, size // (8 * n)) for size in (_BLOCK_BYTES, _SLICE_BYTES))
@@ -289,7 +293,8 @@ def tree_fit(ds: Dataset, params: TreeParams = TreeParams()) -> TreeClassifier:
     impurity, over midpoints of adjacent sorted distinct feature values.
     Score ties resolve to the lowest feature index, then the lowest
     threshold. Growth draws no random numbers, so the tree is a pure
-    function of ``ds`` and ``params``.
+    function of ``ds`` and ``params``; it depends on ``ds``'s rows and not
+    on their order, so permuting them gives the same tree.
     """
     return forest_fit([ds], params)[0]
 
@@ -321,18 +326,20 @@ def forest_fit(datasets, params: TreeParams = TreeParams()) -> list:
     m and d, all grown at once; each is the same, array for array.
 
     The forest grows a level at a time from one presort of each dataset's
-    rows by every feature (``_presort``, equal to a stable argsort), its
+    rows by every feature (``_presort``: by value, ties in any order), its
     row ids offset past those of the datasets before it; the sorted values
     come with it. A level's nodes, in every tree, share (d, L)
     blocks of row ids, values and labels, one column segment per node,
     whose row f lists the node's rows by feature f. One fixed set of numpy
     calls scores every candidate of every node (``_level_splits``); a
     stable partition of each block row makes the next level's blocks,
-    left children first. Segments so order rows by (value, row id), as a
-    stable sort of each node's rows would, and every split is the one a
-    depth-first builder finds; no segment's result depends on another's.
-    Each tree's nodes are numbered last, as a depth-first stack from its
-    root would have created them.
+    left children first, so segments stay sorted by value. The search
+    reads class counts only where the value changes, and the partition
+    moves the set of rows at or below a cut, so no tree depends on the
+    order of rows within a run of equal values; every split is the one a
+    depth-first builder finds, and no segment's result depends on
+    another's. Each tree's nodes are numbered last, as a depth-first stack
+    from its root would have created them.
     """
     m, d = datasets[0].m, datasets[0].n_features
     y = np.concatenate([ds.labels for ds in datasets])
@@ -428,33 +435,11 @@ def forest_fit(datasets, params: TreeParams = TreeParams()) -> list:
     return trees
 
 
-def _presort(Xt, start=0):
-    """``np.argsort(Xt, axis=1, kind="stable") + start`` and the finite
-    ``Xt`` sorted by it, without the stable (timsort) kernel.
-
-    numpy's default argsort orders equal values arbitrarily, so each run
-    of equal values (-0.0 equals 0.0) is then re-sorted by index: its
-    cells, listed by (row, index), are stably sorted by run. Where no
-    neighbours are equal that costs one comparison pass.
-    """
+def _presort(Xt, start):
+    """Row ids ordering each row of ``Xt`` by value (numpy's default
+    argsort: ties in any order), plus ``start``, and ``Xt`` so ordered."""
     order = Xt.argsort(axis=1)
-    values = np.take_along_axis(Xt, order, axis=1)
-    tied = values[:, 1:] == values[:, :-1]
-    if tied.any():
-        d, n = Xt.shape
-        after = np.zeros((d, n), dtype=bool)  # equal to the value before it
-        after[:, 1:] = tied
-        at = np.flatnonzero(after | np.pad(tied, ((0, 0), (0, 1))))  # every place in a run
-        run = np.cumsum(~after.ravel()[at])  # runs numbered from 1, row by row
-        run_of = np.zeros(d * n, dtype=np.min_scalar_type(run[-1]))  # small: a radix sort
-        run_of[order.ravel()[at] + at // n * n] = run  # by cell, row * n + index
-        cell = np.flatnonzero(run_of)
-        row, index = np.divmod(cell[np.argsort(run_of[cell], kind="stable")], n)
-        order.put(at, index)
-        values.put(at, Xt[row, index])  # their bits: -0.0 and 0.0 differ
-    if start:
-        order += start
-    return order, values
+    return order + start, np.take_along_axis(Xt, order, axis=1)
 
 
 def _level_splits(Xs, ys, starts, seg, counts, min_leaf, entropy, scratch):

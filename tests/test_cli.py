@@ -292,6 +292,19 @@ class TestParamSweep:
                      "--select"]) == 2
         assert "needs --alpha-grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("alpha-grid", "0.1,x", "bad float list '0.1,x'"),
+        ("bins-grid", "1,2.5", "bad int list '1,2.5'")])
+    def test_bad_list_named_in_flag_and_config(self, tmp_path, capsys, key, value, message):
+        path = write_dataset(tmp_path / "toy.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["param-sweep", "--input", path, f"--{key}", value])
+        assert exc.value.code == 2 and message in capsys.readouterr().err
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["param-sweep", "--input", path, "--config", str(cfg)]) == 2
+        assert f"run.conf:1: {message}" in capsys.readouterr().err
+
 
 class TestBiaslab:
     def test_strategy_rows_and_bound_section(self):

@@ -78,6 +78,15 @@ class TestSoftVote:
         assert model.predict_proba([0.0, 0.0]).tolist() == [0.9, 0.1]
         assert model.predict([0.0, 0.0]) == 0
 
+    @pytest.mark.parametrize("learner", [TreeParams(), KnnParams(3)])
+    def test_batch_feature_count_checked(self, learner):
+        # an ensemble and each of its members take a (n, d) batch or one d-vector row
+        model = dube_fit(small_dataset(), DubeConfig(k=2, learner=learner, seed=1))
+        for predictor in (model, model.members[0]):
+            assert predictor.predict_proba_many([0.0, 0.0]).shape == (1, 2)
+            with pytest.raises(ValueError, match="expected 2 features, got 3"):
+                predictor.predict_proba_many(np.zeros((4, 3)))
+
 
 class TestDubeFit:
     def test_k1_trains_single_learner_on_raw_data(self):

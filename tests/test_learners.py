@@ -245,16 +245,74 @@ def presort_tables(draw):
 
 
 class TestPresort:
-    """The presort against numpy's stable (timsort) argsort."""
+    """The presort orders each row by value; ties may come in any order."""
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(presort_tables())
-    def test_equals_stable_argsort(self, table):
+    def test_sorts_each_row_by_value(self, table):
         Xt, start = table
         order, values = learners._presort(Xt, start)
-        want = np.argsort(Xt, axis=1, kind="stable")
-        assert order.dtype == want.dtype and np.array_equal(order, want + start)
-        assert values.tobytes() == np.take_along_axis(Xt, want, axis=1).tobytes()
+        rows = order - start
+        assert order.dtype == np.intp and order.shape == Xt.shape
+        assert (np.sort(rows, axis=1) == np.arange(Xt.shape[1])).all()  # each row a permutation
+        assert (values[:, 1:] >= values[:, :-1]).all()
+        assert values.tobytes() == np.take_along_axis(Xt, rows, axis=1).tobytes()
+
+
+@st.composite
+def permuted_tie_tables(draw, m=None, d=None):
+    """A tie-heavy training set and a permutation of its rows, with m
+    classes and d features (drawn where not given). Each feature
+    takes a few small integers, signed zeros with +-5e-324, or Gaussians
+    rounded to one decimal; widths reach past 4,096, where numpy's default
+    argsort is its vectorized kernel."""
+    n = draw(st.sampled_from([4097, 6000]) | st.integers(1, 400))
+    m = m or draw(st.integers(2, 4))
+    d = d or draw(st.integers(1, 4))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["few", "zeros", "rounded"]), min_size=d, max_size=d)):
+        if kind == "few":
+            columns.append(gen.integers(-2, int(gen.integers(-1, 4)), n).astype(float))
+        elif kind == "zeros":
+            columns.append(gen.choice([-0.0, 0.0, 5e-324, -5e-324, 1.0], n))
+        else:
+            columns.append(gen.normal(size=n).round(1))
+    ds = Dataset(np.column_stack(columns), gen.integers(0, m, n), m=m)
+    return ds, gen.permutation(n)
+
+
+def assert_same_tree(got, want):
+    for name in ("feature", "threshold", "left", "right", "proba"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.m, got.d) == (want.m, want.d)
+
+
+class TestRowOrderInvariance:
+    """A tree depends on its training rows, not on their order, so the
+    order of equal values after the presort reaches no tree."""
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @settings(max_examples=75, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(problem=permuted_tie_tables(), min_leaf=st.integers(1, 4))
+    def test_permuted_rows_grow_the_same_tree(self, criterion, problem, min_leaf):
+        ds, perm = problem
+        params = TreeParams(min_samples_leaf=min_leaf, criterion=criterion)
+        assert_same_tree(tree_fit(ds.subset(perm), params), tree_fit(ds, params))
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(m=st.integers(2, 4), d=st.integers(1, 4), data=st.data())
+    def test_forest_with_one_set_permuted(self, criterion, m, d, data):
+        problems = data.draw(st.lists(permuted_tie_tables(m, d), min_size=1, max_size=4))
+        datasets = [ds for ds, _ in problems]
+        i = data.draw(st.integers(0, len(datasets) - 1))
+        permuted = [*datasets]
+        permuted[i] = datasets[i].subset(problems[i][1])
+        params = TreeParams(criterion=criterion)
+        forests = learners.forest_fit(permuted, params), learners.forest_fit(datasets, params)
+        for got, want in zip(*forests, strict=True):
+            assert_same_tree(got, want)
 
 
 class TestTreeMatchesReference:
