@@ -141,8 +141,8 @@ def validate_row(cfg: ToyConfig, strategy: str, alpha_sigma: float) -> None:
     """Raise ``ValueError`` if (strategy, alpha_sigma) cannot run on cfg."""
     if strategy not in BIAS_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {BIAS_STRATEGIES}")
-    if alpha_sigma < 0:
-        raise ValueError("alpha_sigma must be >= 0")
+    if not 0 <= alpha_sigma < float("inf"):
+        raise ValueError(f"alpha_sigma must be finite and >= 0, got {alpha_sigma!r}")
     if strategy == "SMOTE1D" and cfg.n_min < 2:
         raise ValueError("SMOTE1D needs at least two minority points")
 

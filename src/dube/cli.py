@@ -150,14 +150,10 @@ def run_cv_cell(train: Dataset, test: Dataset, base_cfg: DubeConfig, seed: int, 
 
 def _cv_cells(ds: Dataset, options):
     """(repeat, fold, train, test) tuples for the options' repeated stratified CV."""
-    cells = []
-    for rep in range(options["repeats"]):
-        plan = stratified_k_fold(ds, options["folds"],
-                                 rng.child_seed(options["seed"], rng.FOLD, rep))
-        for fold in range(options["folds"]):
-            train, test = plan.split(ds, fold)
-            cells.append((rep, fold, train, test))
-    return cells
+    plans = [stratified_k_fold(ds, options["folds"], rng.child_seed(options["seed"], rng.FOLD, rep))
+             for rep in range(options["repeats"])]
+    return [(rep, fold, *plan.split(ds, fold))
+            for rep, plan in enumerate(plans) for fold in range(options["folds"])]
 
 
 def _cv_job(job):
@@ -222,12 +218,13 @@ def _require(condition, message):
 
 
 def _load_input(options) -> Dataset:
-    """The --input table of a cross-validating command, once --folds and
-    --repeats are checked."""
+    """The --input table of a cross-validating command, once --folds,
+    --repeats and --jobs are checked."""
     _require(options.get("input"), "--input is required")
     ds = load_csv(options["input"], options["label_col"])
     _require(options["folds"] >= 2, "--folds must be >= 2")
     _require(options["repeats"] >= 1, "--repeats must be >= 1")
+    _require(options["jobs"] >= 1, "--jobs must be >= 1")
     return ds
 
 

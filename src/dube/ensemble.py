@@ -32,8 +32,8 @@ import numpy as np
 from . import rng
 from .balancing import InterCBStrategy, IntraCBStrategy, resample_step
 from .dataset import Dataset
-from .learners import (LearnerParams, TreeParams, _Classifier, _integer, fit_learner, forest_batches,
-                       forest_fit, learner_from_dict, params_from_dict, params_to_dict)
+from .learners import (LearnerParams, TreeParams, _Classifier, _integer, fit_learner, fit_members,
+                       learner_from_dict, params_from_dict, params_to_dict)
 from .pbda import class_covariance, perturb
 
 
@@ -121,9 +121,11 @@ def dube_fit_lockstep(ds: Dataset, configs, trace: TrainingTrace | None = None) 
     The configs share a seed, so they share the first member, the whole
     t=2 resample step, and at every iteration the standard-normal draws
     of each class, which each alpha only scales: one :func:`perturb` call
-    per class perturbs every config's rows. Each iteration's members grow
-    in forests (:func:`forest_batches`); a forest of one goes through
-    :func:`fit_learner`. ``trace`` records the first config's iterations.
+    per class perturbs every config's rows. The first member is fitted by
+    :func:`fit_learner`; every later iteration's members, one per config,
+    by :func:`fit_members` on the (configs, m * n, d) stack of the
+    perturbed class blocks, which share one label vector (n rows of each
+    class). ``trace`` records the first config's iterations.
     """
     cfg = configs[0]
     if any(replace(other, alpha=cfg.alpha) != cfg for other in configs):
@@ -153,14 +155,8 @@ def dube_fit_lockstep(ds: Dataset, configs, trace: TrainingTrace | None = None) 
                           [other.alpha for other in configs], covariances[c],
                           rng.child_seed(cfg.seed, rng.PERTURB, t, c))
                   for c in range(ds.m)]
-        labels = np.repeat(np.arange(ds.m), steps[0][0])  # n rows per class, n shared by all configs
-        resampled = [Dataset(np.concatenate([block[i] for block in blocks]), labels,
-                             m=ds.m, label_names=ds.label_names) for i in range(len(configs))]
-        del blocks  # freed before the members grow
-        fitted = []
-        for batch in forest_batches(resampled, cfg.learner):
-            alone = len(batch) == 1
-            fitted += [fit_learner(batch[0], cfg.learner)] if alone else forest_fit(batch, cfg.learner)
+        # n rows of each class, n shared by all configs; fit_members empties blocks
+        fitted = fit_members(blocks, np.repeat(np.arange(ds.m), steps[0][0]), ds.m, cfg.learner)
         for member, ensemble, total in zip(fitted, members, sums):
             ensemble.append(member)
             total += member.predict_proba_many(ds.features)

@@ -287,7 +287,7 @@ def _nearest(d2, k):
 
 
 def tree_fit(ds: Dataset, params: TreeParams = TreeParams()) -> TreeClassifier:
-    """Grow a decision tree on ``ds``: the one-tree case of :func:`forest_fit`.
+    """Grow a decision tree on ``ds``: the one-table case of :func:`forest_fit`.
 
     Greedy choice of the split minimizing the size-weighted child
     impurity, over midpoints of adjacent sorted distinct feature values.
@@ -296,7 +296,7 @@ def tree_fit(ds: Dataset, params: TreeParams = TreeParams()) -> TreeClassifier:
     function of ``ds`` and ``params``; it depends on ``ds``'s rows and not
     on their order, so permuting them gives the same tree.
     """
-    return forest_fit([ds], params)[0]
+    return forest_fit(ds.features[None], ds.labels, ds.m, params)[0]
 
 
 # Trees grown as one forest share level blocks of at most this many bytes
@@ -311,24 +311,41 @@ def tree_fit(ds: Dataset, params: TreeParams = TreeParams()) -> TreeClassifier:
 _FOREST_BYTES = 384 << 10
 
 
-def forest_batches(datasets, params: LearnerParams) -> list:
-    """``datasets`` cut into consecutive runs whose trees :func:`forest_fit`
-    grows together: as many per run as fit ``_FOREST_BYTES`` at the size
-    of the largest, one at least. KNN datasets are runs of one."""
-    if not isinstance(params, TreeParams):
-        return [[ds] for ds in datasets]
-    step = max(1, _FOREST_BYTES // max(1, *(ds.features.nbytes for ds in datasets)))
-    return [datasets[i:i + step] for i in range(0, len(datasets), step)]
+def fit_members(blocks, labels, m: int, params: LearnerParams) -> list:
+    """The member :func:`fit_learner` fits on each table of the (R, n, d)
+    stack ``np.concatenate(blocks, axis=1)``, whose tables all have the class
+    ids ``labels`` in [0, m). ``blocks`` is emptied, so the stack is the
+    only copy of its rows.
+
+    Trees grow in forests (:func:`forest_fit`) of as many consecutive
+    tables as fit ``_FOREST_BYTES``, one at least. A run of one table, and
+    every KNN member, goes through ``fit_learner`` on its own Dataset. The
+    last table's Dataset is made before the stack is dropped, so the stack
+    and that Dataset's copy are never held together while a member grows.
+    """
+    X = np.concatenate(blocks, axis=1)
+    blocks.clear()
+    step = max(1, _FOREST_BYTES // X[0].nbytes) if isinstance(params, TreeParams) else 1
+    members = []
+    for i in range(0, len(X), step):
+        if step > 1 and i + 1 < len(X):  # a forest of two tables or more
+            members += forest_fit(X[i:i + step], labels, m, params)
+        else:
+            ds, X = Dataset(X[i], labels, m), X if i + 1 < len(X) else None
+            members.append(fit_learner(ds, params))
+    return members
 
 
-def forest_fit(datasets, params: TreeParams = TreeParams()) -> list:
-    """The tree :func:`tree_fit` grows on each of ``datasets``, which share
-    m and d, all grown at once; each is the same, array for array.
+def forest_fit(X, labels, m: int, params: TreeParams = TreeParams()) -> list:
+    """The tree :func:`tree_fit` grows on each table of the (R, n, d) stack
+    ``X``, all grown at once; every table's rows have the class ids
+    ``labels`` in [0, m). Each tree is the same, array for array.
 
-    The forest grows a level at a time from one presort of each dataset's
-    rows by every feature (``_presort``: by value, ties in any order), its
-    row ids offset past those of the datasets before it; the sorted values
-    come with it. A level's nodes, in every tree, share (d, L)
+    The forest grows a level at a time from one presort of every table's
+    rows by every feature (``_presort``: by value, ties in any order), in
+    which row i of table r has the id r * n + i; the sorted values come
+    with it. Every root has n rows and the same class counts, so all of
+    them grow or none does. A level's nodes, in every tree, share (d, L)
     blocks of row ids, values and labels, one column segment per node,
     whose row f lists the node's rows by feature f. One fixed set of numpy
     calls scores every candidate of every node (``_level_splits``); a
@@ -341,9 +358,9 @@ def forest_fit(datasets, params: TreeParams = TreeParams()) -> list:
     another's. Each tree's nodes are numbered last, as a depth-first stack
     from its root would have created them.
     """
-    m, d = datasets[0].m, datasets[0].n_features
-    y = np.concatenate([ds.labels for ds in datasets])
-    R, N = len(datasets), y.size
+    R, n, d = X.shape
+    y = np.tile(labels, R)  # the label of every row id
+    N = y.size
     entropy = params.criterion == "entropy"
     min_leaf = params.min_samples_leaf
     max_depth = params.max_depth if params.max_depth is not None else np.inf
@@ -358,16 +375,11 @@ def forest_fit(datasets, params: TreeParams = TreeParams()) -> list:
         proba[ids[~grow]] = counts[~grow] / sizes[~grow, None]
         return grow
 
-    ids, sizes = np.arange(R), np.array([ds.n_rows for ds in datasets])
-    counts = np.array([np.bincount(ds.labels, minlength=m) for ds in datasets])
+    ids, sizes = np.arange(R), np.full(R, n)
+    counts = np.tile(np.bincount(labels, minlength=m), (R, 1))
     grow, depth, n_nodes = settle(ids, sizes, counts, 0), 0, R
-    # One presort per growing root, its row ids offset past the earlier datasets' rows.
-    sorts = [_presort(ds.features.T, start)
-             for ds, start, g in zip(datasets, np.cumsum(sizes) - sizes, grow) if g]
-    sorts = sorts or [(np.zeros((d, 0), dtype=np.int64), np.zeros((d, 0)))]  # no root grows
-    block, Xs = (np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0] for parts in zip(*sorts))
+    block, Xs = _presort(X)
     ys = y.astype(np.min_scalar_type(m))[block]
-    del sorts
     # Every level's (d, L) arrays of 8-byte items live in buffers sized for
     # the roots: the row ids, the values, and three to five more that the
     # split search takes as scratch and the partition as the next level's
@@ -435,11 +447,17 @@ def forest_fit(datasets, params: TreeParams = TreeParams()) -> list:
     return trees
 
 
-def _presort(Xt, start):
-    """Row ids ordering each row of ``Xt`` by value (numpy's default
-    argsort: ties in any order), plus ``start``, and ``Xt`` so ordered."""
-    order = Xt.argsort(axis=1)
-    return order + start, np.take_along_axis(Xt, order, axis=1)
+def _presort(X):
+    """Row ids ordering each table of the (R, n, d) stack ``X`` by every
+    feature (numpy's default argsort: by value, ties in any order), and
+    ``X``'s values so ordered: (d, R * n) arrays whose row f holds table
+    r's ids r * n + i, sorted by feature f, in columns r * n to r * n + n - 1."""
+    R, n, d = X.shape
+    Xt = X.transpose(2, 0, 1)
+    order = Xt.argsort(axis=2)
+    values = np.take_along_axis(Xt, order, axis=2)
+    order += np.arange(0, R * n, n)[:, None]
+    return order.reshape(d, R * n), values.reshape(d, R * n)
 
 
 def _level_splits(Xs, ys, starts, seg, counts, min_leaf, entropy, scratch):

@@ -39,7 +39,7 @@ def test_traced_fit_reads_every_drawn_row(tracing):
     cfg = DubeConfig(k=3, inter=InterCBStrategy("ROS"), intra=IntraCBStrategy("SHEM"),
                      alpha=0.2, seed=1)
     with tracing.Tracer() as tracer:
-        ensemble.dube_fit(ds, cfg)  # looked up at call time, where the tracer patched it
+        model = ensemble.dube_fit(ds, cfg)  # looked up at call time, where the tracer patched it
     assert tracer.hook_errors == 0
     metrics = tracing.layer_metrics(tracer.spans, None)
     # 2 iterations draw both classes up to the 45 rows of the larger one
@@ -47,6 +47,10 @@ def test_traced_fit_reads_every_drawn_row(tracing):
     assert metrics["balancing.rows_drawn"] == 2 * 2 * 45
     assert metrics["ensemble.members"] == 3
     assert metrics["pbda.perturb_calls"] == 2 * 2
+    # a one-config fit grows every member through tree_fit, the first through fit_learner
+    nodes = sum(member.n_nodes for member in model.members)
+    assert metrics["learners.tree_fits"] == 3 and metrics["learners.tree_nodes"] == nodes
+    assert metrics["learners.first_member_fits"] == 1
 
 
 def test_traced_bench_runs_without_hook_errors(tracing, tmp_path, capsys):

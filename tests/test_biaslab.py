@@ -156,6 +156,14 @@ class TestRunBiasTrials:
         with pytest.raises(ValueError, match="SMOTE1D needs at least two minority points"):
             run_bias_trials(ToyConfig(**dict(FIG_TOY, n_min=1), trials=5, seed=0), "SMOTE1D")
 
+    @pytest.mark.parametrize("alpha_sigma", [float("nan"), float("inf"), -0.5])
+    def test_bad_alpha_sigma_rejected_before_any_draw(self, monkeypatch, alpha_sigma):
+        def no_draws(cfg):
+            raise AssertionError("trials drawn")
+        monkeypatch.setattr(biaslab, "draw_trials", no_draws)
+        with pytest.raises(ValueError, match="alpha_sigma must be finite and >= 0"):
+            run_bias_trials(ToyConfig(**FIG_TOY, trials=5, seed=0), "ROS", alpha_sigma)
+
     def test_draws_for_another_config_rejected(self):
         cfg = ToyConfig(**FIG_TOY, trials=5, seed=0)
         draws = draw_trials(cfg)

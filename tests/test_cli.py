@@ -359,6 +359,16 @@ class TestBiaslab:
         assert main(["biaslab", "--trials", "5", "--n-min", "1"]) == 2
         assert "SMOTE1D needs at least two minority points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_alpha_sigma_fails_before_any_trial(self, capsys, monkeypatch, value):
+        import dube.cli as cli
+
+        def no_draws(cfg):
+            raise AssertionError("trials drawn")
+        monkeypatch.setattr(cli, "draw_trials", no_draws)
+        assert main(["biaslab", "--trials", "5", "--alpha-sigmas", f"0.2,{value}"]) == 2
+        assert f"alpha_sigma must be finite and >= 0, got {value}" in capsys.readouterr().err
+
 
 class TestMainEntry:
     def test_bench_writes_report(self, tmp_path, capsys):
@@ -455,6 +465,17 @@ class TestMainEntry:
         finally:
             os.close(reader)
         assert "mean_bias" in text and stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    @pytest.mark.parametrize("command", ["bench", "noise-sweep", "param-sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, command, jobs):
+        data = write_dataset(tmp_path / "toy.csv")
+        assert main([command, "--input", data, "--jobs", jobs]) == 2
+        assert "error: --jobs must be >= 1" in capsys.readouterr().err
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"jobs = {jobs}\n")
+        assert main([command, "--input", data, "--config", str(cfg)]) == 2
+        assert "error: --jobs must be >= 1" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         data = write_dataset(tmp_path / "toy.csv")

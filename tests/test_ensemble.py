@@ -204,6 +204,8 @@ class TestPredictionBuffering:
         counter = iter(range(100))
         monkeypatch.setattr(ens, "fit_learner",
                             lambda d, params: CountingLearner(next(counter)))
+        monkeypatch.setattr(ens, "fit_members", lambda blocks, labels, m, params: [
+            CountingLearner(next(counter)) for _ in range(len(blocks[0]))])
         dube_fit(ds, DubeConfig(k=6, seed=1))
         train_passes = [c for c in calls if c[1] == ds.n_rows]
         assert len(train_passes) == 6

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -219,44 +220,43 @@ class TestTreeTieTable:
 
 
 @st.composite
-def presort_tables(draw):
-    """A (d, n) feature table and a row-id offset. Each row holds signed
+def presort_stacks(draw):
+    """An (R, n, d) stack of feature tables. Each feature holds signed
     zeros, one value only, a few values repeated many times, or six-decimal
     values; widths reach past 4,096, where numpy's default argsort is its
-    vectorized kernel. Half the tables are transposed views, as forest_fit
-    passes them."""
+    vectorized kernel. Half the stacks are views of a (d, R, n) array."""
     n = draw(st.sampled_from([4096, 4097, 6000, 9000]) | st.integers(1, 600))
+    R = draw(st.integers(1, 3))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = []
+    features = []
     for kind in draw(st.lists(st.sampled_from(["zeros", "one", "few", "six"]), min_size=1, max_size=4)):
         if kind == "zeros":
-            rows.append(gen.choice([-0.0, 0.0, 1.0, -1.0], n))
+            features.append(gen.choice([-0.0, 0.0, 1.0, -1.0], (R, n)))
         elif kind == "one":
-            rows.append(np.full(n, gen.choice([-0.0, 0.0, 2.5])))
+            features.append(np.full((R, n), gen.choice([-0.0, 0.0, 2.5])))
         elif kind == "few":
             values = gen.normal(size=int(gen.integers(2, 30))).round(6)
-            rows.append(values[gen.integers(0, values.size, n)])
+            features.append(values[gen.integers(0, values.size, (R, n))])
         else:
-            rows.append(gen.normal(0, 10, n).round(6))
-    Xt = np.array(rows)
-    if draw(st.booleans()):
-        Xt = np.ascontiguousarray(Xt.T).T
-    return Xt, draw(st.sampled_from([0, 1, 7_000]))
+            features.append(gen.normal(0, 10, (R, n)).round(6))
+    X = np.array(features).transpose(1, 2, 0)
+    return X if draw(st.booleans()) else np.ascontiguousarray(X)
 
 
 class TestPresort:
-    """The presort orders each row by value; ties may come in any order."""
+    """The presort orders each table by every feature; ties may come in any order."""
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(presort_tables())
-    def test_sorts_each_row_by_value(self, table):
-        Xt, start = table
-        order, values = learners._presort(Xt, start)
-        rows = order - start
-        assert order.dtype == np.intp and order.shape == Xt.shape
-        assert (np.sort(rows, axis=1) == np.arange(Xt.shape[1])).all()  # each row a permutation
-        assert (values[:, 1:] >= values[:, :-1]).all()
-        assert values.tobytes() == np.take_along_axis(Xt, rows, axis=1).tobytes()
+    @given(presort_stacks())
+    def test_sorts_each_row_by_value(self, X):
+        R, n, d = X.shape
+        order, values = learners._presort(X)
+        assert order.dtype == np.intp and order.shape == values.shape == (d, R * n)
+        for r in range(R):  # table r owns columns r * n to r * n + n - 1 and ids r * n + i
+            rows, part = order[:, r * n:(r + 1) * n] - r * n, values[:, r * n:(r + 1) * n]
+            assert (np.sort(rows, axis=1) == np.arange(n)).all()  # each row a permutation
+            assert (part[:, 1:] >= part[:, :-1]).all()
+            assert part.tobytes() == np.take_along_axis(X[r].T, rows, axis=1).tobytes()
 
 
 @st.composite
@@ -270,6 +270,14 @@ def permuted_tie_tables(draw, m=None, d=None):
     m = m or draw(st.integers(2, 4))
     d = d or draw(st.integers(1, 4))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ds = Dataset(draw(tie_features(n, d)), gen.integers(0, m, n), m=m)
+    return ds, gen.permutation(n)
+
+
+@st.composite
+def tie_features(draw, n, d):
+    """An (n, d) feature table of the kinds :func:`permuted_tie_tables` draws."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
     for kind in draw(st.lists(st.sampled_from(["few", "zeros", "rounded"]), min_size=d, max_size=d)):
         if kind == "few":
@@ -278,8 +286,7 @@ def permuted_tie_tables(draw, m=None, d=None):
             columns.append(gen.choice([-0.0, 0.0, 5e-324, -5e-324, 1.0], n))
         else:
             columns.append(gen.normal(size=n).round(1))
-    ds = Dataset(np.column_stack(columns), gen.integers(0, m, n), m=m)
-    return ds, gen.permutation(n)
+    return np.column_stack(columns)
 
 
 def assert_same_tree(got, want):
@@ -304,13 +311,14 @@ class TestRowOrderInvariance:
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(m=st.integers(2, 4), d=st.integers(1, 4), data=st.data())
     def test_forest_with_one_set_permuted(self, criterion, m, d, data):
-        problems = data.draw(st.lists(permuted_tie_tables(m, d), min_size=1, max_size=4))
-        datasets = [ds for ds, _ in problems]
-        i = data.draw(st.integers(0, len(datasets) - 1))
-        permuted = [*datasets]
-        permuted[i] = datasets[i].subset(problems[i][1])
+        # one to four tables share the label vector, so one row permutation
+        # moves every table's rows and the labels together
+        ds, perm = data.draw(permuted_tie_tables(m, d))
+        others = data.draw(st.lists(tie_features(ds.n_rows, d), max_size=3))
+        X = np.stack([ds.features, *others])
         params = TreeParams(criterion=criterion)
-        forests = learners.forest_fit(permuted, params), learners.forest_fit(datasets, params)
+        forests = (learners.forest_fit(X[:, perm], ds.labels[perm], m, params),
+                   learners.forest_fit(X, ds.labels, m, params))
         for got, want in zip(*forests, strict=True):
             assert_same_tree(got, want)
 
@@ -343,40 +351,96 @@ class TestTreeMatchesReference:
 
 @st.composite
 def forest_problems(draw):
-    """One to six training sets sharing m and d, with duplicated rows;
-    a set may hold one class only, so its root is a leaf."""
+    """An (R, n, d) stack of one to six tables with duplicated and tied
+    values, their shared label vector and the class count m. The labels may
+    hold one class only, so that no root grows."""
     d = draw(st.integers(1, 4))
     m = draw(st.integers(2, 4))
-    datasets = []
+    n = draw(st.integers(1, 120))
+    tables = []
     for _ in range(draw(st.integers(1, 6))):
-        n = draw(st.integers(1, 120))
         distinct = draw(hnp.arrays(np.float64, (draw(st.integers(1, n)), d), elements=_VALUES))
         pick = draw(hnp.arrays(np.int64, n, elements=st.integers(0, distinct.shape[0] - 1)))
-        top = draw(st.integers(0, m - 1))
-        y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, top)))
-        datasets.append(Dataset(distinct[pick], y, m=m))
-    return datasets
+        tables.append(distinct[pick])
+    top = draw(st.integers(0, m - 1))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, top)))
+    return np.stack(tables), y, m
 
 
 class TestForestMatchesTrees:
-    """A forest grown over K datasets against K tree_fit calls."""
+    """A forest grown over R tables that share labels against R tree_fit calls."""
 
     @pytest.mark.parametrize("max_depth", [3, None])
     @pytest.mark.parametrize("min_leaf", [1, 5])
     @pytest.mark.parametrize("criterion", ["gini", "entropy"])
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-    @given(datasets=forest_problems())
-    def test_each_tree_as_if_grown_alone(self, criterion, min_leaf, max_depth, datasets):
+    @given(problem=forest_problems())
+    def test_each_tree_as_if_grown_alone(self, criterion, min_leaf, max_depth, problem):
+        X, y, m = problem
         params = TreeParams(max_depth=max_depth, min_samples_leaf=min_leaf, criterion=criterion)
-        forest = learners.forest_fit(datasets, params)
-        assert len(forest) == len(datasets)
-        for tree, ds in zip(forest, datasets):
-            alone = tree_fit(ds, params)
+        forest = learners.forest_fit(X, y, m, params)
+        assert len(forest) == len(X)
+        for tree, table in zip(forest, X):
+            alone = tree_fit(Dataset(table, y, m=m), params)
             for name in ("feature", "threshold", "left", "right", "proba"):
                 got, want = getattr(tree, name), getattr(alone, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
             assert (tree.m, tree.d) == (alone.m, alone.d)
+
+
+class TestFitMembers:
+    """fit_members against one tree_fit or knn_fit call per table of its stack."""
+
+    R, m = 7, 3
+    counts = [20, 12, 8]
+
+    def problem(self):
+        """Seven 40 x 3 tables of rounded values, split into their class blocks."""
+        X = np.random.default_rng(5).normal(size=(self.R, sum(self.counts), 3)).round(1)
+        y = np.repeat(np.arange(self.m), self.counts)
+        return X, y, np.split(X, np.cumsum(self.counts)[:-1], axis=1)
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_forests_then_a_run_of_one(self, monkeypatch, criterion):
+        X, y, blocks = self.problem()
+        sizes, forest_fit = [], learners.forest_fit
+        monkeypatch.setattr(learners, "forest_fit",
+                            lambda X, *rest: sizes.append(len(X)) or forest_fit(X, *rest))
+        monkeypatch.setattr(learners, "_FOREST_BYTES", 3 * X[0].nbytes)
+        params = TreeParams(min_samples_leaf=2, criterion=criterion)
+        members = learners.fit_members(blocks, y, self.m, params)
+        assert blocks == [] and sizes == [3, 3, 1]  # the run of one through tree_fit
+        monkeypatch.setattr(learners, "forest_fit", forest_fit)
+        for member, table in zip(members, X, strict=True):
+            assert_same_tree(member, tree_fit(Dataset(table, y, m=self.m), params))
+
+    def test_knn_members_one_by_one(self, monkeypatch):
+        X, y, blocks = self.problem()
+        fits, knn = [], learners.knn_fit
+        monkeypatch.setattr(learners, "knn_fit", lambda ds, k: fits.append(k) or knn(ds, k))
+        members = learners.fit_members(blocks, y, self.m, KnnParams(k_neighbors=4))
+        assert fits == [4] * self.R
+        for member, table in zip(members, X, strict=True):
+            assert member.X.tobytes() == table.tobytes() and member.y.tobytes() == y.tobytes()
+            assert (member.m, member.k_neighbors) == (self.m, 4)
+
+    def test_a_run_of_one_holds_one_copy_of_its_rows(self, monkeypatch):
+        # neither the blocks nor the stack outlive the Dataset that tree_fit gets
+        n, d = 20_000, 16
+        labels = np.repeat([0, 1], n // 2)
+        held = []
+        monkeypatch.setattr(learners, "tree_fit", lambda ds, params: held.append(
+            tracemalloc.get_traced_memory()[0] - start) or "member")
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            gen = np.random.default_rng(0)
+            blocks = [gen.normal(size=(1, n // 2, d)) for _ in range(2)]
+            assert learners.fit_members(blocks, labels, 2, TreeParams()) == ["member"]
+        finally:
+            tracemalloc.stop()
+        assert held[0] < 1.5 * n * d * 8  # the Dataset's features, labels and class index
 
 
 class TestKnn:
