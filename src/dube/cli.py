@@ -126,13 +126,12 @@ def tune_alpha(train: Dataset, cfg: DubeConfig, grid, seed: int) -> float:
     The grid's ensembles are fitted in lockstep (``dube_fit_lockstep``)."""
     plan = stratified_k_fold(train, 5, rng.child_seed(seed, rng.TUNE))
     inner, validation = plan.split(train, 0)
-    candidates = [replace(cfg, alpha=float(alpha), seed=rng.child_seed(seed, rng.TUNE, 1))
-                  for alpha in grid]
+    tuning = replace(cfg, seed=rng.child_seed(seed, rng.TUNE, 1))
     best_alpha, best_score = None, -1.0
-    for candidate, model in zip(candidates, dube_fit_lockstep(inner, candidates)):
+    for model in dube_fit_lockstep(inner, tuning, grid):
         score = macro_auroc(validation.labels, model.predict_proba_many(validation.features))
         if score > best_score:
-            best_alpha, best_score = candidate.alpha, score
+            best_alpha, best_score = model.config.alpha, score
     return best_alpha
 
 
@@ -421,23 +420,20 @@ _TOY = (
     Setting("mu_maj", 4.0, float),
     Setting("sigma", 1.0, float),
 )
-_OUTPUT = (
+_FILES = (
     Setting("config", help="key = value settings file; flags win"),
     Setting("out", help="report destination (default stdout)"),
-    Setting("format", "csv", choices=["csv", "text"]),
 )
+_OUTPUT = (*_FILES, Setting("format", "csv", choices=["csv", "text"]))
 # jobs is deliberately not echoed: worker count may not influence the body
-_CV_REST = (
-    Setting("jobs", 1, int, help="worker processes for CV cells"),
-    Setting("details", False, switch=True,
-            help="append per-class precision/recall and confusion rows"),
-    *_OUTPUT,
-)
+_CV_REST = (Setting("jobs", 1, int, help="worker processes for CV cells"), *_OUTPUT)
 
 
 class Command(NamedTuple):
     """A subcommand. Its ``echoed`` settings make up the report's config
-    line, in this order; the ``rest`` may not change the report body."""
+    line, in this order. The ``rest`` are left out of that line, though
+    some of them (``format``, ``details``, the grids and ``select``)
+    change the report body; param-sweep appends its grid to the line."""
     runner: object
     help: str
     echoed: tuple
@@ -445,7 +441,10 @@ class Command(NamedTuple):
 
 
 _COMMANDS = {
-    "bench": Command(run_bench, "repeated stratified-CV benchmark", _CV, _CV_REST),
+    "bench": Command(
+        run_bench, "repeated stratified-CV benchmark", _CV,
+        (*_CV_REST, Setting("details", False, switch=True,
+                            help="append per-class precision/recall and confusion rows"))),
     "noise-sweep": Command(
         run_noise_sweep, "flip-noise robustness sweep over intra-class strategies",
         (*[s for s in _CV if s.name != "intra"],  # each point sets its own intra
@@ -461,7 +460,8 @@ _COMMANDS = {
     "synth": Command(
         run_synth, "emit a synthetic dataset as CSV",
         (Setting("generator", "gaussian1d", choices=["gaussian1d", "overlap2d"]), *_TOY,
-         Setting("overlap", "mid", choices=["low", "mid", "high"]), Setting("seed", 0, int))),
+         Setting("overlap", "mid", choices=["low", "mid", "high"]), Setting("seed", 0, int)),
+        _FILES),
 }
 
 _DEFAULTS = {name: {s.name: s.default for s in c.echoed + c.rest} for name, c in _COMMANDS.items()}
@@ -539,7 +539,7 @@ def main(argv=None) -> int:
         text = report.render(options.get("format") or "csv")
         if options.get("out"):
             try:
-                write_atomic(options["out"], text)
+                write_atomic(options["out"], [text])
             except OSError as exc:
                 raise CliError(f"cannot write {options['out']}: {exc.strerror}") from exc
         else:

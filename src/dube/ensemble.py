@@ -26,6 +26,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -103,7 +104,7 @@ class EnsembleModel(_Classifier):
 
 
 def dube_fit(ds: Dataset, cfg: DubeConfig, trace: TrainingTrace | None = None) -> EnsembleModel:
-    """Train a duple-balanced ensemble on ``ds``: the one-config case of
+    """Train a duple-balanced ensemble on ``ds``: the one-alpha case of
     :func:`dube_fit_lockstep`.
 
     Requires m >= 2. With k = 1 the result is a single learner trained on
@@ -111,25 +112,24 @@ def dube_fit(ds: Dataset, cfg: DubeConfig, trace: TrainingTrace | None = None) -
     :class:`TrainingTrace` to capture per-iteration targets, weights,
     drawn rows, the soft-vote matrix in effect, and resampling wall time.
     """
-    return dube_fit_lockstep(ds, [cfg], trace)[0]
+    return dube_fit_lockstep(ds, cfg, [cfg.alpha], trace)[0]
 
 
-def dube_fit_lockstep(ds: Dataset, configs, trace: TrainingTrace | None = None) -> list:
-    """The ensemble :func:`dube_fit` trains for each of ``configs``, which
-    differ only in alpha, all trained at once.
+def dube_fit_lockstep(ds: Dataset, cfg: DubeConfig, alphas,
+                      trace: TrainingTrace | None = None) -> list:
+    """The ensemble :func:`dube_fit` trains for ``replace(cfg, alpha=a)``,
+    for each ``a`` of ``alphas``, all trained at once.
 
     The configs share a seed, so they share the first member, the whole
     t=2 resample step, and at every iteration the standard-normal draws
     of each class, which each alpha only scales: one :func:`perturb` call
     per class perturbs every config's rows. The first member is fitted by
-    :func:`fit_learner`; every later iteration's members, one per config,
-    by :func:`fit_members` on the (configs, m * n, d) stack of the
+    :func:`fit_learner`; every later iteration's members, one per alpha,
+    by :func:`fit_members` on the (alphas, m * n, d) stack of the
     perturbed class blocks, which share one label vector (n rows of each
-    class). ``trace`` records the first config's iterations.
+    class). ``trace`` records the first alpha's iterations.
     """
-    cfg = configs[0]
-    if any(replace(other, alpha=cfg.alpha) != cfg for other in configs):
-        raise ValueError("lockstep configs may differ only in alpha")
+    configs = [replace(cfg, alpha=a) for a in alphas]
     if ds.m < 2:
         raise ValueError("training needs at least two classes")
     covariances = [class_covariance(ds, c) for c in range(ds.m)]
@@ -182,27 +182,19 @@ def _config_from_dict(blob: dict) -> DubeConfig:
                       seed=_integer(blob, "seed", 0))
 
 
-# write_atomic writes its text this many characters at a time, so the whole
-# text and all of its encoded bytes are never in memory together.
-_WRITE_SLICE = 1 << 20
-
-
-def write_atomic(path, text: str) -> None:
-    """Replace ``path`` whole by a text file holding ``text``; if anything
-    fails, that file is removed and ``path`` keeps its bytes."""
-    def write(fh):
-        for start in range(0, len(text), _WRITE_SLICE):
-            fh.write(text[start:start + _WRITE_SLICE])
-
+def write_atomic(path, pieces) -> None:
+    """Replace ``path`` whole by a text file holding the strings of
+    ``pieces``, written in turn; if anything fails, that file is removed
+    and ``path`` keeps its bytes."""
     if os.path.exists(path) and not os.path.isfile(path):  # a pipe or device, e.g. /dev/stdout
         with open(path, "w") as fh:
-            write(fh)
+            fh.writelines(pieces)
         return
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     fh = open(tmp, "x")  # never truncates a file this call did not create
     try:
         with fh:
-            write(fh)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the write or the move failed
@@ -211,19 +203,22 @@ def write_atomic(path, text: str) -> None:
 
 def save_model(model: EnsembleModel, path) -> None:
     """Write a versioned JSON dump atomically; floats round-trip exactly.
-    ``json.dumps`` encodes it in one call to the C encoder, where
-    ``json.dump`` would stream it through the pure-Python one;
-    :func:`write_atomic` then writes the text a slice at a time."""
-    blob = {
+    The file is ``json.dumps`` of the whole model, written as the header,
+    then one piece per member, then the tail, so at most one member's dict
+    and text are alive at a time. ``json.dumps`` runs in the C encoder,
+    where ``json.dump`` would stream through the pure-Python one."""
+    head = json.dumps({
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "rng": rng.RNG_ALGORITHM,
         "m": model.m,
         "d": model.d,
         "config": _config_to_dict(model.config),
-        "members": [member.to_dict() for member in model.members],
-    }
-    write_atomic(path, json.dumps(blob))
+        "members": [],
+    })
+    members = ((", " if i else "") + json.dumps(member.to_dict())
+               for i, member in enumerate(model.members))
+    write_atomic(path, chain([head[:-2]], members, [head[-2:]]))  # head ends in "[]}"
 
 
 def load_model(path) -> EnsembleModel:

@@ -483,6 +483,20 @@ class TestMainEntry:
         cfg.write_text("vorpal = 12\n")
         assert main(["bench", "--input", data, "--config", str(cfg)]) == 2
 
+    # settings that would change nothing in these commands' reports are not taken
+    @pytest.mark.parametrize("command, flag, value", [
+        ("noise-sweep", "details", None), ("param-sweep", "details", None),
+        ("synth", "format", "text")])
+    def test_setting_without_effect_rejected(self, tmp_path, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--{flag}"] + ([value] if value else []))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"{flag} = {value or 'true'}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"run.conf:1: unknown setting '{flag}'" in capsys.readouterr().err
+
     def test_biaslab_command(self, tmp_path):
         out = tmp_path / "lab.csv"
         code = main(["biaslab", "--trials", "100", "--seed", "1", "--out", str(out)])

@@ -3,6 +3,7 @@ import functools
 import inspect
 import json
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -14,11 +15,11 @@ from hypothesis import strategies as st
 
 from dube import (DubeConfig, EnsembleModel, TrainingTrace, class_counts,
                   dube_fit, load_model, make_overlap_2d, save_model)
-from dube import balancing, pbda
+from dube import balancing, pbda, rng
 from dube.balancing import InterCBStrategy, IntraCBStrategy
 from dube.dataset import Dataset, DatasetError
 from dube.ensemble import dube_fit_lockstep
-from dube.learners import KnnParams, TreeClassifier, TreeParams, tree_fit
+from dube.learners import KnnParams, TreeClassifier, TreeParams, params_to_dict, tree_fit
 from ensemble_reference import reference_members
 
 
@@ -269,55 +270,84 @@ class TestSaveLoad:
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     @staticmethod
-    def large_model():
-        """A one-member KNN model whose JSON text spans two write slices."""
-        gen = np.random.default_rng(3)
-        ds = Dataset(gen.normal(size=(7000, 8)), np.arange(7000) % 2)
-        return dube_fit(ds, DubeConfig(k=1, learner=KnnParams(k_neighbors=1)))
-
-    @staticmethod
     def recorded_writes(ens, monkeypatch, fail_at=None):
-        """Record the length of every write to a file ``ens`` opens; the
-        write numbered ``fail_at`` (from 0) finds the disk full."""
-        lengths = []
+        """Record every string written to a file ``ens`` opens; the write
+        numbered ``fail_at`` (from 0) finds the disk full."""
+        pieces = []
 
         def recording(file, mode="r"):
             fh = open(file, mode)
             write = fh.write
 
-            def write_slice(text):
-                if len(lengths) == fail_at:
+            def write_piece(text):
+                if len(pieces) == fail_at:
                     raise OSError(errno.ENOSPC, "No space left on device")
-                lengths.append(len(text))
+                pieces.append(text)
                 return write(text)
-            fh.write = write_slice
+            fh.write = write_piece
             return fh
         monkeypatch.setattr(ens, "open", recording, raising=False)
-        return lengths
+        return pieces
 
-    def test_large_model_written_in_slices(self, tmp_path, monkeypatch):
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def fitted(learner, k=3, rows=60):
+        """A k-member model of ``learner`` on a two-class Gaussian table."""
+        gen = np.random.default_rng(5)
+        ds = Dataset(gen.normal(size=(rows, 4)), (np.arange(rows) % 5 == 0).astype(int))
+        return dube_fit(ds, DubeConfig(k=k, alpha=0.1, learner=learner, seed=7))
+
+    @pytest.mark.parametrize("learner", [TreeParams(), KnnParams(k_neighbors=3)],
+                             ids=["tree", "knn"])
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_bytes_equal_one_dumps_of_the_blob(self, tmp_path, monkeypatch, learner, count):
         import dube.ensemble as ens
-        model, path, texts = self.large_model(), tmp_path / "model.json", []
-        lengths = self.recorded_writes(ens, monkeypatch)
-        dumps = json.dumps
-        monkeypatch.setattr(ens.json, "dumps", lambda blob: texts.append(dumps(blob)) or texts[-1])
+        fitted = self.fitted(learner)
+        model = EnsembleModel(fitted.members[:count], fitted.m, fitted.d, fitted.config)
+        cfg = model.config
+        blob = {"format": "dube-model", "version": 1, "rng": rng.RNG_ALGORITHM,
+                "m": model.m, "d": model.d,
+                "config": {"k": cfg.k, "inter": cfg.inter.tag, "intra": cfg.intra.tag,
+                           "bins": cfg.intra.bins, "alpha": cfg.alpha, "seed": cfg.seed,
+                           "learner": params_to_dict(cfg.learner)},
+                "members": [member.to_dict() for member in model.members]}
+        path = tmp_path / "model.json"
+        pieces = self.recorded_writes(ens, monkeypatch)
         save_model(model, path)
-        (text,) = texts
-        assert len(text) > ens._WRITE_SLICE
-        assert path.read_bytes() == text.encode()
-        assert lengths == [ens._WRITE_SLICE, len(text) - ens._WRITE_SLICE]
+        assert path.read_bytes() == json.dumps(blob).encode()
+        # the header, one piece per member, then the tail
+        members = [json.dumps(member) for member in blob["members"]]
+        assert pieces[0].endswith('"members": [') and pieces[-1] == "]}"
+        assert pieces[1:-1] == [(", " if i else "") + text for i, text in enumerate(members)]
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
-    def test_failed_second_slice_keeps_the_old_file(self, tmp_path, monkeypatch):
+    def test_failed_second_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         import dube.ensemble as ens
-        model, path = self.large_model(), tmp_path / "model.json"
+        path = tmp_path / "model.json"
         path.write_bytes(b"old model")
-        lengths = self.recorded_writes(ens, monkeypatch, fail_at=1)
+        pieces = self.recorded_writes(ens, monkeypatch, fail_at=1)
         with pytest.raises(OSError, match="No space left"):
-            save_model(model, path)
-        assert lengths == [ens._WRITE_SLICE]  # one whole slice reached the temporary file
+            save_model(self.fitted(TreeParams()), path)
+        assert len(pieces) == 1 and pieces[0].endswith('"members": [')  # only the header
         assert path.read_bytes() == b"old model"
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    @pytest.mark.parametrize("learner", [TreeParams(), KnnParams(k_neighbors=3)],
+                             ids=["tree", "knn"])
+    def test_save_peak_bounded_by_the_largest_member(self, tmp_path, learner):
+        model = self.fitted(learner, k=6, rows=1500)
+        largest = max(model.members, key=lambda member: len(json.dumps(member.to_dict())))
+        alone = EnsembleModel([largest], model.m, model.d, model.config)
+
+        def peak(saved):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                save_model(saved, tmp_path / "model.json")
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert peak(model) < 1.5 * peak(alone)
 
     def test_version_guard(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -703,7 +733,7 @@ class TestLockstepMatchesDubeFit:
         alphas = data.draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 1.0]), min_size=1, max_size=4))
         grid = data.draw(st.permutations([0.0, alphas[0], *alphas]))  # 0.0 and a repeat
         configs = [replace(cfg, alpha=alpha) for alpha in grid]
-        models = dube_fit_lockstep(ds, configs)
+        models = dube_fit_lockstep(ds, cfg, grid)
         assert [model.config for model in models] == configs
         for model, config in zip(models, configs):
             alone, reference = dube_fit(ds, config).members, reference_members(ds, config)
@@ -712,23 +742,17 @@ class TestLockstepMatchesDubeFit:
                 assert_same_member(got, want)
                 assert_same_member(got, ref)
 
-    def test_configs_must_differ_only_in_alpha(self):
-        ds = small_dataset(3)
-        with pytest.raises(ValueError, match="differ only in alpha"):
-            dube_fit_lockstep(ds, [DubeConfig(k=2, seed=1), DubeConfig(k=2, seed=2, alpha=0.1)])
-
 
 class TestHugeAlpha:
     """alpha * noise overflows: the fit ends in the library's error, with no warning."""
 
     @pytest.mark.parametrize("fit, grid", [
-        (lambda ds, configs: dube_fit(ds, *configs), [1e308]),
+        (lambda ds, cfg, grid: dube_fit(ds, replace(cfg, alpha=grid[0])), [1e308]),
         (dube_fit_lockstep, [0.0, 1e308, 0.1]),
     ], ids=["dube_fit", "lockstep"])
     def test_non_finite_perturbation_raises(self, fit, grid):
         ds = small_dataset(6)
-        configs = [DubeConfig(k=3, alpha=alpha, seed=2) for alpha in grid]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DatasetError, match="alpha up to 1e\\+308 gives non-finite features"):
-                fit(ds, configs)
+                fit(ds, DubeConfig(k=3, seed=2), grid)
