@@ -107,10 +107,13 @@ class TreeClassifier(_Classifier):
 
     Nodes live in parallel arrays; ``feature[i] < 0`` marks node i as a
     leaf with probability row ``proba[i]``. Routing rule: go left when
-    ``x[feature] <= threshold``. A batch is routed one tree level per
-    step: every row still at an internal node moves to a child at once.
-    Children are numbered above their parent (``from_dict`` checks it),
-    so routing ends after at most depth steps. ``forest_fit`` (and so
+    ``x[feature] <= threshold``, so NaN goes right. A batch is routed one
+    tree level per step: every row still at an internal node reads its
+    split value through one flat gather from the C-ordered batch, and
+    moves to ``child[2 * i + (x <= threshold[i])]`` in a table built once
+    per tree (right child, then left, for each node i). Children are
+    numbered above their parent (``from_dict`` checks it), so routing
+    ends after at most depth steps. ``forest_fit`` (and so
     ``tree_fit``) numbers each tree's nodes in the order a depth-first
     stack from its root creates them: a popped split node numbers its
     children next, left then right, and the right is popped first. A tree
@@ -126,18 +129,20 @@ class TreeClassifier(_Classifier):
         self.proba = np.asarray(proba, dtype=np.float64)
         self.m = int(m)
         self.d = int(d)
+        self._child = np.stack([self.right, self.left], axis=1).ravel()
 
     def predict_proba_many(self, X) -> np.ndarray:
-        X = self._rows(X)
+        X = np.ascontiguousarray(self._rows(X))
+        values, feature, threshold = X.ravel(), self.feature, self.threshold
         node = np.zeros(X.shape[0], dtype=np.int64)
-        active = np.arange(X.shape[0] if self.feature[0] >= 0 else 0)
+        active = np.arange(X.shape[0] if feature[0] >= 0 else 0)
         while active.size:
-            at = node[active]
-            goes_left = X[active, self.feature[at]] <= self.threshold[at]
-            at = np.where(goes_left, self.left[at], self.right[at])
+            at = node.take(active)
+            x = values.take(active * self.d + feature.take(at))
+            at = self._child.take(2 * at + (x <= threshold.take(at)))
             node[active] = at
-            active = active[self.feature[at] >= 0]
-        return self.proba[node]
+            active = active[feature.take(at) >= 0]
+        return self.proba.take(node, axis=0)
 
     @property
     def n_nodes(self) -> int:
@@ -166,24 +171,24 @@ class TreeClassifier(_Classifier):
     @classmethod
     def from_dict(cls, blob: dict) -> "TreeClassifier":
         """Rebuild a tree, raising ValueError unless it is well formed."""
-        tree = cls(blob["feature"], blob["threshold"], blob["left"],
-                   blob["right"], blob["proba"], _integer(blob, "m"), _integer(blob, "d"))
-        n, feature = tree.n_nodes, tree.feature
-        arrays = (feature, tree.threshold, tree.left, tree.right)
-        if n == 0 or tree.proba.shape != (n, tree.m) or any(a.shape != (n,) for a in arrays):
-            raise ValueError(f"tree arrays must share a nonzero length n, proba (n, {tree.m})")
-        if feature.min() < -1 or feature.max() >= tree.d:
-            raise ValueError(f"tree feature index outside [-1, {tree.d})")
-        if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.proba).all()):
+        m, d = _integer(blob, "m"), _integer(blob, "d")
+        feature, left, right = (np.asarray(blob[k], dtype=np.int64) for k in ("feature", "left", "right"))
+        threshold, proba = (np.asarray(blob[k], dtype=np.float64) for k in ("threshold", "proba"))
+        n, arrays = feature.size, (feature, threshold, left, right)
+        if n == 0 or proba.shape != (n, m) or any(a.shape != (n,) for a in arrays):
+            raise ValueError(f"tree arrays must share a nonzero length n, proba (n, {m})")
+        if feature.min() < -1 or feature.max() >= d:
+            raise ValueError(f"tree feature index outside [-1, {d})")
+        if not (np.isfinite(threshold).all() and np.isfinite(proba).all()):
             raise ValueError("tree thresholds and probabilities must be finite")
         inner = np.flatnonzero(feature >= 0)
-        children = np.concatenate([tree.left[inner], tree.right[inner]])
+        children = np.concatenate([left[inner], right[inner]])
         if (children <= np.tile(inner, 2)).any() or (children >= n).any():
             raise ValueError("tree child index must lie above its parent and below the node count")
-        leaves = tree.proba[feature < 0]
+        leaves = proba[feature < 0]
         if (leaves < 0).any() or (np.abs(leaves.sum(axis=1) - 1.0) > 1e-9).any():
             raise ValueError("tree leaf probabilities must be nonnegative and sum to 1")
-        return tree
+        return cls(feature, threshold, left, right, proba, m, d)
 
 
 # Query rows are scored in blocks of at most this many bytes of float64

@@ -380,6 +380,12 @@ class TestTreeModelValidation:
         with pytest.raises(ValueError, match="nonzero length"):
             load_model(self.save_stump(tmp_path, threshold=[0.5, 0.0]))
 
+    @pytest.mark.parametrize("defect", [{"left": [1, -1]}, {"right": [2, -1, -1, -1]}],
+                             ids=["left", "right"])
+    def test_child_array_lengths_differ(self, tmp_path, defect):
+        with pytest.raises(ValueError, match="tree arrays must share a nonzero length"):
+            load_model(self.save_stump(tmp_path, **defect))
+
     def test_feature_out_of_range(self, tmp_path):
         with pytest.raises(ValueError, match="feature index"):
             load_model(self.save_stump(tmp_path, feature=[1, -1, -1]))

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 from unittest import mock
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dube import Dataset, DatasetError, learners
-from dube.learners import (KnnClassifier, KnnParams, TreeParams, fit_learner,
+from dube import Dataset, DatasetError, DubeConfig, dube_fit, learners
+from dube.learners import (KnnClassifier, KnnParams, TreeClassifier, TreeParams, fit_learner,
                            learner_from_dict, knn_fit, tree_fit)
 from knn_reference import (blocked_distances, blocked_knn_predict_proba_many,
                            reference_knn_predict_proba_many)
@@ -347,6 +348,94 @@ class TestTreeMatchesReference:
         queries = np.vstack(queries)
         assert (tree.predict_proba_many(queries).tobytes()
                 == reference_predict_proba_many(reference, queries).tobytes())
+
+
+# Query values that routing must send the way the reference does: NaN goes
+# right, infinities to the ends, and the two zeros compare equal.
+_QUERY_VALUES = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0]), _VALUES)
+
+
+def breadth_first(tree):
+    """``tree`` renumbered breadth-first, written by to_dict and read by
+    from_dict: children still lie above their parent, but the numbers are
+    not the depth-first ones that tree_fit gives."""
+    order = [0]
+    for node in order:  # the list grows while it is walked
+        if tree.feature[node] >= 0:
+            order += [tree.left[node], tree.right[node]]
+    number = np.empty(tree.n_nodes, dtype=np.int64)
+    number[order] = np.arange(tree.n_nodes)
+    inner = tree.feature[order] >= 0
+    blob = {**tree.to_dict(),
+            "feature": tree.feature[order].tolist(),
+            "threshold": tree.threshold[order].tolist(),
+            "left": np.where(inner, number[tree.left[order]], -1).tolist(),
+            "right": np.where(inner, number[tree.right[order]], -1).tolist(),
+            "proba": tree.proba[order].tolist()}
+    return TreeClassifier.from_dict(json.loads(json.dumps(blob)))
+
+
+class TestRoutingMatchesReference:
+    """Routing through the child table against the reference router's stack,
+    bit for bit, on queries that hold NaN, infinities, both zeros and every
+    threshold, for tree_fit's numbering and a breadth-first one."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(tree_problems(), st.data())
+    def test_identical_probabilities(self, problem, data):
+        ds, params = problem
+        tree = tree_fit(ds, params)
+        d = ds.n_features
+        queries = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 40)), d),
+                                       elements=_QUERY_VALUES))
+        on = []
+        for node in np.flatnonzero(tree.feature >= 0):
+            row = data.draw(hnp.arrays(np.float64, d, elements=_QUERY_VALUES))
+            row[tree.feature[node]] = tree.threshold[node]
+            on.append(row)
+        queries = np.vstack([queries, ds.features, *on])
+        want = reference_predict_proba_many(tree, queries).tobytes()
+        renumbered = breadth_first(tree)
+        assert reference_predict_proba_many(renumbered, queries).tobytes() == want
+        for router in (tree, renumbered):
+            assert router.predict_proba_many(queries).tobytes() == want
+
+    def test_breadth_first_numbering_differs(self):
+        tree = tree_fit(reference_table(), TreeParams(max_depth=4))
+        renumbered = breadth_first(tree)
+        inner = renumbered.feature >= 0
+        children = np.stack([renumbered.left[inner], renumbered.right[inner]], axis=1).ravel()
+        assert children.tolist() == list(range(1, tree.n_nodes))
+        assert renumbered.left.tolist() != tree.left.tolist()
+
+
+class TestNonContiguousQueries:
+    """A query batch in any memory layout is scored as its C-ordered copy."""
+
+    @staticmethod
+    def layouts(queries):
+        wide = np.zeros((queries.shape[0], 2 * queries.shape[1]))
+        wide[:, ::2] = queries
+        backwards = np.ascontiguousarray(queries[::-1])[::-1]
+        return {"fortran": np.asfortranarray(queries), "every-other-column": wide[:, ::2],
+                "reversed-rows": backwards}
+
+    @pytest.mark.parametrize("layout", ["fortran", "every-other-column", "reversed-rows"])
+    @pytest.mark.parametrize("kind", ["tree", "ensemble"])
+    def test_same_bytes_as_c_order(self, kind, layout):
+        ds = reference_table()
+        if kind == "tree":
+            model = tree_fit(ds, TreeParams(min_samples_leaf=3))
+        else:
+            model = dube_fit(ds, DubeConfig(k=3, learner=TreeParams(min_samples_leaf=3)))
+        queries = ds.features[::7].copy()
+        queries[::5, 1] = np.nan
+        queries[1::5, 4] = -np.inf
+        view = self.layouts(queries)[layout]
+        assert not view.flags.c_contiguous and np.array_equal(view, queries, equal_nan=True)
+        want = model.predict_proba_many(queries)
+        assert model.predict_proba_many(view).tobytes() == want.tobytes()
 
 
 @st.composite
