@@ -9,7 +9,8 @@ common target size n, every class is drawn to n rows by the weighted
 sampler, the drawn rows receive class-calibrated Gaussian perturbation,
 and member t is fitted on the union.
 
-Each fitted member predicts on the original data exactly once: the
+Every fitted member but the last predicts on the original data exactly
+once, and the last never does, since no later weights read its vote: the
 running probability sum is buffered, so forming the current soft vote is
 O(N*m) per iteration instead of refitting predictions from scratch. The
 buffer is an optimization only; results are bit-identical to
@@ -127,7 +128,10 @@ def dube_fit_lockstep(ds: Dataset, cfg: DubeConfig, alphas,
     :func:`fit_learner`; every later iteration's members, one per alpha,
     by :func:`fit_members` on the (alphas, m * n, d) stack of the
     perturbed class blocks, which share one label vector (n rows of each
-    class). ``trace`` records the first alpha's iterations.
+    class). Each iteration starts by adding the previous iteration's
+    training-set votes to the running sums, so the last iteration's
+    members, and with k = 1 the first, never predict on ``ds``.
+    ``trace`` records the first alpha's iterations.
     """
     configs = [replace(cfg, alpha=a) for a in alphas]
     if ds.m < 2:
@@ -136,12 +140,12 @@ def dube_fit_lockstep(ds: Dataset, cfg: DubeConfig, alphas,
 
     first = fit_learner(ds, cfg.learner)
     members = [[first] for _ in configs]
-    probs_sum = first.predict_proba_many(ds.features)
-    sums = [probs_sum] + [probs_sum.copy() for _ in configs[1:]]
+    fitted, sums = [first], 0.0  # at t=2 every config shares the first member, so one sum
 
     for t in range(2, cfg.k + 1):
+        sums = sums + np.stack([member.predict_proba_many(ds.features) for member in fitted])
         steps = []
-        for total in sums[:1] if t == 2 else sums:  # at t=2 every config has the first member's vote
+        for total in sums:
             current = total / (t - 1)
             t0 = time.perf_counter()
             steps.append(resample_step(ds.labels, ds.class_index, current, cfg.inter, cfg.intra,
@@ -157,9 +161,8 @@ def dube_fit_lockstep(ds: Dataset, cfg: DubeConfig, alphas,
                   for c in range(ds.m)]
         # n rows of each class, n shared by all configs; fit_members empties blocks
         fitted = fit_members(blocks, np.repeat(np.arange(ds.m), steps[0][0]), ds.m, cfg.learner)
-        for member, ensemble, total in zip(fitted, members, sums):
+        for member, ensemble in zip(fitted, members):
             ensemble.append(member)
-            total += member.predict_proba_many(ds.features)
 
     return [EnsembleModel(ensemble, ds.m, ds.n_features, other)
             for ensemble, other in zip(members, configs)]

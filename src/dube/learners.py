@@ -95,8 +95,11 @@ class _Classifier:
         raise NotImplementedError
 
     def _rows(self, X) -> np.ndarray:
-        """``X`` as a float64 row batch; ValueError unless its rows have d features."""
+        """``X`` as a float64 row batch; ValueError unless it is one row or a
+        2-D batch whose rows have d features."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        if X.ndim != 2:
+            raise ValueError(f"expected one row or a 2-D batch, got shape {X.shape}")
         if X.shape[1] != self.d:
             raise ValueError(f"expected {self.d} features, got {X.shape[1]}")
         return X

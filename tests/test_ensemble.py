@@ -2,6 +2,7 @@ import errno
 import functools
 import inspect
 import json
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -87,6 +88,9 @@ class TestSoftVote:
             assert predictor.predict_proba_many([0.0, 0.0]).shape == (1, 2)
             with pytest.raises(ValueError, match="expected 2 features, got 3"):
                 predictor.predict_proba_many(np.zeros((4, 3)))
+            for shape in ((3, 2, 2), (1, 2, 2, 2)):  # rows of d values, but not a 2-D batch
+                with pytest.raises(ValueError, match=re.escape(f"2-D batch, got shape {shape}")):
+                    predictor.predict_proba_many(np.zeros(shape))
 
 
 class TestDubeFit:
@@ -186,9 +190,15 @@ class TestDubeFit:
 
 
 class TestPredictionBuffering:
-    def test_each_member_predicts_training_data_exactly_once(self, monkeypatch):
-        # the running probability sum means fitting k members costs k
-        # prediction passes over the data, not k(k-1)/2
+    @pytest.mark.parametrize("alphas, k, passes", [
+        pytest.param(None, 1, 0, id="k1"), pytest.param(None, 2, 1, id="k2"),
+        pytest.param(None, 6, 5, id="k6"),
+        # the shared first member, then one member per alpha at t = 2 and 3
+        pytest.param([0.0, 0.1, 0.2], 4, 1 + 3 * 2, id="lockstep-3-alphas-k4")])
+    def test_every_member_but_the_last_votes_once(self, monkeypatch, alphas, k, passes):
+        # the running probability sum means fitting k members costs k - 1
+        # prediction passes over the data, not k(k-1)/2; the last
+        # iteration's members vote on no later weights, so never predict
         import dube.ensemble as ens
         ds = small_dataset(12)
         calls = []
@@ -207,10 +217,12 @@ class TestPredictionBuffering:
                             lambda d, params: CountingLearner(next(counter)))
         monkeypatch.setattr(ens, "fit_members", lambda blocks, labels, m, params: [
             CountingLearner(next(counter)) for _ in range(len(blocks[0]))])
-        dube_fit(ds, DubeConfig(k=6, seed=1))
+        cfg = DubeConfig(k=k, seed=1)
+        models = dube_fit_lockstep(ds, cfg, alphas) if alphas else [dube_fit(ds, cfg)]
+        assert [model.k for model in models] == [k] * len(alphas or [cfg.alpha])
         train_passes = [c for c in calls if c[1] == ds.n_rows]
-        assert len(train_passes) == 6
-        assert sorted(tag for tag, _ in train_passes) == list(range(6))
+        assert len(train_passes) == passes
+        assert sorted(tag for tag, _ in train_passes) == list(range(passes))
 
 
 class TestNoDistanceComputation:
