@@ -219,7 +219,7 @@ class TestPredictionBuffering:
             CountingLearner(next(counter)) for _ in range(len(blocks[0]))])
         cfg = DubeConfig(k=k, seed=1)
         models = dube_fit_lockstep(ds, cfg, alphas) if alphas else [dube_fit(ds, cfg)]
-        assert [model.k for model in models] == [k] * len(alphas or [cfg.alpha])
+        assert {model.k for model in models} == {k}
         train_passes = [c for c in calls if c[1] == ds.n_rows]
         assert len(train_passes) == passes
         assert sorted(tag for tag, _ in train_passes) == list(range(passes))
