@@ -148,23 +148,26 @@ def run_cv_cell(train: Dataset, test: Dataset, base_cfg: DubeConfig, seed: int, 
 
 
 def _cv_cells(ds: Dataset, options):
-    """(repeat, fold, train, test) tuples for the options' repeated stratified CV."""
+    """One (repeat, fold, fold plan, cell seed) record per cell of the options'
+    repeated stratified CV. No cell's rows are copied here: a job splits them
+    from the table when it runs, so only the running cells' copies exist."""
     plans = [stratified_k_fold(ds, options["folds"], rng.child_seed(options["seed"], rng.FOLD, rep))
              for rep in range(options["repeats"])]
-    return [(rep, fold, *plan.split(ds, fold))
+    return [(rep, fold, plan, rng.child_seed(options["seed"], rng.CELL, rep, fold))
             for rep, plan in enumerate(plans) for fold in range(options["folds"])]
 
 
 def _cv_job(job):
     """One (point, cell) job of :func:`_cross_validate`, picklable for a worker
-    process: the cell's (repeat, fold, metrics, alpha, resample_ms) or failure."""
-    seed, alpha_mode, (label, cfg, noise), (rep, fold, train, test) = job
+    process: it splits the cell's train and test rows from the table ``ds``
+    and returns the cell's (repeat, fold, metrics, alpha, resample_ms) or failure."""
+    seed, alpha_mode, (label, cfg, noise), ds, (rep, fold, plan, cell_seed) = job
+    train, test = plan.split(ds, fold)
     try:
         if noise is not None:
             # noise goes into the training split only; the noise seed is
             # shared across points so comparisons are paired
             train = inject_flip_noise(train, noise, rng.child_seed(seed, rng.FLIP, rep, fold))
-        cell_seed = rng.child_seed(seed, rng.CELL, rep, fold)
         return (rep, fold, *run_cv_cell(train, test, cfg, cell_seed, alpha_mode))
     except Exception as exc:  # cell failures are reported, not fatal
         return f"{label}repeat={rep} fold={fold}: {exc}"
@@ -176,11 +179,14 @@ def _cross_validate(ds: Dataset, options, points, failures: list) -> list:
     A point is (failure label prefix, DubeConfig, training-noise ratio or
     None). The (point, cell) jobs run in point-major order, in worker
     processes if ``options["jobs"]`` > 1; failed cells append their messages
-    to ``failures`` in that order. Returns, per point, the (repeat, fold,
-    metrics, alpha, resample_ms) of every cell that succeeded.
+    to ``failures`` in that order. Each job carries the table and its cell's
+    :func:`_cv_cells` record and splits its own rows, so memory holds the
+    table, the fold plans and the running cells' copies, never every cell's.
+    Returns, per point, the (repeat, fold, metrics, alpha, resample_ms) of
+    every cell that succeeded.
     """
     cells = _cv_cells(ds, options)
-    jobs = [(options["seed"], options["alpha"], point, cell) for point in points for cell in cells]
+    jobs = [(options["seed"], options["alpha"], p, ds, cell) for p in points for cell in cells]
     if options["jobs"] <= 1:
         outcomes = [_cv_job(job) for job in jobs]  # in this process, where a tracer can see it
     else:
@@ -265,6 +271,8 @@ def run_noise_sweep(options) -> Report:
     ds = _load_input(options)
     _require(ds.m == 2, "noise sweep needs a binary dataset")
     _require(options["noise_grid"], "--noise-grid must be a nonempty list")
+    for r in options["noise_grid"]:
+        _require(0 <= r <= 1, f"--noise-grid ratios must be in [0, 1], got {r}")
     report = Report("noise-sweep", _config_line("noise-sweep", options),
                     ["noise_ratio", "intra", "macro_f1_mean", "macro_f1_std",
                      "mcc_mean", "mcc_std", "macro_auroc_mean", "macro_auroc_std"])
@@ -299,15 +307,14 @@ def run_param_sweep(options) -> Report:
         if results:
             report.rows.append(["grid", value] + _mean_std(results))
     if param == "alpha" and options.get("select"):
-        chosen = []
-        for rep, fold, train, _ in _cv_cells(ds, options):
-            seed = rng.child_seed(options["seed"], rng.CELL, rep, fold)
-            chosen.append(tune_alpha(train, build_dube_config(options), grid, seed))
+        chosen = [tune_alpha(plan.split(ds, fold)[0], build_dube_config(options), grid, cell_seed)
+                  for _, fold, plan, cell_seed in _cv_cells(ds, options)]
         report.rows.append(["selected", float(np.median(chosen)), "", "", "", "", "", ""])
     return report
 
 
 def run_biaslab(options) -> Report:
+    _require(options["alpha_sigmas"], "--alpha-sigmas must be a nonempty list")
     cfg = ToyConfig(**{f.name: options[f.name] for f in fields(ToyConfig)})
     report = Report("biaslab", _config_line("biaslab", options),
                     ["strategy", "alpha", "mean_bias", "var_bias", "trials"])

@@ -39,13 +39,16 @@ class Dataset:
     label_names : tuple of str, optional
         Original label values, index ``c`` naming class ``c``. Recorded
         by :func:`load_csv` for reporting.
+
+    ``class_index[c]`` holds the rows of class ``c`` in ascending order.
+    It is built from ``labels`` and is not a constructor argument.
     """
 
     features: np.ndarray
     labels: np.ndarray
     m: int = 0
     label_names: tuple[str, ...] = ()
-    class_index: tuple[np.ndarray, ...] = field(default=(), compare=False)
+    class_index: tuple[np.ndarray, ...] = field(default=(), init=False, compare=False)
 
     def __post_init__(self):
         # always copy so freezing below never flips a caller-owned array

@@ -3,13 +3,14 @@ import errno
 import os
 import pickle
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dube import load_csv, class_counts
+from dube import Dataset, load_csv, class_counts, make_overlap_2d
 from dube.cli import (CliError, build_dube_config, build_parser, main, resolve_options,
                       run_bench, run_biaslab, run_noise_sweep, run_param_sweep, run_synth,
                       _COMMANDS, _DEFAULTS, _cv_cells, _cv_job, _read_config_file)
@@ -71,8 +72,8 @@ class TestBench:
     def test_cv_job_and_result_survive_pickle(self, tmp_path):
         # worker processes receive each job and return its result pickled
         opts = options("bench", input=write_dataset(tmp_path / "toy.csv"), k=2, folds=2, seed=5)
-        cell = _cv_cells(load_csv(opts["input"], "label"), opts)[0]
-        job = (opts["seed"], "auto", ("", build_dube_config(opts), 0.1), cell)
+        ds = load_csv(opts["input"], "label")
+        job = (opts["seed"], "auto", ("", build_dube_config(opts), 0.1), ds, _cv_cells(ds, opts)[0])
         result = _cv_job(job)
         assert isinstance(result, tuple), result  # a string is a failed cell
         # the last field holds wall-clock resample times
@@ -80,6 +81,24 @@ class TestBench:
             pickle.dumps(result[:-1])
         blob = pickle.dumps(result)
         assert pickle.dumps(pickle.loads(blob)) == blob
+
+    def test_cells_are_split_when_their_jobs_run(self, monkeypatch):
+        # 4 repeats x 5 folds of a 20,000 x 16 table: only a running cell's
+        # train and test copies may exist, not those of every cell at once
+        import dube.cli as cli
+        base = make_overlap_2d(2000, 18000, "mid", 0)
+        ds = Dataset(np.tile(base.features, 8), base.labels)
+        monkeypatch.setattr(cli, "run_cv_cell", lambda train, test, *rest: (None, 0.0, []))
+        opts = options("bench", folds=5, repeats=4, jobs=1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            [results] = cli._cross_validate(ds, opts, [("", None, None)], [])
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 20
+        assert peak < 4 * ds.features.nbytes, peak / ds.features.nbytes
 
     def test_no_more_workers_than_jobs(self, tmp_path, monkeypatch):
         started = []
@@ -145,6 +164,26 @@ class TestNoiseSweep:
         path = write_dataset(tmp_path / "toy.csv")
         with pytest.raises(CliError, match="noise-grid"):
             run_noise_sweep(options("noise-sweep", input=path, noise_grid=[]))
+
+    @pytest.mark.parametrize("grid", ["0,1.5", "nan", "-0.1"])
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_ratio_outside_unit_interval_fails_before_any_cell(
+            self, tmp_path, capsys, monkeypatch, grid, from_file):
+        import dube.cli as cli
+
+        def no_cells(*args):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(cli, "run_cv_cell", no_cells)
+        argv = ["noise-sweep", "--input", write_dataset(tmp_path / "toy.csv"), "--k", "2"]
+        if from_file:
+            (tmp_path / "run.conf").write_text(f"noise_grid = {grid}\n")
+            argv += ["--config", str(tmp_path / "run.conf")]
+        else:
+            argv += ["--noise-grid", grid]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--noise-grid ratios must be in [0, 1], got" in captured.err
+        assert captured.out == ""
 
     # every point sets its own intra-class strategy: none is taken or echoed
     def test_intra_flag_rejected(self, tmp_path, capsys):
@@ -358,6 +397,23 @@ class TestBiaslab:
         monkeypatch.setattr(cli, "draw_trials", no_draws)
         assert main(["biaslab", "--trials", "5", "--n-min", "1"]) == 2
         assert "SMOTE1D needs at least two minority points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_empty_alpha_sigmas_fail_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                      from_file):
+        import dube.cli as cli
+
+        def no_draws(cfg):
+            raise AssertionError("trials drawn")
+        monkeypatch.setattr(cli, "draw_trials", no_draws)
+        argv = ["biaslab", "--trials", "5"]
+        if from_file:
+            (tmp_path / "lab.conf").write_text("alpha_sigmas =\n")
+            argv += ["--config", str(tmp_path / "lab.conf")]
+        else:
+            argv += ["--alpha-sigmas", ""]
+        assert main(argv) == 2
+        assert "--alpha-sigmas must be a nonempty list" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_alpha_sigma_fails_before_any_trial(self, capsys, monkeypatch, value):

@@ -196,6 +196,11 @@ class TestDatasetInvariants:
         merged = np.sort(np.concatenate(ds.class_index))
         assert merged.tolist() == list(range(40))
 
+    def test_class_index_is_not_a_constructor_argument(self):
+        # the index is always built from the labels, never taken from a caller
+        with pytest.raises(TypeError, match="class_index"):
+            Dataset(np.zeros((3, 1)), [0, 1, 0], class_index=(np.arange(3),))
+
     def test_features_readonly(self):
         ds = make_gaussian_1d(2, 5, 0, 4, 1, seed=0)
         with pytest.raises(ValueError):
