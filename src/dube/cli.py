@@ -122,24 +122,23 @@ def build_dube_config(options) -> DubeConfig:
 
 def tune_alpha(train: Dataset, cfg: DubeConfig, grid, seed: int) -> float:
     """Pick the grid alpha with the best macro-AUROC on a stratified
-    20% validation split of the training data (ties to the smaller alpha).
-    The grid's ensembles are fitted in lockstep (``dube_fit_lockstep``)."""
+    20% validation split of the training data (ties to the earliest in the
+    grid, so to the smaller alpha in an ascending grid). The grid's
+    ensembles are fitted in lockstep (``dube_fit_lockstep``)."""
     plan = stratified_k_fold(train, 5, rng.child_seed(seed, rng.TUNE))
     inner, validation = plan.split(train, 0)
     tuning = replace(cfg, seed=rng.child_seed(seed, rng.TUNE, 1))
-    best_alpha, best_score = None, -1.0
-    for model in dube_fit_lockstep(inner, tuning, grid):
-        score = macro_auroc(validation.labels, model.predict_proba_many(validation.features))
-        if score > best_score:
-            best_alpha, best_score = model.config.alpha, score
-    return best_alpha
+    scores = [macro_auroc(validation.labels, model.predict_proba_many(validation.features))
+              for model in dube_fit_lockstep(inner, tuning, grid)]
+    return grid[int(np.argmax(scores))]
 
 
-def run_cv_cell(train: Dataset, test: Dataset, base_cfg: DubeConfig, seed: int, alpha_mode):
-    """Fit on train, evaluate on test; returns (EvalReport, alpha, resample ms per iteration)."""
+def run_cv_cell(train: Dataset, test: Dataset, base_cfg: DubeConfig, seed: int, grid):
+    """Fit on train, evaluate on test; returns (EvalReport, alpha, resample ms per iteration).
+    Unless ``grid`` is None, the fit's alpha is first tuned over it (:func:`tune_alpha`)."""
     cfg = replace(base_cfg, seed=rng.child_seed(seed, rng.CELL))
-    if alpha_mode == "auto":
-        cfg = replace(cfg, alpha=tune_alpha(train, cfg, DEFAULT_ALPHA_GRID, seed))
+    if grid is not None:
+        cfg = replace(cfg, alpha=tune_alpha(train, cfg, grid, seed))
     trace = TrainingTrace()
     model = dube_fit(train, cfg, trace)
     probs = model.predict_proba_many(test.features)
@@ -161,14 +160,14 @@ def _cv_job(job):
     """One (point, cell) job of :func:`_cross_validate`, picklable for a worker
     process: it splits the cell's train and test rows from the table ``ds``
     and returns the cell's (repeat, fold, metrics, alpha, resample_ms) or failure."""
-    seed, alpha_mode, (label, cfg, noise), ds, (rep, fold, plan, cell_seed) = job
+    seed, (label, cfg, noise, grid), ds, (rep, fold, plan, cell_seed) = job
     train, test = plan.split(ds, fold)
     try:
         if noise is not None:
             # noise goes into the training split only; the noise seed is
             # shared across points so comparisons are paired
             train = inject_flip_noise(train, noise, rng.child_seed(seed, rng.FLIP, rep, fold))
-        return (rep, fold, *run_cv_cell(train, test, cfg, cell_seed, alpha_mode))
+        return (rep, fold, *run_cv_cell(train, test, cfg, cell_seed, grid))
     except Exception as exc:  # cell failures are reported, not fatal
         return f"{label}repeat={rep} fold={fold}: {exc}"
 
@@ -177,16 +176,17 @@ def _cross_validate(ds: Dataset, options, points, failures: list) -> list:
     """Cross-validate every point over the same repeated stratified cells.
 
     A point is (failure label prefix, DubeConfig, training-noise ratio or
-    None). The (point, cell) jobs run in point-major order, in worker
-    processes if ``options["jobs"]`` > 1; failed cells append their messages
-    to ``failures`` in that order. Each job carries the table and its cell's
+    None, alpha grid that each cell tunes over or None; see :func:`_point`).
+    The (point, cell) jobs run in point-major order, in worker processes if
+    ``options["jobs"]`` > 1; failed cells append their messages to
+    ``failures`` in that order. Each job carries the table and its cell's
     :func:`_cv_cells` record and splits its own rows, so memory holds the
     table, the fold plans and the running cells' copies, never every cell's.
     Returns, per point, the (repeat, fold, metrics, alpha, resample_ms) of
     every cell that succeeded.
     """
     cells = _cv_cells(ds, options)
-    jobs = [(options["seed"], options["alpha"], p, ds, cell) for p in points for cell in cells]
+    jobs = [(options["seed"], p, ds, cell) for p in points for cell in cells]
     if options["jobs"] <= 1:
         outcomes = [_cv_job(job) for job in jobs]  # in this process, where a tracer can see it
     else:
@@ -217,6 +217,13 @@ def _mean_std(results) -> list:
     return stats
 
 
+def _point(label: str, options, noise):
+    """The :func:`_cross_validate` point of ``options``: under ``--alpha auto``
+    each of its cells tunes alpha over :data:`DEFAULT_ALPHA_GRID`."""
+    grid = DEFAULT_ALPHA_GRID if options["alpha"] == "auto" else None
+    return label, build_dube_config(options), noise, grid
+
+
 def _require(condition, message):
     if not condition:
         raise CliError(message)
@@ -240,7 +247,7 @@ def _config_line(command: str, options) -> str:
 
 def run_bench(options) -> Report:
     ds = _load_input(options)
-    point = ("", build_dube_config(options), None)
+    point = _point("", options, None)
     report = Report("bench", _config_line("bench", options),
                     ["kind", "repeat", "fold", "alpha", "macro_f1", "mcc", "macro_auroc"])
     [results] = _cross_validate(ds, options, [point], report.failures)
@@ -277,8 +284,7 @@ def run_noise_sweep(options) -> Report:
                     ["noise_ratio", "intra", "macro_f1_mean", "macro_f1_std",
                      "mcc_mean", "mcc_std", "macro_auroc_mean", "macro_auroc_std"])
     grid = [(r, intra) for r in options["noise_grid"] for intra in ("uniform", "hem", "shem")]
-    points = [(f"r={r} intra={intra} ", build_dube_config({**options, "intra": intra}), r)
-              for r, intra in grid]
+    points = [_point(f"r={r} intra={intra} ", {**options, "intra": intra}, r) for r, intra in grid]
     for (r, intra), results in zip(grid, _cross_validate(ds, options, points, report.failures)):
         if results:
             report.rows.append([r, intra] + _mean_std(results))
@@ -288,28 +294,30 @@ def run_noise_sweep(options) -> Report:
 def run_param_sweep(options) -> Report:
     ds = _load_input(options)
     alpha_grid, bins_grid = options.get("alpha_grid"), options.get("bins_grid")
-    _require(bool(alpha_grid) != bool(bins_grid),
+    _require((alpha_grid is None) != (bins_grid is None),
              "exactly one of --alpha-grid / --bins-grid is required")
     _require(options["alpha"] != "auto",
              "param-sweep takes no --alpha auto; use --alpha-grid ... --select")
-    _require(not bins_grid or options["intra"] == "shem",
+    _require(bins_grid is None or options["intra"] == "shem",
              "--bins-grid sweeps SHEM histogram bins; it needs --intra shem")
-    _require(not (bins_grid and options.get("select")),
+    _require(bins_grid is None or not options.get("select"),
              "--select picks an alpha; it needs --alpha-grid, not --bins-grid")
-    param = "alpha" if alpha_grid else "bins"
-    grid = alpha_grid or bins_grid
+    param, grid = ("alpha", alpha_grid) if bins_grid is None else ("bins", bins_grid)
+    _require(grid, f"--{param}-grid must be a nonempty list")
+    for i, value in enumerate(grid):  # a repeated point would be fitted and reported twice
+        _require(value not in grid[:i], f"--{param}-grid repeats the value {value}")
     report = Report("param-sweep", _config_line("param-sweep", options) + f" grid={param}:{grid}",
                     ["kind", param, "macro_f1_mean", "macro_f1_std",
                      "mcc_mean", "mcc_std", "macro_auroc_mean", "macro_auroc_std"])
-    points = [(f"{param}={value} ", build_dube_config({**options, param: value}), None)
-              for value in grid]
-    for value, results in zip(grid, _cross_validate(ds, options, points, report.failures)):
-        if results:
-            report.rows.append(["grid", value] + _mean_std(results))
-    if param == "alpha" and options.get("select"):
-        chosen = [tune_alpha(plan.split(ds, fold)[0], build_dube_config(options), grid, cell_seed)
-                  for _, fold, plan, cell_seed in _cv_cells(ds, options)]
-        report.rows.append(["selected", float(np.median(chosen)), "", "", "", "", "", ""])
+    points = [_point(f"{param}={value} ", {**options, param: value}, None) for value in grid]
+    if options.get("select"):  # each cell tunes alpha over the grid, as under --alpha auto
+        points.append(("selected ", build_dube_config(options), None, grid))
+    for i, cells in enumerate(_cross_validate(ds, options, points, report.failures)):
+        if cells and i < len(grid):
+            report.rows.append(["grid", grid[i]] + _mean_std(cells))
+        elif cells:  # the selected point, at the median of its cells' tuned alphas
+            chosen = [alpha for _, _, _, alpha, _ in cells]
+            report.rows.append(["selected", float(np.median(chosen))] + _mean_std(cells))
     return report
 
 

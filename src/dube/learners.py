@@ -540,10 +540,9 @@ def _level_splits(Xs, ys, starts, seg, counts, min_leaf, entropy, scratch):
 
 
 def _xlog2x(p):
-    out = np.zeros_like(p)
-    nz = p > 0
-    out[nz] = p[nz] * np.log2(p[nz])
-    return out
+    """p * log2(p), and 0 where p is 0: the log is taken only where p > 0,
+    into an array of zeros."""
+    return p * np.log2(p, out=np.zeros_like(p), where=p > 0)
 
 
 def knn_fit(ds: Dataset, k_neighbors: int) -> KnnClassifier:

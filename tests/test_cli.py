@@ -11,9 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dube import Dataset, load_csv, class_counts, make_overlap_2d
-from dube.cli import (CliError, build_dube_config, build_parser, main, resolve_options,
-                      run_bench, run_biaslab, run_noise_sweep, run_param_sweep, run_synth,
-                      _COMMANDS, _DEFAULTS, _cv_cells, _cv_job, _read_config_file)
+from dube.cli import (CliError, DEFAULT_ALPHA_GRID, build_dube_config, build_parser, main,
+                      resolve_options, run_bench, run_biaslab, run_noise_sweep, run_param_sweep,
+                      run_synth, _COMMANDS, _DEFAULTS, _cv_cells, _cv_job, _read_config_file)
 
 
 def options(command, **overrides):
@@ -73,7 +73,8 @@ class TestBench:
         # worker processes receive each job and return its result pickled
         opts = options("bench", input=write_dataset(tmp_path / "toy.csv"), k=2, folds=2, seed=5)
         ds = load_csv(opts["input"], "label")
-        job = (opts["seed"], "auto", ("", build_dube_config(opts), 0.1), ds, _cv_cells(ds, opts)[0])
+        point = ("", build_dube_config(opts), 0.1, DEFAULT_ALPHA_GRID)
+        job = (opts["seed"], point, ds, _cv_cells(ds, opts)[0])
         result = _cv_job(job)
         assert isinstance(result, tuple), result  # a string is a failed cell
         # the last field holds wall-clock resample times
@@ -93,7 +94,7 @@ class TestBench:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            [results] = cli._cross_validate(ds, opts, [("", None, None)], [])
+            [results] = cli._cross_validate(ds, opts, [("", None, None, None)], [])
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -285,6 +286,73 @@ class TestParamSweep:
         selected = [row for row in report.rows if row[0] == "selected"]
         assert len(selected) == 1
         assert selected[0][1] in (0.0, 0.15, 0.3)  # median of per-cell choices
+
+    def test_selected_cells_equal_the_grid_cells_at_their_alphas(self, tmp_path, monkeypatch):
+        # a selected cell is fitted like an --alpha auto cell: with the alpha
+        # it tuned, from the same cell seed as the grid point at that alpha
+        import dube.cli as cli
+        calls, original = [], cli._cross_validate
+        monkeypatch.setattr(cli, "_cross_validate",
+                            lambda *args: calls.append(original(*args)) or calls[-1])
+        path = write_dataset(tmp_path / "toy.csv", n_min=30, n_maj=120, seed=3)
+        grid = [0.0, 0.2, 0.4]
+        report = run_param_sweep(options("param-sweep", input=path, k=3, folds=3, seed=1,
+                                         alpha_grid=grid, select=True))
+        [(*grid_results, selected)] = calls
+        assert len(selected) == 3 and len({alpha for _, _, _, alpha, _ in selected}) == 2
+        for rep, fold, metrics, alpha, _ in selected:
+            [match] = [r[2] for r in grid_results[grid.index(alpha)] if r[:2] == (rep, fold)]
+            assert pickle.dumps(match) == pickle.dumps(metrics)
+        assert report.rows[-1][0] == "selected" and len(report.rows[-1]) == 8
+
+    def test_select_body_is_the_same_under_jobs(self, tmp_path):
+        path = write_dataset(tmp_path / "toy.csv", n_min=40, n_maj=160)
+        opts = options("param-sweep", input=path, k=2, folds=3, seed=4,
+                       alpha_grid=[0.0, 0.3], select=True)
+        serial = run_param_sweep(opts)
+        parallel = run_param_sweep({**opts, "jobs": 2})
+        assert serial.rows[-1][0] == "selected"
+        assert serial.body() == parallel.body()
+
+    def test_select_fails_cell_by_cell(self, tmp_path, capsys):
+        # alpha 1e308 makes perturb non-finite: its grid cells fail, and so do
+        # the selected cells, whose tuning fits it in lockstep with alpha 0
+        path = write_dataset(tmp_path / "toy.csv")
+        code = main(["param-sweep", "--input", path, "--k", "2", "--folds", "3",
+                     "--alpha-grid", "0,1e308", "--select"])
+        out = capsys.readouterr().out
+        assert code == 1
+        rows = [line for line in out.splitlines() if not line.startswith("#")]
+        assert [row.split(",")[:2] for row in rows[1:]] == [["grid", "0.0"]]
+        failed = [line for line in out.splitlines() if line.startswith("# failed:")]
+        assert [line.split(" repeat=")[0] for line in failed] == \
+            ["# failed: alpha=1e+308"] * 3 + ["# failed: selected"] * 3
+        assert all("non-finite" in line for line in failed)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("alpha-grid", "", "must be a nonempty list"),
+        ("bins-grid", "", "must be a nonempty list"),
+        ("alpha-grid", "0.1,0.3,0.10", "repeats the value 0.1"),
+        ("alpha-grid", "0,-0", "repeats the value -0.0"),  # the same perturbation
+        ("bins-grid", "3,1,3", "repeats the value 3")])
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_empty_or_repeating_grid_fails_before_any_cell(
+            self, tmp_path, capsys, monkeypatch, key, value, message, from_file):
+        import dube.cli as cli
+
+        def no_cells(*args):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(cli, "run_cv_cell", no_cells)
+        argv = ["param-sweep", "--input", write_dataset(tmp_path / "toy.csv"), "--k", "2"]
+        if from_file:
+            (tmp_path / "run.conf").write_text(f"{key} = {value}\n")
+            argv += ["--config", str(tmp_path / "run.conf")]
+        else:
+            argv += [f"--{key}", value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: --{key} {message}" in captured.err
+        assert captured.out == ""
 
     def test_single_bin_equals_uniform_exactly(self, tmp_path):
         # SHEM with one bin assigns weight 1.0 everywhere, consuming the

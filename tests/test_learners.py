@@ -14,6 +14,7 @@ from dube.learners import (KnnClassifier, KnnParams, TreeClassifier, TreeParams,
                            learner_from_dict, knn_fit, tree_fit)
 from knn_reference import (blocked_distances, blocked_knn_predict_proba_many,
                            reference_knn_predict_proba_many)
+from tree_reference import _xlog2x as masked_xlog2x
 from tree_reference import reference_predict_proba_many, reference_tree_fit
 
 
@@ -258,6 +259,30 @@ class TestPresort:
             assert (np.sort(rows, axis=1) == np.arange(n)).all()  # each row a permutation
             assert (part[:, 1:] >= part[:, :-1]).all()
             assert part.tobytes() == np.take_along_axis(X[r].T, rows, axis=1).tobytes()
+
+
+@st.composite
+def class_fractions(draw):
+    """A (d, n) array of class fractions c / n_rows as the entropy search
+    forms them, with zeros and ones among them, or of any floats in [0, 1]."""
+    d, n = draw(st.integers(1, 20)), draw(st.integers(1, 2000))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rows = gen.integers(1, draw(st.sampled_from([2, 10, 10**6])) + 1, (d, n))
+        return np.floor(gen.random((d, n)) * (rows + 1)) / rows
+    p = gen.random((d, n))
+    p[gen.random((d, n)) < 0.2] = gen.choice([0.0, 1.0, 5e-324, 1.0 - 2**-53])
+    return p
+
+
+class TestXlog2x:
+    """The entropy search's p * log2(p) equals the reference builder's
+    masked form bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(class_fractions())
+    def test_equals_the_masked_form(self, p):
+        assert learners._xlog2x(p).tobytes() == masked_xlog2x(p).tobytes()
 
 
 @st.composite

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dube import Dataset, class_covariance, perturb, rng
-from dube.pbda import _psd_factor
+from dube import Dataset, DatasetError, class_covariance, perturb, rng
+from dube.pbda import ClassCovariance, _psd_factor
 
 
 def dataset(X, y, m=None):
@@ -125,6 +127,71 @@ class TestPerturb:
                             lambda cov: calls.append(cov) or _psd_factor(cov))
         dube_fit(make_overlap_2d(20, 80, "mid", seed=0), DubeConfig(k=6, alpha=0.2))
         assert len(calls) == 2  # one per class, not one per (iteration, class)
+
+
+@st.composite
+def stacks(draw, scales=(0.0, 0.05, 0.3, 1.0, 2.5), values=None):
+    """A (K, n, d) stack of blocks, one scale per block, a covariance of
+    one class (zero in some draws) and a seed. ``values``, if given, are
+    placed at random in the blocks."""
+    K, n, d = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = gen.normal(0, 10, (K, n, d))
+    if values:
+        stack[gen.random((K, n, d)) < 0.3] = gen.choice(values)
+    alphas = draw(st.lists(st.sampled_from(scales), min_size=K, max_size=K))
+    A = gen.normal(size=(d, d)) * draw(st.sampled_from([0.0, 0.1, 1.0, 3.0]))
+    cov = ClassCovariance(draw(st.integers(0, 5)), np.zeros(d), A @ A.T, 10)
+    return stack, alphas, cov, draw(st.integers(0, 2**32 - 1))
+
+
+class TestPerturbStack:
+    """The lockstep contract: a stack perturbed with one scale per block
+    equals one call per block, and shares one noise draw among them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacks())
+    def test_each_block_as_if_perturbed_alone(self, problem):
+        stack, alphas, cov, seed = problem
+        out = perturb(stack, alphas, cov, seed)
+        assert out.shape == stack.shape
+        for k, alpha in enumerate(alphas):
+            assert out[k].tobytes() == perturb(stack[k], alpha, cov, seed).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacks())
+    def test_a_zero_scale_returns_its_block_unchanged(self, problem):
+        stack, alphas, cov, seed = problem
+        out = perturb(stack, alphas, cov, seed)
+        for k, alpha in enumerate(alphas):
+            if alpha == 0.0:
+                assert out[k].tobytes() == stack[k].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacks(), st.data())
+    def test_other_blocks_do_not_move(self, problem, data):
+        stack, alphas, cov, seed = problem
+        j = data.draw(st.integers(0, len(alphas) - 1))
+        changed = stack.copy()
+        changed[j] = np.random.default_rng(seed).normal(0, 100, stack[j].shape)
+        before, after = perturb(stack, alphas, cov, seed), perturb(changed, alphas, cov, seed)
+        for k in range(len(alphas)):
+            if k != j:
+                assert after[k].tobytes() == before[k].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacks(scales=(0.0, 1.0, 1e300, 1e308), values=(1e308, -1.7e308)))
+    def test_a_non_finite_result_raises_naming_the_class(self, problem):
+        stack, alphas, cov, seed = problem
+        noise = rng.stream(seed, rng.PERTURB).standard_normal(stack.shape[1:]) @ cov.factor.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = all(np.isfinite(block + alpha * noise).all() or alpha == 0.0
+                         for block, alpha in zip(stack, alphas))
+        if finite:
+            assert np.isfinite(perturb(stack, alphas, cov, seed)).all()
+        else:
+            with pytest.raises(DatasetError, match=f"perturbing class {cov.class_id} "):
+                perturb(stack, alphas, cov, seed)
 
 
 class TestPsdFactor:
