@@ -294,7 +294,7 @@ class TestParamSweep:
         calls, original = [], cli._cross_validate
         monkeypatch.setattr(cli, "_cross_validate",
                             lambda *args: calls.append(original(*args)) or calls[-1])
-        path = write_dataset(tmp_path / "toy.csv", n_min=30, n_maj=120, seed=3)
+        path = write_dataset(tmp_path / "toy.csv")  # the golden files' table
         grid = [0.0, 0.2, 0.4]
         report = run_param_sweep(options("param-sweep", input=path, k=3, folds=3, seed=1,
                                          alpha_grid=grid, select=True))
