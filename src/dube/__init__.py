@@ -11,7 +11,7 @@ max-margin boundary on 1-D two-Gaussian toys.
 from .balancing import (InterCBStrategy, IntraCBStrategy, hem_weights, resample_step,
                         shem_weights, target_class_size, weighted_resample)
 from .biaslab import (BiasTrialReport, BoundCheck, ToyConfig, check_pbda_bound,
-                      run_bias_trials)
+                      draw_trials, run_bias_trials)
 from .dataset import (Dataset, DatasetError, FoldPlan, class_counts,
                       inject_flip_noise, load_csv, make_gaussian_1d,
                       make_overlap_2d, stratified_k_fold)
@@ -31,7 +31,7 @@ __all__ = [
     "EvalReport", "FoldPlan", "InterCBStrategy", "IntraCBStrategy",
     "KnnParams", "RNG_ALGORITHM", "ToyConfig", "TrainingTrace",
     "TreeParams", "check_pbda_bound", "class_counts",
-    "class_covariance", "confusion_matrix", "dube_fit",
+    "class_covariance", "confusion_matrix", "draw_trials", "dube_fit",
     "evaluate", "fit_learner", "hem_weights",
     "inject_flip_noise", "knn_fit", "load_csv", "load_model",
     "macro_auroc", "macro_f1", "make_gaussian_1d", "make_overlap_2d",

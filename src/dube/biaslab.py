@@ -174,22 +174,18 @@ def _smote_draws(points, k, n_new, gen):
     return base + u * (points[picks] - base)
 
 
-def run_bias_trials(cfg: ToyConfig, strategy: str, alpha_sigma: float = 0.0,
-                    draws: TrialDraws | None = None) -> BiasTrialReport:
-    """Mean and variance of the decision bias over seeded trials.
+def run_bias_trials(draws: TrialDraws, strategy: str, alpha_sigma: float = 0.0) -> BiasTrialReport:
+    """Mean and variance of the decision bias over the trials of ``draws``
+    (from :func:`draw_trials`, whose config ``draws.cfg`` the row runs on).
 
     ``alpha_sigma`` is the standard deviation of the isotropic noise
-    added to every resampled point (0 disables perturbation). ``draws``
-    are the trials from :func:`draw_trials` for this same cfg, shared
-    with other rows; ``None`` draws them here. The decision boundary is
+    added to every resampled point (0 disables perturbation). Rows run on
+    one ``draws`` are paired trial by trial. The decision boundary is
     the max-margin midpoint between the rightmost minority point and the
     leftmost majority point of the processed sample.
     """
+    cfg = draws.cfg
     validate_row(cfg, strategy, alpha_sigma)
-    if draws is None:
-        draws = draw_trials(cfg)
-    elif draws.cfg != cfg:
-        raise ValueError("draws were made for a different ToyConfig")
     if strategy == "none" and alpha_sigma == 0:
         boundaries = (draws.x_min.max(axis=1) + draws.x_maj.min(axis=1)) / 2.0
     else:

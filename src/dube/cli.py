@@ -229,6 +229,15 @@ def _require(condition, message):
         raise CliError(message)
 
 
+def _distinct(flag: str, values: list) -> list:
+    """``values``, given as ``--flag``; CliError if the list is empty or
+    repeats a value (a repeated value would be run and reported twice)."""
+    _require(values, f"--{flag} must be a nonempty list")
+    for i, value in enumerate(values):
+        _require(value not in values[:i], f"--{flag} repeats the value {value}")
+    return values
+
+
 def _load_input(options) -> Dataset:
     """The --input table of a cross-validating command, once --folds,
     --repeats and --jobs are checked."""
@@ -277,8 +286,7 @@ def run_bench(options) -> Report:
 def run_noise_sweep(options) -> Report:
     ds = _load_input(options)
     _require(ds.m == 2, "noise sweep needs a binary dataset")
-    _require(options["noise_grid"], "--noise-grid must be a nonempty list")
-    for r in options["noise_grid"]:
+    for r in _distinct("noise-grid", options["noise_grid"]):
         _require(0 <= r <= 1, f"--noise-grid ratios must be in [0, 1], got {r}")
     report = Report("noise-sweep", _config_line("noise-sweep", options),
                     ["noise_ratio", "intra", "macro_f1_mean", "macro_f1_std",
@@ -303,9 +311,7 @@ def run_param_sweep(options) -> Report:
     _require(bins_grid is None or not options.get("select"),
              "--select picks an alpha; it needs --alpha-grid, not --bins-grid")
     param, grid = ("alpha", alpha_grid) if bins_grid is None else ("bins", bins_grid)
-    _require(grid, f"--{param}-grid must be a nonempty list")
-    for i, value in enumerate(grid):  # a repeated point would be fitted and reported twice
-        _require(value not in grid[:i], f"--{param}-grid repeats the value {value}")
+    _distinct(f"{param}-grid", grid)
     report = Report("param-sweep", _config_line("param-sweep", options) + f" grid={param}:{grid}",
                     ["kind", param, "macro_f1_mean", "macro_f1_std",
                      "mcc_mean", "mcc_std", "macro_auroc_mean", "macro_auroc_std"])
@@ -322,7 +328,7 @@ def run_param_sweep(options) -> Report:
 
 
 def run_biaslab(options) -> Report:
-    _require(options["alpha_sigmas"], "--alpha-sigmas must be a nonempty list")
+    _distinct("alpha-sigmas", options["alpha_sigmas"])
     cfg = ToyConfig(**{f.name: options[f.name] for f in fields(ToyConfig)})
     report = Report("biaslab", _config_line("biaslab", options),
                     ["strategy", "alpha", "mean_bias", "var_bias", "trials"])
@@ -332,7 +338,7 @@ def run_biaslab(options) -> Report:
         validate_row(cfg, strategy, alpha_sigma)
     draws = draw_trials(cfg)  # every row resumes the same trials
     for strategy, alpha_sigma in rows:
-        res = run_bias_trials(cfg, strategy, alpha_sigma, draws)
+        res = run_bias_trials(draws, strategy, alpha_sigma)
         report.rows.append([strategy, alpha_sigma, res.mean_bias, res.var_bias, res.trials])
     bound_rows = []
     for n_rep in (2, 4, 16):
@@ -499,7 +505,7 @@ def _read_config_file(path, command: Command) -> dict:
     settings = {s.name: s for s in command.echoed + command.rest}
     values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc

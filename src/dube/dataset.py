@@ -114,7 +114,8 @@ def class_counts(ds: Dataset) -> np.ndarray:
 
 
 def load_csv(path, label_column) -> Dataset:
-    """Load a comma-separated UTF-8 table into a :class:`Dataset`.
+    """Load a comma-separated UTF-8 table into a :class:`Dataset`; a
+    leading byte-order mark is skipped.
 
     Feature cells must parse as finite reals; the label column may hold
     arbitrary strings, mapped to dense class ids by first appearance in
@@ -140,7 +141,7 @@ def load_csv(path, label_column) -> Dataset:
         file, or a single distinct label (at least two classes are required).
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             raw = [row for row in csv.reader(fh)
                    if row and any(cell.strip() for cell in row)
                    and not row[0].lstrip().startswith("#")]
@@ -241,8 +242,6 @@ def inject_flip_noise(ds: Dataset, r: float, seed: int) -> Dataset:
     minority = int(np.argmin(counts))
     majority = 1 - minority
     flips = int(math.floor(r * counts[minority]))
-    if flips > counts[majority]:
-        raise DatasetError("flip count exceeds majority class size")
     if flips == 0:
         return ds
     gen = rng.stream(seed, rng.FLIP)

@@ -88,10 +88,6 @@ class EnsembleModel(_Classifier):
         self.d = int(d)
         self.config = config
 
-    @property
-    def k(self) -> int:
-        return len(self.members)
-
     def predict_proba_many(self, X) -> np.ndarray:
         """Arithmetic mean of member probability rows."""
         X = self._rows(X)
@@ -99,9 +95,6 @@ class EnsembleModel(_Classifier):
         for member in self.members:
             total += member.predict_proba_many(X)
         return total / len(self.members)
-
-    def predict(self, x) -> int:
-        return int(np.argmax(self.predict_proba(x)))
 
 
 def dube_fit(ds: Dataset, cfg: DubeConfig, trace: TrainingTrace | None = None) -> EnsembleModel:

@@ -2,10 +2,10 @@
 neighbors.
 
 Both expose the same surface after fitting: ``m`` (class count), ``d``
-(feature count), ``predict_proba`` for a single vector and
-``predict_proba_many`` for a row batch. Probability vectors are
-nonnegative and sum to one within 1e-9. Fitting is deterministic given
-the training data and hyperparameters.
+(feature count) and one prediction method, ``predict_proba_many``, which
+takes a row batch or one feature vector as a one-row batch. Probability
+vectors are nonnegative and sum to one within 1e-9. Fitting is
+deterministic given the training data and hyperparameters.
 """
 
 from __future__ import annotations
@@ -83,13 +83,6 @@ class _Classifier:
 
     m: int
     d: int
-
-    def predict_proba(self, x) -> np.ndarray:
-        """Class-probability vector for one feature vector."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.d,):
-            raise ValueError(f"expected vector of length {self.d}, got shape {x.shape}")
-        return self.predict_proba_many(x[None])[0]
 
     def predict_proba_many(self, X) -> np.ndarray:
         raise NotImplementedError

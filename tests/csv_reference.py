@@ -20,7 +20,7 @@ from dube.dataset import Dataset, DatasetError
 def reference_load_csv(path, label_column) -> Dataset:
     """Load a CSV table converting one cell at a time."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             raw = [row for row in csv.reader(fh)
                    if row and any(cell.strip() for cell in row)
                    and not row[0].lstrip().startswith("#")]

@@ -14,7 +14,7 @@ import pytest
 
 from dube import rng
 from dube.balancing import InterCBStrategy, IntraCBStrategy, resample_step, shem_weights
-from dube.biaslab import ToyConfig, check_pbda_bound, run_bias_trials
+from dube.biaslab import ToyConfig, check_pbda_bound, draw_trials, run_bias_trials
 from dube.cli import run_bench, run_biaslab, run_noise_sweep, run_synth, _DEFAULTS
 from dube.metrics import binary_auroc, confusion_matrix, macro_auroc, mcc
 
@@ -44,8 +44,9 @@ def test_criterion_1_ros_boundary_invariance():
         x_maj = gen.normal(cfg.mu_maj, cfg.sigma, cfg.n_maj)
         x_min = gen.normal(cfg.mu_min, cfg.sigma, cfg.n_min)
         assert x_min.max() < x_maj.min(), "toy dataset must be separable"
-        baseline = run_bias_trials(cfg, "none").mean_bias
-        ros = run_bias_trials(cfg, "ROS", alpha_sigma=0.0).mean_bias
+        draws = draw_trials(cfg)
+        baseline = run_bias_trials(draws, "none").mean_bias
+        ros = run_bias_trials(draws, "ROS", alpha_sigma=0.0).mean_bias
         assert ros == baseline, f"dataset {i}: ROS bias {ros!r} != baseline {baseline!r}"
         checked += 1
     elapsed = time.perf_counter() - started
@@ -60,8 +61,9 @@ def test_criterion_2_rus_bias_reduction():
     started = time.perf_counter()
     cfg = ToyConfig(n_min=3, n_maj=15, mu_min=0.0, mu_maj=4.0, sigma=1.0,
                     trials=10_000, seed=2000)
-    baseline = run_bias_trials(cfg, "none").mean_bias
-    rus = run_bias_trials(cfg, "RUS").mean_bias
+    draws = draw_trials(cfg)
+    baseline = run_bias_trials(draws, "none").mean_bias
+    rus = run_bias_trials(draws, "RUS").mean_bias
     elapsed = time.perf_counter() - started
     ok = rus < 0.6 * baseline and elapsed < 5.0
     detail = (f"mean bias RUS {rus:.4f} vs required < 0.6 x {baseline:.4f} = "
@@ -75,9 +77,10 @@ def test_criterion_3_pbda_ordering():
     started = time.perf_counter()
     cfg = ToyConfig(n_min=3, n_maj=15, mu_min=0.0, mu_maj=4.0, sigma=1.0,
                     trials=10_000, seed=3000)
-    rus = run_bias_trials(cfg, "RUS", alpha_sigma=0.2).mean_bias
-    ros = run_bias_trials(cfg, "ROS", alpha_sigma=0.2).mean_bias
-    rhs = run_bias_trials(cfg, "RHS", alpha_sigma=0.2).mean_bias
+    draws = draw_trials(cfg)
+    rus = run_bias_trials(draws, "RUS", alpha_sigma=0.2).mean_bias
+    ros = run_bias_trials(draws, "ROS", alpha_sigma=0.2).mean_bias
+    rhs = run_bias_trials(draws, "RHS", alpha_sigma=0.2).mean_bias
     elapsed = time.perf_counter() - started
     ok = rhs < ros and rhs < rus and elapsed < 10.0
     detail = (f"RHS+noise {rhs:.4f} vs ROS+noise {ros:.4f} (ok={rhs < ros}) "

@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biaslab_reference import d_max, max_margin_1d, reference_run_bias_trials, smote_1d
-from dube import biaslab, rng
+from dube import rng
 from dube.biaslab import (BIAS_STRATEGIES, ToyConfig, check_pbda_bound, draw_trials,
                           pbda_bound_values, run_bias_trials)
 
@@ -80,51 +82,51 @@ class TestSmote1d:
 
 class TestRunBiasTrials:
     def test_ros_without_noise_equals_baseline_exactly(self):
-        cfg = ToyConfig(**FIG_TOY, trials=400, seed=9)
-        baseline = run_bias_trials(cfg, "none")
-        ros = run_bias_trials(cfg, "ROS", alpha_sigma=0.0)
+        draws = draw_trials(ToyConfig(**FIG_TOY, trials=400, seed=9))
+        baseline = run_bias_trials(draws, "none")
+        ros = run_bias_trials(draws, "ROS", alpha_sigma=0.0)
         assert ros.mean_bias == baseline.mean_bias
         assert ros.var_bias == baseline.var_bias
 
     def test_smote_without_noise_equals_baseline_exactly(self):
-        cfg = ToyConfig(**FIG_TOY, trials=400, seed=9)
-        baseline = run_bias_trials(cfg, "none")
-        smote = run_bias_trials(cfg, "SMOTE1D", alpha_sigma=0.0)
+        draws = draw_trials(ToyConfig(**FIG_TOY, trials=400, seed=9))
+        baseline = run_bias_trials(draws, "none")
+        smote = run_bias_trials(draws, "SMOTE1D", alpha_sigma=0.0)
         assert smote.mean_bias == baseline.mean_bias
 
     def test_rus_strictly_reduces_mean_bias(self):
-        cfg = ToyConfig(**FIG_TOY, trials=4000, seed=10)
-        baseline = run_bias_trials(cfg, "none")
-        rus = run_bias_trials(cfg, "RUS")
+        draws = draw_trials(ToyConfig(**FIG_TOY, trials=4000, seed=10))
+        baseline = run_bias_trials(draws, "none")
+        rus = run_bias_trials(draws, "RUS")
         assert rus.mean_bias < baseline.mean_bias
 
     def test_rhs_reduces_mean_bias(self):
-        cfg = ToyConfig(**FIG_TOY, trials=4000, seed=11)
-        baseline = run_bias_trials(cfg, "none")
-        rhs = run_bias_trials(cfg, "RHS")
+        draws = draw_trials(ToyConfig(**FIG_TOY, trials=4000, seed=11))
+        baseline = run_bias_trials(draws, "none")
+        rhs = run_bias_trials(draws, "RHS")
         assert rhs.mean_bias < baseline.mean_bias
 
     def test_pbda_improves_replication_strategies_not_rus(self):
-        cfg = ToyConfig(**FIG_TOY, trials=6000, seed=12)
-        ros = run_bias_trials(cfg, "ROS").mean_bias
-        ros_p = run_bias_trials(cfg, "ROS", alpha_sigma=0.2).mean_bias
-        rhs = run_bias_trials(cfg, "RHS").mean_bias
-        rhs_p = run_bias_trials(cfg, "RHS", alpha_sigma=0.2).mean_bias
-        rus = run_bias_trials(cfg, "RUS").mean_bias
-        rus_p = run_bias_trials(cfg, "RUS", alpha_sigma=0.2).mean_bias
+        draws = draw_trials(ToyConfig(**FIG_TOY, trials=6000, seed=12))
+        ros = run_bias_trials(draws, "ROS").mean_bias
+        ros_p = run_bias_trials(draws, "ROS", alpha_sigma=0.2).mean_bias
+        rhs = run_bias_trials(draws, "RHS").mean_bias
+        rhs_p = run_bias_trials(draws, "RHS", alpha_sigma=0.2).mean_bias
+        rus = run_bias_trials(draws, "RUS").mean_bias
+        rus_p = run_bias_trials(draws, "RUS", alpha_sigma=0.2).mean_bias
         assert ros_p < ros
         assert rhs_p < rhs
         assert rus_p >= rus  # no duplicated support points to spread
 
     def test_single_trial_degenerate_variance(self):
-        report = run_bias_trials(ToyConfig(**FIG_TOY, trials=1, seed=3), "RUS")
+        report = run_bias_trials(draw_trials(ToyConfig(**FIG_TOY, trials=1, seed=3)), "RUS")
         assert report.var_bias == 0.0
         assert report.mean_bias >= 0.0
 
     def test_baseline_trial_bias_matches_max_margin_op(self):
         # the trial loop's inline boundary is exactly the max-margin op
         cfg = ToyConfig(**FIG_TOY, trials=1, seed=21)
-        report = run_bias_trials(cfg, "none")
+        report = run_bias_trials(draw_trials(cfg), "none")
         gen = rng.stream(cfg.seed, rng.TRIAL, 0)
         x_maj = gen.normal(cfg.mu_maj, cfg.sigma, cfg.n_maj)
         x_min = gen.normal(cfg.mu_min, cfg.sigma, cfg.n_min)
@@ -135,7 +137,7 @@ class TestRunBiasTrials:
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy"):
-            run_bias_trials(ToyConfig(**FIG_TOY, trials=1, seed=0), "tomek")
+            run_bias_trials(draw_trials(ToyConfig(**FIG_TOY, trials=1, seed=0)), "tomek")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -149,28 +151,17 @@ class TestRunBiasTrials:
         with pytest.raises(ValueError, match="must be finite"):
             ToyConfig(**{field: value})
 
-    def test_smote_needs_two_minority_points_before_any_draw(self, monkeypatch):
-        def no_draws(cfg):
-            raise AssertionError("trials drawn")
-        monkeypatch.setattr(biaslab, "draw_trials", no_draws)
+    def test_smote_needs_two_minority_points_before_any_draw(self):
+        # draws holding only a config: reading any trial would raise AttributeError
+        undrawn = SimpleNamespace(cfg=ToyConfig(**dict(FIG_TOY, n_min=1), trials=5, seed=0))
         with pytest.raises(ValueError, match="SMOTE1D needs at least two minority points"):
-            run_bias_trials(ToyConfig(**dict(FIG_TOY, n_min=1), trials=5, seed=0), "SMOTE1D")
+            run_bias_trials(undrawn, "SMOTE1D")
 
     @pytest.mark.parametrize("alpha_sigma", [float("nan"), float("inf"), -0.5])
-    def test_bad_alpha_sigma_rejected_before_any_draw(self, monkeypatch, alpha_sigma):
-        def no_draws(cfg):
-            raise AssertionError("trials drawn")
-        monkeypatch.setattr(biaslab, "draw_trials", no_draws)
+    def test_bad_alpha_sigma_rejected_before_any_draw(self, alpha_sigma):
+        undrawn = SimpleNamespace(cfg=ToyConfig(**FIG_TOY, trials=5, seed=0))
         with pytest.raises(ValueError, match="alpha_sigma must be finite and >= 0"):
-            run_bias_trials(ToyConfig(**FIG_TOY, trials=5, seed=0), "ROS", alpha_sigma)
-
-    def test_draws_for_another_config_rejected(self):
-        cfg = ToyConfig(**FIG_TOY, trials=5, seed=0)
-        draws = draw_trials(cfg)
-        for other in (ToyConfig(**FIG_TOY, trials=5, seed=1),
-                      ToyConfig(**FIG_TOY, trials=6, seed=0)):
-            with pytest.raises(ValueError, match="different ToyConfig"):
-                run_bias_trials(other, "RUS", draws=draws)
+            run_bias_trials(undrawn, "ROS", alpha_sigma)
 
     def test_draws_are_read_only(self):
         draws = draw_trials(ToyConfig(**FIG_TOY, trials=3, seed=0))
@@ -187,12 +178,10 @@ class TestSharedDrawsMatchReference:
         draws = draw_trials(cfg)  # one set for all rows, in the CLI's row order
         for strategy in BIAS_STRATEGIES:
             for alpha_sigma in (0.0, 0.2):
-                shared = run_bias_trials(cfg, strategy, alpha_sigma, draws)
-                own = run_bias_trials(cfg, strategy, alpha_sigma)
+                got = run_bias_trials(draws, strategy, alpha_sigma)
                 ref = reference_run_bias_trials(cfg, strategy, alpha_sigma)
-                for got in (shared, own):
-                    assert (got.mean_bias, got.var_bias) == (ref.mean_bias, ref.var_bias), \
-                        (strategy, alpha_sigma)
+                assert (got.mean_bias, got.var_bias) == (ref.mean_bias, ref.var_bias), \
+                    (strategy, alpha_sigma)
 
 
 class TestPbdaBound:

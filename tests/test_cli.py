@@ -186,6 +186,27 @@ class TestNoiseSweep:
         assert "--noise-grid ratios must be in [0, 1], got" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("grid, message", [("", "must be a nonempty list"),
+                                               ("0.1,0.2,0.10", "repeats the value 0.1")])
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_empty_or_repeating_grid_fails_before_any_cell(
+            self, tmp_path, capsys, monkeypatch, grid, message, from_file):
+        import dube.cli as cli
+
+        def no_cells(*args):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(cli, "run_cv_cell", no_cells)
+        argv = ["noise-sweep", "--input", write_dataset(tmp_path / "toy.csv"), "--k", "2"]
+        if from_file:
+            (tmp_path / "run.conf").write_text(f"noise_grid = {grid}\n")
+            argv += ["--config", str(tmp_path / "run.conf")]
+        else:
+            argv += ["--noise-grid", grid]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: --noise-grid {message}" in captured.err
+        assert captured.out == ""
+
     # every point sets its own intra-class strategy: none is taken or echoed
     def test_intra_flag_rejected(self, tmp_path, capsys):
         path = write_dataset(tmp_path / "toy.csv")
@@ -449,6 +470,7 @@ class TestBiaslab:
         assert len(calls["draw_trials"]) == 1
         rows = [(strategy, alpha) for strategy, alpha, *_ in report.rows]
         assert [args[1:3] for args in calls["run_bias_trials"]] == rows
+        assert len({id(args[0]) for args in calls["run_bias_trials"]}) == 1  # the one draws
         assert len(rows) == 5 * 3
 
     @pytest.mark.parametrize("flags", [["--sigma", "nan"], ["--mu-maj", "inf"],
@@ -482,6 +504,25 @@ class TestBiaslab:
             argv += ["--alpha-sigmas", ""]
         assert main(argv) == 2
         assert "--alpha-sigmas must be a nonempty list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_repeated_alpha_sigma_fails_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                         from_file):
+        import dube.cli as cli
+
+        def no_draws(cfg):
+            raise AssertionError("trials drawn")
+        monkeypatch.setattr(cli, "draw_trials", no_draws)
+        argv = ["biaslab", "--trials", "5"]
+        if from_file:
+            (tmp_path / "lab.conf").write_text("alpha_sigmas = 0.2,0,0.20\n")
+            argv += ["--config", str(tmp_path / "lab.conf")]
+        else:
+            argv += ["--alpha-sigmas", "0.2,0,0.20"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: --alpha-sigmas repeats the value 0.2" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_alpha_sigma_fails_before_any_trial(self, capsys, monkeypatch, value):
@@ -745,6 +786,11 @@ class TestUnreadableFiles:
         assert main(["bench", "--input", data, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"error: cannot read config file {path}: 'utf-8' codec can't decode" in err
+
+    def test_config_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.conf"
+        path.write_text("\ufeffk = 2\n", encoding="utf-8")
+        assert _read_config_file(path, _COMMANDS["bench"]) == {"k": 2}
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

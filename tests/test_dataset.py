@@ -1,4 +1,5 @@
 import csv
+import math
 import sys
 import types
 from pathlib import Path
@@ -25,6 +26,21 @@ def write(tmp_path, text, name="data.csv"):
 
 
 class TestLoadCsv:
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # left in the first cell, the mark would fail to parse and make row 1 a header
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff1.0,2.0,a\n3.0,4.0,b\n5.0,6.0,a\n7.0,8.0,b\n", encoding="utf-8")
+        ds = load_csv(path, 2)
+        assert ds.n_rows == 4
+        assert ds.features[0].tolist() == [1.0, 2.0]
+
+    def test_byte_order_mark_before_a_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufefflabel,x\na,1\nb,2\n", encoding="utf-8")
+        ds = load_csv(path, "label")
+        assert ds.label_names == ("a", "b")
+        assert ds.features[:, 0].tolist() == [1.0, 2.0]
+
     def test_first_appearance_label_mapping(self, tmp_path):
         ds = load_csv(write(tmp_path, "1.0,a\n2.0,b\n3.0,a\n"), 1)
         assert ds.m == 2
@@ -305,6 +321,17 @@ class TestFlipNoise:
         ds = make_gaussian_1d(5, 20, 0, 4, 1, seed=0)
         with pytest.raises(DatasetError):
             inject_flip_noise(ds, 1.5, seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2**32))
+    def test_moves_floor_r_n_min_rows_each_way(self, n0, n1, r, seed):
+        labels = np.repeat([0, 1], [n0, n1])
+        ds = Dataset(np.zeros((labels.size, 1)), labels, m=2)
+        noisy = inject_flip_noise(ds, r, seed)
+        assert class_counts(noisy).tolist() == [n0, n1]
+        flips = math.floor(r * min(n0, n1))
+        moved = ds.labels[noisy.labels != ds.labels]
+        assert np.bincount(moved, minlength=2).tolist() == [flips, flips]
 
     def test_determinism(self):
         ds = make_gaussian_1d(20, 100, 0, 4, 1, seed=8)

@@ -55,30 +55,24 @@ class _StubLearner:
 class TestSoftVote:
     def test_single_member_mean_is_identity(self):
         model = EnsembleModel([_StubLearner([0.7, 0.3])], 2, 2, DubeConfig(k=1))
-        assert model.predict_proba([0.0, 0.0]).tolist() == [0.7, 0.3]
+        assert model.predict_proba_many([0.0, 0.0])[0].tolist() == [0.7, 0.3]
 
     def test_two_opposed_members_average_to_half(self):
         model = EnsembleModel([_StubLearner([1.0, 0.0]), _StubLearner([0.0, 1.0])],
                               2, 2, DubeConfig(k=2))
-        assert model.predict_proba([0.0, 0.0]).tolist() == [0.5, 0.5]
+        assert model.predict_proba_many([0.0, 0.0])[0].tolist() == [0.5, 0.5]
 
     def test_four_member_mean_matches_direct_summation(self):
         gen = np.random.default_rng(0)
         rows = gen.dirichlet(np.ones(3), size=4)
         model = EnsembleModel([_StubLearner(r, d=2) for r in rows], 3, 2, DubeConfig(k=4))
         expected = rows.sum(axis=0) / 4
-        assert np.allclose(model.predict_proba([0.0, 0.0]), expected, atol=1e-12)
-
-    def test_argmax_tie_breaks_to_lowest_class(self):
-        model = EnsembleModel([_StubLearner([0.5, 0.5])], 2, 2, DubeConfig(k=1))
-        assert model.predict([0.0, 0.0]) == 0
-        three = EnsembleModel([_StubLearner([0.2, 0.5, 0.3])], 3, 2, DubeConfig(k=1))
-        assert three.predict([0.0, 0.0]) == 1
+        assert np.allclose(model.predict_proba_many([0.0, 0.0])[0], expected, atol=1e-12)
 
     def test_single_row_methods(self):
+        # one d-vector is a one-row batch
         model = EnsembleModel([_StubLearner([0.9, 0.1])], 2, 2, DubeConfig(k=1))
-        assert model.predict_proba([0.0, 0.0]).tolist() == [0.9, 0.1]
-        assert model.predict([0.0, 0.0]) == 0
+        assert model.predict_proba_many([0.0, 0.0]).tolist() == [[0.9, 0.1]]
 
     @pytest.mark.parametrize("learner", [TreeParams(), KnnParams(3)])
     def test_batch_feature_count_checked(self, learner):
@@ -99,7 +93,7 @@ class TestDubeFit:
         cfg = DubeConfig(k=1, seed=3)
         trace = TrainingTrace()
         model = dube_fit(ds, cfg, trace)
-        assert model.k == 1
+        assert len(model.members) == 1
         assert trace.iterations == []  # no resampling happened
         reference = tree_fit(ds, TreeParams())
         assert np.array_equal(model.predict_proba_many(ds.features),
@@ -219,7 +213,7 @@ class TestPredictionBuffering:
             CountingLearner(next(counter)) for _ in range(len(blocks[0]))])
         cfg = DubeConfig(k=k, seed=1)
         models = dube_fit_lockstep(ds, cfg, alphas) if alphas else [dube_fit(ds, cfg)]
-        assert {model.k for model in models} == {k}
+        assert {len(model.members) for model in models} == {k}
         train_passes = [c for c in calls if c[1] == ds.n_rows]
         assert len(train_passes) == passes
         assert sorted(tag for tag, _ in train_passes) == list(range(passes))

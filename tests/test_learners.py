@@ -26,14 +26,14 @@ class TestTree:
     def test_separable_pair(self):
         ds = dataset([[0.0], [1.0]], [0, 1])
         model = tree_fit(ds, TreeParams(max_depth=1))
-        assert model.predict_proba([0.0]).tolist() == [1.0, 0.0]
-        assert model.predict_proba([1.0]).tolist() == [0.0, 1.0]
+        assert model.predict_proba_many([0.0])[0].tolist() == [1.0, 0.0]
+        assert model.predict_proba_many([1.0])[0].tolist() == [0.0, 1.0]
 
     def test_single_class_training_set_is_leaf(self):
         ds = dataset([[1.0], [2.0], [3.0]], [1, 1, 1], m=2)
         model = tree_fit(ds)
         assert model.n_nodes == 1
-        assert model.predict_proba([9.0]).tolist() == [0.0, 1.0]
+        assert model.predict_proba_many([9.0])[0].tolist() == [0.0, 1.0]
 
     def test_xor_solved_at_depth_two(self):
         # root gain is zero for every split; the tree must still split
@@ -102,8 +102,8 @@ class TestTree:
 
     def test_dimension_mismatch(self):
         model = tree_fit(dataset([[0.0], [1.0]], [0, 1]))
-        with pytest.raises(ValueError, match="length 1"):
-            model.predict_proba([0.0, 1.0])
+        with pytest.raises(ValueError, match="expected 1 features, got 2"):
+            model.predict_proba_many([0.0, 1.0])
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
@@ -561,12 +561,12 @@ class TestKnn:
     def test_exact_match_with_k1(self):
         ds = dataset([[0, 0], [3, 3]], [0, 1])
         model = knn_fit(ds, 1)
-        assert model.predict_proba([3.0, 3.0]).tolist() == [0.0, 1.0]
+        assert model.predict_proba_many([3.0, 3.0])[0].tolist() == [0.0, 1.0]
 
     def test_k_equals_n_gives_prior(self):
         ds = dataset([[0], [1], [2], [3]], [0, 0, 0, 1])
         model = knn_fit(ds, 4)
-        assert model.predict_proba([100.0]).tolist() == [0.75, 0.25]
+        assert model.predict_proba_many([100.0])[0].tolist() == [0.75, 0.25]
 
     def test_hand_placed_points_vs_brute_force(self):
         X = np.array([[0, 0], [1, 0], [0, 1], [2, 2], [3, 3]], dtype=float)
@@ -577,18 +577,18 @@ class TestKnn:
             d2 = ((X - query) ** 2).sum(axis=1)
             nearest = np.argsort(d2, kind="stable")[:3]
             expected = np.bincount(y[nearest], minlength=2) / 3
-            assert np.allclose(model.predict_proba(query), expected)
+            assert np.allclose(model.predict_proba_many(query)[0], expected)
 
     def test_distance_tie_breaks_to_lower_row(self):
         # both training rows are equidistant from the origin query
         ds = dataset([[1.0, 0.0], [-1.0, 0.0]], [1, 0])
         model = knn_fit(ds, 1)
-        assert model.predict_proba([0.0, 0.0]).tolist() == [0.0, 1.0]
+        assert model.predict_proba_many([0.0, 0.0])[0].tolist() == [0.0, 1.0]
 
     def test_symmetric_split_vote(self):
         ds = dataset([[-1.0], [1.0]], [0, 1])
         model = knn_fit(ds, 2)
-        assert model.predict_proba([0.2]).tolist() == [0.5, 0.5]
+        assert model.predict_proba_many([0.2])[0].tolist() == [0.5, 0.5]
 
     def test_k1_training_accuracy_on_distinct_points(self):
         gen = np.random.default_rng(10)
