@@ -91,50 +91,43 @@ class TrialDraws:
 
     Trial ``i`` draws ``x_maj[i]`` and then ``x_min[i]`` from
     ``rng.stream(cfg.seed, rng.TRIAL, i)``. The stream's state after
-    those draws is kept in the fixed-size arrays below, one row per
-    trial, so that every strategy row can resume trial ``i``'s stream
+    those draws is row ``i`` of ``saved``: counter (4 words), key (2),
+    buffer (4), buffer_pos, has_uint32 and uinteger, 13 uint64 words in
+    all, so that every strategy row can resume trial ``i``'s stream
     exactly where the data draws left off. Philox is counter-based, so
     restoring a saved state reproduces the continuation bit for bit.
     """
 
     cfg: ToyConfig
-    x_maj: np.ndarray       # (trials, n_maj)
-    x_min: np.ndarray       # (trials, n_min)
-    counter: np.ndarray     # (trials, 4) uint64
-    key: np.ndarray         # (trials, 2) uint64
-    buffer: np.ndarray      # (trials, 4) uint64
-    buffer_pos: np.ndarray  # (trials,)
-    has_uint32: np.ndarray  # (trials,)
-    uinteger: np.ndarray    # (trials,)
+    x_maj: np.ndarray  # (trials, n_maj)
+    x_min: np.ndarray  # (trials, n_min)
+    saved: np.ndarray  # (trials, 13) uint64
 
     def state(self, i: int) -> dict:
         """Trial ``i``'s saved state, in the form ``Philox.state`` takes."""
-        return {"bit_generator": "Philox",
-                "state": {"counter": self.counter[i], "key": self.key[i]},
-                "buffer": self.buffer[i], "buffer_pos": int(self.buffer_pos[i]),
-                "has_uint32": int(self.has_uint32[i]), "uinteger": int(self.uinteger[i])}
+        row = self.saved[i].tolist()  # Python ints restore faster than numpy words
+        return {"bit_generator": "Philox", "state": {"counter": row[:4], "key": row[4:6]},
+                "buffer": row[6:10], "buffer_pos": row[10], "has_uint32": row[11],
+                "uinteger": row[12]}
 
 
 def draw_trials(cfg: ToyConfig) -> TrialDraws:
     """Draw every trial's data once, for all strategy rows to share."""
     t = cfg.trials
     x_maj, x_min = np.empty((t, cfg.n_maj)), np.empty((t, cfg.n_min))
-    counter, key, buffer = (np.empty((t, w), dtype=np.uint64) for w in (4, 2, 4))
-    buffer_pos, has_uint32, uinteger = (np.empty(t, dtype=np.int64) for _ in range(3))
+    saved = np.empty((t, 13), dtype=np.uint64)
     for i in range(t):
         # the dataset is a fixed-size prefix of the trial's stream, drawn
         # before any strategy-dependent consumption
         gen = rng.stream(cfg.seed, rng.TRIAL, i)
         x_maj[i] = gen.normal(cfg.mu_maj, cfg.sigma, cfg.n_maj)
         x_min[i] = gen.normal(cfg.mu_min, cfg.sigma, cfg.n_min)
-        state = gen.bit_generator.state
-        counter[i], key[i] = state["state"]["counter"], state["state"]["key"]
-        buffer[i], buffer_pos[i] = state["buffer"], state["buffer_pos"]
-        has_uint32[i], uinteger[i] = state["has_uint32"], state["uinteger"]
-    arrays = (x_maj, x_min, counter, key, buffer, buffer_pos, has_uint32, uinteger)
-    for arr in arrays:
+        s = gen.bit_generator.state
+        saved[i] = [*s["state"]["counter"].tolist(), *s["state"]["key"].tolist(),
+                    *s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"], s["uinteger"]]
+    for arr in (x_maj, x_min, saved):
         arr.flags.writeable = False  # shared by every row
-    return TrialDraws(cfg, *arrays)
+    return TrialDraws(cfg, x_maj, x_min, saved)
 
 
 def validate_row(cfg: ToyConfig, strategy: str, alpha_sigma: float) -> None:
@@ -162,8 +155,6 @@ def _smote_draws(points, k, n_new, gen):
     uniform in [0, 1], the neighbor drawn from the seed's k nearest
     (ties to the lower index), so the sample extremes never move.
     """
-    if n_new <= 0:
-        return np.empty(0)
     dist = np.abs(points[:, None] - points[None, :])
     np.fill_diagonal(dist, np.inf)
     neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]

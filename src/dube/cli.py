@@ -24,8 +24,8 @@ from . import rng
 from .balancing import InterCBStrategy, IntraCBStrategy
 from .biaslab import (BIAS_STRATEGIES, ToyConfig, check_pbda_bound, draw_trials,
                       run_bias_trials, validate_row)
-from .dataset import Dataset, DatasetError, inject_flip_noise, \
-    load_csv, make_gaussian_1d, make_overlap_2d, stratified_k_fold
+from .dataset import Dataset, inject_flip_noise, load_csv, make_gaussian_1d, make_overlap_2d, \
+    stratified_k_fold
 from .ensemble import DubeConfig, TrainingTrace, dube_fit, dube_fit_lockstep, write_atomic
 from .learners import KnnParams, TreeParams
 from .metrics import evaluate, macro_auroc
@@ -82,8 +82,6 @@ class Report:
 def _format_value(value) -> str:
     if isinstance(value, np.floating):
         value = float(value)
-    elif isinstance(value, np.integer):
-        value = int(value)
     if isinstance(value, float):
         return repr(value)  # shortest round-trip form
     return str(value)
@@ -434,13 +432,8 @@ _CV = (
     Setting("repeats", 1, int),
     Setting("seed", 0, int),
 )
-_TOY = (
-    Setting("n_min", 3, int),
-    Setting("n_maj", 15, int),
-    Setting("mu_min", 0.0, float),
-    Setting("mu_maj", 4.0, float),
-    Setting("sigma", 1.0, float),
-)
+# n_min, n_maj, mu_min, mu_maj, sigma, trials, seed: the toy's defaults live in ToyConfig
+_TOY = tuple(Setting(f.name, f.default, type(f.default)) for f in fields(ToyConfig))
 _FILES = (
     Setting("config", help="key = value settings file; flags win"),
     Setting("out", help="report destination (default stdout)"),
@@ -476,12 +469,11 @@ _COMMANDS = {
          Setting("select", False, switch=True, help="add a validation-selected alpha row"))),
     "biaslab": Command(
         run_biaslab, "decision-bias Monte Carlo on the 1-D toy",
-        (*_TOY, Setting("trials", 10_000, int), Setting("alpha_sigmas", [0.0, 0.2], _float_list),
-         Setting("seed", 0, int))),
+        (*_TOY[:-1], Setting("alpha_sigmas", [0.0, 0.2], _float_list), _TOY[-1])),
     "synth": Command(
         run_synth, "emit a synthetic dataset as CSV",
-        (Setting("generator", "gaussian1d", choices=["gaussian1d", "overlap2d"]), *_TOY,
-         Setting("overlap", "mid", choices=["low", "mid", "high"]), Setting("seed", 0, int)),
+        (Setting("generator", "gaussian1d", choices=["gaussian1d", "overlap2d"]), *_TOY[:-2],
+         Setting("overlap", "mid", choices=["low", "mid", "high"]), _TOY[-1]),
         _FILES),
 }
 
@@ -565,7 +557,7 @@ def main(argv=None) -> int:
                 raise CliError(f"cannot write {options['out']}: {exc.strerror}") from exc
         else:
             sys.stdout.write(text)
-    except (CliError, DatasetError, ValueError) as exc:
+    except (CliError, ValueError) as exc:  # a DatasetError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if not report.failures else 1

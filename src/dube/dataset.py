@@ -31,7 +31,9 @@ class Dataset:
     features : ndarray of shape (N, d)
         Finite float features.
     labels : ndarray of shape (N,)
-        Class ids in ``{0, ..., m-1}``.
+        Class ids in ``{0, ..., m-1}``: integers, or floats that are whole
+        numbers within int64 (``2.0`` is class 2); anything else, such as
+        ``0.5`` or the text ``"1"``, raises DatasetError.
     m : int, optional
         Size of the label space. Defaults to ``max(labels) + 1``. A
         subset of a dataset keeps the parent's ``m`` even if some class
@@ -53,7 +55,11 @@ class Dataset:
     def __post_init__(self):
         # always copy so freezing below never flips a caller-owned array
         feats = np.array(self.features, dtype=np.float64, order="C", copy=True)
-        labels = np.array(self.labels, dtype=np.int64, copy=True)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "iu" and not (labels.dtype.kind == "f" and (
+                (labels == np.trunc(labels)) & (abs(labels) < 2.0**63)).all()):
+            raise DatasetError("labels must be whole numbers")
+        labels = np.array(labels, dtype=np.int64, copy=True)
         if feats.ndim != 2:
             raise DatasetError(f"features must be 2-D, got shape {feats.shape}")
         if labels.shape != (feats.shape[0],):
@@ -64,7 +70,7 @@ class Dataset:
             raise DatasetError("features have no columns")
         if not np.isfinite(feats).all():
             raise DatasetError("features contain NaN or infinite values")
-        if labels.size and labels.min() < 0:
+        if labels.min() < 0:
             raise DatasetError("negative class id")
         m = self.m if self.m else int(labels.max()) + 1
         if labels.max() >= m:
@@ -260,6 +266,8 @@ def make_gaussian_1d(n_min: int, n_maj: int, mu_min: float, mu_maj: float,
     standard deviation ``sigma``."""
     if n_min < 1 or n_maj < 1:
         raise DatasetError("class sizes must be >= 1")
+    if not all(math.isfinite(v) for v in (mu_min, mu_maj, sigma)):
+        raise DatasetError("mu_min, mu_maj and sigma must be finite")
     if sigma <= 0:
         raise DatasetError(f"sigma must be positive, got {sigma}")
     gen = rng.stream(seed, rng.GAUSS_1D)

@@ -79,13 +79,10 @@ def _integer(blob: dict, key: str, low: int = 1, high: float = float("inf")) -> 
 
 
 class _Classifier:
-    """Shared prediction surface for fitted learners."""
+    """Shared row check of fitted learners; each defines ``predict_proba_many``."""
 
     m: int
     d: int
-
-    def predict_proba_many(self, X) -> np.ndarray:
-        raise NotImplementedError
 
     def _rows(self, X) -> np.ndarray:
         """``X`` as a float64 row batch; ValueError unless it is one row or a

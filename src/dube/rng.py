@@ -35,17 +35,21 @@ CELL = 10
 TUNE = 11
 
 
+def _sequence(seed: int, path: tuple) -> np.random.SeedSequence:
+    if seed < 0:  # numpy's own message would not name the seed
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
+    return np.random.SeedSequence(seed, spawn_key=path)
+
+
 def stream(seed: int, *path: int) -> np.random.Generator:
-    """Return the generator for (seed, path)."""
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(path))
-    return np.random.Generator(np.random.Philox(ss))
+    """Return the generator for (seed, path); ValueError if seed < 0."""
+    return np.random.Generator(np.random.Philox(_sequence(seed, path)))
 
 
 def child_seed(seed: int, *path: int) -> int:
     """Derive a plain integer seed for (seed, path).
 
     Used where an API takes a seed rather than a generator; the result
-    feeds back into :func:`stream` on the callee side.
+    feeds back into :func:`stream` on the callee side. ValueError if seed < 0.
     """
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(path))
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
+    return int(_sequence(seed, path).generate_state(1, dtype=np.uint64)[0] >> 1)

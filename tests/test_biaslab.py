@@ -1,3 +1,4 @@
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from biaslab_reference import d_max, max_margin_1d, reference_run_bias_trials, smote_1d
 from dube import rng
-from dube.biaslab import (BIAS_STRATEGIES, ToyConfig, check_pbda_bound, draw_trials,
-                          pbda_bound_values, run_bias_trials)
+from dube.biaslab import (BIAS_STRATEGIES, ToyConfig, TrialDraws, _smote_draws, check_pbda_bound,
+                          draw_trials, pbda_bound_values, run_bias_trials)
 
 FIG_TOY = dict(n_min=3, n_maj=15, mu_min=0.0, mu_maj=4.0, sigma=1.0)
 
@@ -165,8 +166,37 @@ class TestRunBiasTrials:
 
     def test_draws_are_read_only(self):
         draws = draw_trials(ToyConfig(**FIG_TOY, trials=3, seed=0))
-        with pytest.raises(ValueError):
-            draws.x_min[0, 0] = 0.0
+        assert [f.name for f in fields(TrialDraws)] == ["cfg", "x_maj", "x_min", "saved"]
+        assert draws.saved.shape == (3, 13) and draws.saved.dtype == np.uint64
+        for arr in (draws.x_maj, draws.x_min, draws.saved):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_saved_state_resumes_each_trial_stream(self, seed):
+        cfg = ToyConfig(**FIG_TOY, trials=5, seed=seed)
+        draws = draw_trials(cfg)
+        restored = np.random.Generator(np.random.Philox(0))
+        for i in range(cfg.trials):
+            gen = rng.stream(seed, rng.TRIAL, i)
+            gen.normal(size=cfg.n_maj + cfg.n_min)
+            restored.bit_generator.state = draws.state(i)
+            assert restored.integers(0, 2**63, 9).tolist() == gen.integers(0, 2**63, 9).tolist()
+            assert restored.random(5).tolist() == gen.random(5).tolist()
+
+    def test_zero_smote_draws_consume_nothing(self):
+        gen, fresh = rng.stream(3, 1), rng.stream(3, 1)
+        assert _smote_draws(np.array([0.0, 1.0, 3.0]), 2, 0, gen).shape == (0,)
+        assert gen.random(4).tolist() == fresh.random(4).tolist()
+
+    @pytest.mark.parametrize("n_min, n_maj", [(6, 4), (5, 5)])
+    @pytest.mark.parametrize("alpha_sigma", [0.0, 0.2])
+    def test_smote_that_adds_no_point_equals_baseline_exactly(self, n_min, n_maj, alpha_sigma):
+        # with n_min >= n_maj SMOTE1D draws nothing, so its noise is the none row's
+        draws = draw_trials(ToyConfig(n_min=n_min, n_maj=n_maj, trials=300, seed=7))
+        smote = run_bias_trials(draws, "SMOTE1D", alpha_sigma)
+        none = run_bias_trials(draws, "none", alpha_sigma)
+        assert (smote.mean_bias, smote.var_bias) == (none.mean_bias, none.var_bias)
 
 
 class TestSharedDrawsMatchReference:

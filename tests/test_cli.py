@@ -4,6 +4,7 @@ import os
 import pickle
 import stat
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dube import Dataset, load_csv, class_counts, make_overlap_2d
+from dube.biaslab import ToyConfig
 from dube.cli import (CliError, DEFAULT_ALPHA_GRID, build_dube_config, build_parser, main,
                       resolve_options, run_bench, run_biaslab, run_noise_sweep, run_param_sweep,
                       run_synth, _COMMANDS, _DEFAULTS, _cv_cells, _cv_job, _read_config_file)
@@ -694,6 +696,37 @@ class TestMainEntry:
         assert code == 0
         ds = load_csv(str(out), "label")
         assert class_counts(ds).tolist() == [20, 4]
+
+
+class TestSeedAndToyChecks:
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_negative_seed_names_the_seed(self, tmp_path, capsys, command, by):
+        argv = [command]
+        if command in ("bench", "noise-sweep", "param-sweep"):
+            argv += ["--input", write_dataset(tmp_path / "toy.csv"), "--folds", "2"]
+        if command == "param-sweep":
+            argv += ["--alpha-grid", "0"]
+        if command == "biaslab":
+            argv += ["--trials", "5"]
+        if by == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            (tmp_path / "run.conf").write_text("seed = -1\n")
+            argv += ["--config", str(tmp_path / "run.conf")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+
+    @pytest.mark.parametrize("flag, value", [("--sigma", "nan"), ("--sigma", "inf"),
+                                             ("--mu-min", "inf")])
+    def test_synth_non_finite_toy_value(self, capsys, flag, value):
+        assert main(["synth", flag, value]) == 2
+        assert capsys.readouterr().err == "error: mu_min, mu_maj and sigma must be finite\n"
+
+    def test_toy_settings_are_toy_config_fields(self):
+        settings = {s.name: s for s in _COMMANDS["biaslab"].echoed}
+        for f in fields(ToyConfig):
+            assert (settings[f.name].default, settings[f.name].type) == (f.default, type(f.default))
 
 
 class TestResolveOptions:

@@ -231,6 +231,42 @@ class TestDatasetInvariants:
             Dataset(np.zeros((4, 0)), [0, 1, 0, 1])
 
 
+WHOLE_OR_NOT = st.one_of(st.integers(-2, 9).map(float), st.floats(),
+                         st.sampled_from([2.0**63, -2.0**63, 2.0**63 - 1024, 0.5, -0.0]))
+
+
+class TestLabels:
+    @pytest.mark.parametrize("labels", [[0.5, 1.7, 1.2], ["0", "1", "1"], [0, 1, 2**70],
+                                        [0, 1, float("nan")], [0, 1, float("-inf")],
+                                        [True, False, True]],
+                             ids=["fractions", "text", "past-int64", "nan", "inf", "bool"])
+    def test_other_than_whole_numbers_rejected(self, labels):
+        with pytest.raises(DatasetError, match="^labels must be whole numbers$"):
+            Dataset(np.zeros((3, 1)), labels)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.float32, np.float64])
+    def test_integers_and_whole_floats_taken(self, dtype):
+        ds = Dataset(np.zeros((3, 1)), np.array([2, 0, 1], dtype=dtype))
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 0, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(WHOLE_OR_NOT, min_size=1, max_size=6))
+    def test_float_labels_are_taken_only_when_whole(self, values):
+        features = np.zeros((len(values), 1))
+        if not all(math.isfinite(v) and v == math.trunc(v) and abs(v) < 2.0**63 for v in values):
+            expected = "labels must be whole numbers"
+        elif min(values) < 0:
+            expected = "negative class id"
+        elif max(values) >= 8:
+            expected = "out of range for m=8"
+        else:
+            ds = Dataset(features, np.array(values), m=8)
+            assert ds.labels.tolist() == [int(v) for v in values]
+            return
+        with pytest.raises(DatasetError, match=expected):
+            Dataset(features, np.array(values), m=8)
+
+
 class TestClassCounts:
     def test_toy_imbalance(self):
         ds = make_gaussian_1d(3, 15, 0, 4, 1, seed=1)
@@ -356,6 +392,14 @@ class TestGenerators:
     def test_gaussian_1d_bad_sigma(self):
         with pytest.raises(DatasetError):
             make_gaussian_1d(3, 15, 0, 4, 0.0, seed=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("position", [2, 3, 4], ids=["mu_min", "mu_maj", "sigma"])
+    def test_gaussian_1d_non_finite(self, position, value):
+        args = [3, 15, 0.0, 4.0, 1.0]
+        args[position] = value
+        with pytest.raises(DatasetError, match="^mu_min, mu_maj and sigma must be finite$"):
+            make_gaussian_1d(*args, seed=0)
 
     def test_overlap_2d_counts_and_determinism(self):
         a = make_overlap_2d(100, 1000, "mid", seed=5)
