@@ -78,14 +78,14 @@ def batch_errors(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def hem_weights(errors) -> np.ndarray:
-    """Weights proportional to the raw error; uniform when all errors vanish."""
+    """Weights equal to the raw error (all zero when every error vanishes)."""
     errors = np.asarray(errors, dtype=np.float64)
     if errors.size == 0:
         raise ValueError("empty error list")
     if (errors < 0).any():
         raise ValueError("negative error")
-    if errors.max() == 0.0:
-        return np.ones_like(errors)
+    if not np.isfinite(errors).all():
+        raise ValueError("errors must be finite")
     return errors.copy()
 
 
@@ -104,6 +104,8 @@ def shem_weights(errors, b: int) -> np.ndarray:
         raise ValueError("bins must be >= 1")
     if (errors < 0).any() or (errors > 1).any():
         raise ValueError("errors must lie in [0, 1]")
+    if np.isnan(errors).any():
+        raise ValueError("errors must be finite")
     bins = np.minimum((errors * b).astype(np.int64), b - 1)
     density = np.bincount(bins, minlength=b) / errors.size
     return 1.0 / density[bins]
@@ -121,8 +123,9 @@ def weighted_resample(class_rows, weights, n: int, seed: int) -> np.ndarray:
 
     Zero-weight rows are never drawn while positive-weight rows remain;
     if the shrink target exceeds the positive-weight count the remainder
-    is filled uniformly from the zero-weight rows. All-zero weights are
-    rejected (callers apply the uniform fallback first).
+    is filled uniformly from the zero-weight rows. All-zero weights draw
+    exactly the rows that all-one weights draw. A negative, NaN or
+    infinite weight raises ValueError.
     """
     class_rows = np.asarray(class_rows)
     weights = np.asarray(weights, dtype=np.float64)
@@ -132,8 +135,10 @@ def weighted_resample(class_rows, weights, n: int, seed: int) -> np.ndarray:
         raise ValueError("target size must be >= 1")
     if (weights < 0).any():
         raise ValueError("negative weight")
-    if weights.max() == 0.0:
-        raise ValueError("all-zero weights")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
+    if weights.max() == 0.0:  # no row stands out: draw uniformly
+        weights = np.ones_like(weights)
     gen = rng.stream(seed, rng.RESAMPLE)
     size = class_rows.size
     if n <= size:
@@ -170,8 +175,8 @@ def resample_step(labels, class_index, probs, inter: InterCBStrategy,
     Computes normalized prediction errors of ``probs`` against ``labels``,
     turns them into instance weights (intra-class balancing, with the
     histogram taken over all rows), picks the target class size
-    (inter-class balancing), and draws every class to that size. Weights
-    of a class that sum to zero fall back to uniform within the class.
+    (inter-class balancing), and draws every class to that size. A class
+    whose weights are all zero is drawn uniformly (:func:`weighted_resample`).
 
     Returns ``(n, per_class_rows, weights)``: the ids drawn for each class
     and every row's instance weight before the per-class uniform fallback.
@@ -180,10 +185,6 @@ def resample_step(labels, class_index, probs, inter: InterCBStrategy,
     n = target_class_size(counts, inter)
     errors = batch_errors(probs, labels)
     weights = intra_weights(errors, intra)
-    per_class = []
-    for c, rows in enumerate(class_index):
-        w = weights[rows]
-        if w.max() == 0.0:
-            w = np.ones(rows.size)
-        per_class.append(weighted_resample(rows, w, n, rng.child_seed(seed, c)))
+    per_class = [weighted_resample(rows, weights[rows], n, rng.child_seed(seed, c))
+                 for c, rows in enumerate(class_index)]
     return n, per_class, weights

@@ -177,23 +177,26 @@ def run_bias_trials(draws: TrialDraws, strategy: str, alpha_sigma: float = 0.0) 
     """
     cfg = draws.cfg
     validate_row(cfg, strategy, alpha_sigma)
-    if strategy == "none" and alpha_sigma == 0:
+    # SMOTE1D grows the minority to the majority's size: with no smaller
+    # minority it draws no point, and its row is the none row
+    row = "none" if strategy == "SMOTE1D" and cfg.n_min >= cfg.n_maj else strategy
+    if row == "none" and alpha_sigma == 0:
         boundaries = (draws.x_min.max(axis=1) + draws.x_maj.min(axis=1)) / 2.0
     else:
         # every trial has cfg's class sizes, so the targets are fixed per row
         counts = [cfg.n_min, cfg.n_maj]
-        n = (max(counts) if strategy in ("none", "SMOTE1D")
-             else target_class_size(counts, InterCBStrategy(strategy)))
+        n = (max(counts) if row in ("none", "SMOTE1D")
+             else target_class_size(counts, InterCBStrategy(row)))
         bit_generator = np.random.Philox(0)  # its state is replaced before every trial
         gen = np.random.Generator(bit_generator)
         boundaries = np.empty(cfg.trials)
         for i in range(cfg.trials):
             bit_generator.state = draws.state(i)
             r_min, r_maj = draws.x_min[i], draws.x_maj[i]
-            if strategy == "SMOTE1D":
+            if row == "SMOTE1D":
                 extra = _smote_draws(r_min, min(5, cfg.n_min - 1), n - cfg.n_min, gen)
                 r_min = np.concatenate([r_min, extra])
-            elif strategy != "none":
+            elif row != "none":
                 r_min, r_maj = _uniform_resample(r_min, n, gen), _uniform_resample(r_maj, n, gen)
             if alpha_sigma > 0:
                 r_min = r_min + gen.normal(0.0, alpha_sigma, r_min.size)

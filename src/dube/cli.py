@@ -205,10 +205,15 @@ def _cross_validate(ds: Dataset, options, points, failures: list) -> list:
     return results
 
 
+_SUMMARY = ("macro_f1", "mcc", "macro_auroc")
+_MEAN_STD_COLUMNS = [f"{name}_{stat}" for name in _SUMMARY for stat in ("mean", "std")]
+
+
 def _mean_std(results) -> list:
-    """Mean and std of macro-F1, then MCC, then macro-AUROC over cell results."""
+    """Mean and std of each :data:`_SUMMARY` metric over cell results, in
+    :data:`_MEAN_STD_COLUMNS` order."""
     stats = []
-    for name in ("macro_f1", "mcc", "macro_auroc"):
+    for name in _SUMMARY:
         arr = np.asarray([getattr(metrics, name) for _, _, metrics, _, _ in results],
                          dtype=np.float64)
         stats += [float(arr.mean()), float(arr.std())]
@@ -287,8 +292,7 @@ def run_noise_sweep(options) -> Report:
     for r in _distinct("noise-grid", options["noise_grid"]):
         _require(0 <= r <= 1, f"--noise-grid ratios must be in [0, 1], got {r}")
     report = Report("noise-sweep", _config_line("noise-sweep", options),
-                    ["noise_ratio", "intra", "macro_f1_mean", "macro_f1_std",
-                     "mcc_mean", "mcc_std", "macro_auroc_mean", "macro_auroc_std"])
+                    ["noise_ratio", "intra", *_MEAN_STD_COLUMNS])
     grid = [(r, intra) for r in options["noise_grid"] for intra in ("uniform", "hem", "shem")]
     points = [_point(f"r={r} intra={intra} ", {**options, "intra": intra}, r) for r, intra in grid]
     for (r, intra), results in zip(grid, _cross_validate(ds, options, points, report.failures)):
@@ -311,8 +315,7 @@ def run_param_sweep(options) -> Report:
     param, grid = ("alpha", alpha_grid) if bins_grid is None else ("bins", bins_grid)
     _distinct(f"{param}-grid", grid)
     report = Report("param-sweep", _config_line("param-sweep", options) + f" grid={param}:{grid}",
-                    ["kind", param, "macro_f1_mean", "macro_f1_std",
-                     "mcc_mean", "mcc_std", "macro_auroc_mean", "macro_auroc_std"])
+                    ["kind", param, *_MEAN_STD_COLUMNS])
     points = [_point(f"{param}={value} ", {**options, param: value}, None) for value in grid]
     if options.get("select"):  # each cell tunes alpha over the grid, as under --alpha auto
         points.append(("selected ", build_dube_config(options), None, grid))
@@ -557,7 +560,7 @@ def main(argv=None) -> int:
                 raise CliError(f"cannot write {options['out']}: {exc.strerror}") from exc
         else:
             sys.stdout.write(text)
-    except (CliError, ValueError) as exc:  # a DatasetError is a ValueError
+    except (CliError, ValueError, MemoryError) as exc:  # a DatasetError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if not report.failures else 1

@@ -31,7 +31,7 @@ class Dataset:
     features : ndarray of shape (N, d)
         Finite float features.
     labels : ndarray of shape (N,)
-        Class ids in ``{0, ..., m-1}``: integers, or floats that are whole
+        Class ids in ``{0, ..., m-1}``: integers or floats that are whole
         numbers within int64 (``2.0`` is class 2); anything else, such as
         ``0.5`` or the text ``"1"``, raises DatasetError.
     m : int, optional
@@ -56,7 +56,8 @@ class Dataset:
         # always copy so freezing below never flips a caller-owned array
         feats = np.array(self.features, dtype=np.float64, order="C", copy=True)
         labels = np.asarray(self.labels)
-        if labels.dtype.kind not in "iu" and not (labels.dtype.kind == "f" and (
+        kind = labels.dtype.kind  # unsigned labels are checked before the int64 cast wraps them
+        if not (kind == "i" or kind == "u" and (labels < 2**63).all() or kind == "f" and (
                 (labels == np.trunc(labels)) & (abs(labels) < 2.0**63)).all()):
             raise DatasetError("labels must be whole numbers")
         labels = np.array(labels, dtype=np.int64, copy=True)

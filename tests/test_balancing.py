@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balancing_reference import normalize_error, prediction_error
+from balancing_reference import normalize_error, prediction_error, resample_step_with_fallbacks
 from dube import rng
 from dube.balancing import (InterCBStrategy, IntraCBStrategy, batch_errors, hem_weights,
                             resample_step, shem_weights, target_class_size,
@@ -90,7 +90,13 @@ class TestHemWeights:
         assert np.allclose(probs, [1 / 3, 2 / 3])
 
     def test_all_zero_fallback_uniform(self):
-        assert hem_weights([0.0, 0.0, 0.0]).tolist() == [1.0, 1.0, 1.0]
+        # HEM weights are the errors; the sampler draws all-zero weights uniformly
+        weights = hem_weights([0.0, 0.0, 0.0])
+        assert weights.tolist() == [0.0, 0.0, 0.0]
+        rows = np.array([3, 5, 8])
+        for n in (2, 7):
+            assert np.array_equal(weighted_resample(rows, weights, n, seed=4),
+                                  weighted_resample(rows, np.ones(3), n, seed=4))
 
     def test_singleton(self):
         assert hem_weights([0.7]).tolist() == [0.7]
@@ -106,6 +112,13 @@ class TestHemWeights:
     def test_negative_error_rejected(self):
         with pytest.raises(ValueError):
             hem_weights([0.1, -0.2])
+
+    @pytest.mark.parametrize("bad, message", [(np.nan, "errors must be finite"),
+                                              (np.inf, "errors must be finite"),
+                                              (-np.inf, "negative error")])
+    def test_non_finite_error_rejected(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hem_weights([bad, 0.5])
 
 
 class TestShemWeights:
@@ -145,6 +158,13 @@ class TestShemWeights:
     def test_invalid_input_rejected(self, errors, b):
         with pytest.raises(ValueError):
             shem_weights(errors, b)
+
+    @pytest.mark.parametrize("bad, message", [(np.nan, "errors must be finite"),
+                                              (np.inf, r"errors must lie in \[0, 1\]"),
+                                              (-np.inf, r"errors must lie in \[0, 1\]")])
+    def test_non_finite_error_rejected(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            shem_weights([bad, 0.5], 3)
 
     def test_same_bin_same_weight_and_reciprocal_identity(self):
         gen = np.random.default_rng(3)
@@ -213,9 +233,19 @@ class TestWeightedResample:
         b = weighted_resample(rows, weights, 20, seed=9)
         assert np.array_equal(a, b)
 
-    def test_all_zero_weights_rejected(self):
-        with pytest.raises(ValueError, match="all-zero"):
-            weighted_resample(np.array([1, 2]), np.zeros(2), 1, seed=0)
+    def test_all_zero_weights_draw_as_all_one(self):
+        rows = np.array([1, 2])
+        for n in (1, 2, 5):  # shrink, keep every row, grow
+            assert np.array_equal(weighted_resample(rows, np.zeros(2), n, seed=0),
+                                  weighted_resample(rows, np.ones(2), n, seed=0))
+
+    @pytest.mark.parametrize("bad, message", [(np.nan, "weights must be finite"),
+                                              (np.inf, "weights must be finite"),
+                                              (-np.inf, "negative weight")])
+    @pytest.mark.parametrize("n", [2, 5], ids=["shrink", "grow"])
+    def test_non_finite_weight_rejected(self, bad, message, n):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            weighted_resample(np.arange(3), [bad, 1.0, 1.0], n, seed=0)
 
 
 @st.composite
@@ -245,6 +275,48 @@ class TestWeightedResampleProperties:
         else:
             assert (copies <= 1).all()
             assert copies[zero].sum() == max(0, n - int((~zero).sum()))
+
+
+class TestAllZeroWeights:
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.integers(1, 40), data=st.data(), seed=st.integers(0, 2**63 - 1))
+    def test_draw_as_all_one_weights(self, size, data, seed):
+        # targets from 1 to three times the class: the shrink and the grow path
+        n = data.draw(st.integers(1, 3 * size))
+        rows = np.random.default_rng(seed).permutation(1000)[:size]
+        assert np.array_equal(weighted_resample(rows, np.zeros(size), n, seed),
+                              weighted_resample(rows, np.ones(size), n, seed))
+
+
+@st.composite
+def step_problems(draw):
+    """Labels, class index and probability rows in which some classes are
+    predicted perfectly, so that their HEM errors all vanish."""
+    m = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+    perfect = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = gen.permutation(np.repeat(np.arange(m), sizes))
+    probs = gen.dirichlet(np.ones(m), size=labels.size)
+    for c in np.flatnonzero(perfect):
+        probs[labels == c] = np.eye(m)[c]
+    class_index = tuple(np.flatnonzero(labels == c) for c in range(m))
+    return labels, class_index, probs, draw(st.integers(1, 6)), draw(st.integers(0, 2**63 - 1))
+
+
+class TestResampleStepMatchesReference:
+    @pytest.mark.parametrize("inter", ["RUS", "ROS", "RHS"])
+    @pytest.mark.parametrize("intra", ["Uniform", "HEM", "SHEM"])
+    @settings(max_examples=60, deadline=None)
+    @given(problem=step_problems())
+    def test_draws_equal_the_fallback_reference(self, inter, intra, problem):
+        labels, class_index, probs, bins, seed = problem
+        strategies = InterCBStrategy(inter), IntraCBStrategy(intra, bins)
+        n, per_class, _ = resample_step(labels, class_index, probs, *strategies, seed)
+        ref_n, ref_per_class = resample_step_with_fallbacks(labels, class_index, probs,
+                                                           *strategies, seed)
+        assert n == ref_n
+        assert all(np.array_equal(a, b) for a, b in zip(per_class, ref_per_class, strict=True))
 
 
 class TestBatchErrorsMatchReference:

@@ -198,6 +198,17 @@ class TestRunBiasTrials:
         none = run_bias_trials(draws, "none", alpha_sigma)
         assert (smote.mean_bias, smote.var_bias) == (none.mean_bias, none.var_bias)
 
+    @pytest.mark.parametrize("n_min, n_maj", [(6, 4), (5, 5)])
+    @pytest.mark.parametrize("alpha_sigma", [0.0, 0.2])
+    def test_smote_that_adds_no_point_builds_no_table(self, monkeypatch, n_min, n_maj,
+                                                      alpha_sigma):
+        import dube.biaslab as lab
+        calls = []
+        monkeypatch.setattr(lab, "_smote_draws", lambda *args: calls.append(args) or np.empty(0))
+        draws = draw_trials(ToyConfig(n_min=n_min, n_maj=n_maj, trials=20, seed=7))
+        assert run_bias_trials(draws, "SMOTE1D", alpha_sigma).strategy == "SMOTE1D"
+        assert calls == []
+
 
 class TestSharedDrawsMatchReference:
     @settings(max_examples=100, deadline=None)

@@ -3,6 +3,8 @@ import errno
 import os
 import pickle
 import stat
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dube
 from dube import Dataset, load_csv, class_counts, make_overlap_2d
 from dube.biaslab import ToyConfig
 from dube.cli import (CliError, DEFAULT_ALPHA_GRID, build_dube_config, build_parser, main,
@@ -555,6 +558,24 @@ class TestMainEntry:
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["bench", "--input", "/nonexistent.csv"]) == 2
+
+    @pytest.mark.parametrize("argv, size", [(["synth", "--n-maj", str(2**57)], "1.00 EiB"),
+                                            (["biaslab", "--trials", str(2**50)], "120. PiB")],
+                             ids=["synth", "biaslab"])
+    def test_unallocatable_size_exit_code(self, argv, size):
+        # each request exceeds any 64-bit address space; the child's address
+        # space is capped as well, so no case can commit real memory
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+                  "from dube.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(dube.__file__))}
+        done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith(f"error: Unable to allocate {size} ")
+        assert done.stderr.count("\n") == 1
 
     def test_label_only_table_exit_code(self, tmp_path, capsys):
         data = tmp_path / "labels.csv"

@@ -244,10 +244,22 @@ class TestLabels:
         with pytest.raises(DatasetError, match="^labels must be whole numbers$"):
             Dataset(np.zeros((3, 1)), labels)
 
-    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.uint16, np.uint32, np.uint64,
+                                       np.int64, np.float32, np.float64])
     def test_integers_and_whole_floats_taken(self, dtype):
         ds = Dataset(np.zeros((3, 1)), np.array([2, 0, 1], dtype=dtype))
         assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 0, 1]
+
+    @pytest.mark.parametrize("big", [2**63, 2**64 - 1])
+    def test_unsigned_past_int64_rejected(self, big):
+        # the int64 cast would wrap these to negative class ids
+        with pytest.raises(DatasetError, match="^labels must be whole numbers$"):
+            Dataset(np.zeros((2, 1)), np.array([0, big], dtype=np.uint64))
+
+    def test_largest_unsigned_within_int64_taken(self):
+        # it passes the label check and fails only on the label space
+        with pytest.raises(DatasetError, match=f"^label {2**63 - 1} out of range for m=2$"):
+            Dataset(np.zeros((2, 1)), np.array([0, 2**63 - 1], dtype=np.uint64), m=2)
 
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(WHOLE_OR_NOT, min_size=1, max_size=6))

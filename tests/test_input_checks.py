@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from dube import rng
-from dube.balancing import (InterCBStrategy, IntraCBStrategy, hem_weights, target_class_size,
-                            weighted_resample)
+from dube.balancing import (InterCBStrategy, IntraCBStrategy, hem_weights, shem_weights,
+                            target_class_size, weighted_resample)
 from dube.biaslab import ToyConfig
 from dube.dataset import (Dataset, DatasetError, make_gaussian_1d, make_overlap_2d,
                           stratified_k_fold)
@@ -28,12 +28,17 @@ CASES = {
     "target_class_size-empty-class": (lambda: target_class_size([5, 0], InterCBStrategy("ROS")),
                                       ValueError, "class counts must be positive"),
     "hem_weights-empty": (lambda: hem_weights([]), ValueError, "empty error list"),
+    "hem_weights-nan": (lambda: hem_weights([np.nan, 0.5]), ValueError, "errors must be finite"),
+    "shem_weights-nan": (lambda: shem_weights([np.nan, 0.5], 3),
+                         ValueError, "errors must be finite"),
     "weighted_resample-lengths": (lambda: weighted_resample([0, 1, 2], [1.0, 1.0], 2, seed=0),
                                   ValueError, "weights must match class_rows in length"),
     "weighted_resample-target": (lambda: weighted_resample([0, 1], [1.0, 1.0], 0, seed=0),
                                  ValueError, "target size must be >= 1"),
     "weighted_resample-negative": (lambda: weighted_resample([0, 1], [1.0, -1.0], 1, seed=0),
                                    ValueError, "negative weight"),
+    "weighted_resample-nan": (lambda: weighted_resample([0, 1, 2], [np.nan, 1.0, 1.0], 2, seed=0),
+                              ValueError, "weights must be finite"),
     "ToyConfig-class-size": (lambda: ToyConfig(n_maj=0), ValueError, "class sizes must be >= 1"),
     "ToyConfig-trials": (lambda: ToyConfig(trials=0), ValueError, "trials must be >= 1"),
     "Dataset-1d-features": (lambda: Dataset(np.zeros(3), [0, 1, 0]),
