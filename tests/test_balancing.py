@@ -113,10 +113,10 @@ class TestHemWeights:
         with pytest.raises(ValueError):
             hem_weights([0.1, -0.2])
 
-    @pytest.mark.parametrize("bad, message", [(np.nan, "errors must be finite"),
-                                              (np.inf, "errors must be finite"),
+    @pytest.mark.parametrize("bad, message", [(np.inf, "errors must be finite"),
                                               (-np.inf, "negative error")])
-    def test_non_finite_error_rejected(self, bad, message):
+    def test_infinite_error_rejected(self, bad, message):
+        # NaN is a case of tests/test_input_checks.py
         with pytest.raises(ValueError, match=f"^{message}$"):
             hem_weights([bad, 0.5])
 
@@ -159,11 +159,9 @@ class TestShemWeights:
         with pytest.raises(ValueError):
             shem_weights(errors, b)
 
-    @pytest.mark.parametrize("bad, message", [(np.nan, "errors must be finite"),
-                                              (np.inf, r"errors must lie in \[0, 1\]"),
-                                              (-np.inf, r"errors must lie in \[0, 1\]")])
-    def test_non_finite_error_rejected(self, bad, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_error_lies_outside_the_range(self, bad):
+        with pytest.raises(ValueError, match=r"^errors must lie in \[0, 1\]$"):
             shem_weights([bad, 0.5], 3)
 
     def test_same_bin_same_weight_and_reciprocal_identity(self):

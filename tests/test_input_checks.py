@@ -15,12 +15,14 @@ from dube.balancing import (InterCBStrategy, IntraCBStrategy, hem_weights, shem_
 from dube.biaslab import ToyConfig
 from dube.dataset import (Dataset, DatasetError, make_gaussian_1d, make_overlap_2d,
                           stratified_k_fold)
-from dube.learners import KnnParams, knn_fit
+from dube.learners import KnnParams, knn_fit, learner_from_dict
 from dube.metrics import binary_auroc, macro_auroc
 
 TABLE = Dataset(np.arange(8.0)[:, None], [0, 1] * 4)
 
 CASES = {
+    "IntraCBStrategy-tag": (lambda: IntraCBStrategy("hem"),
+                            ValueError, "unknown intra-class strategy 'hem'"),
     "IntraCBStrategy-bins": (lambda: IntraCBStrategy("SHEM", bins=0),
                              ValueError, "bins must be >= 1"),
     "target_class_size-one-class": (lambda: target_class_size([5], InterCBStrategy("RUS")),
@@ -60,6 +62,8 @@ CASES = {
                                    DatasetError, "class sizes must be >= 1"),
     "KnnParams-k": (lambda: KnnParams(0), ValueError, "k_neighbors must be >= 1"),
     "knn_fit-k": (lambda: knn_fit(TABLE, 0), DatasetError, "k_neighbors must be >= 1"),
+    "learner_from_dict-kind": (lambda: learner_from_dict({"kind": "svm"}),
+                               ValueError, "unknown learner kind 'svm'"),
     "binary_auroc-one-class": (lambda: binary_auroc(np.array([True, True]), [0.1, 0.2]),
                                ValueError, "AUROC needs both positive and negative examples"),
     "macro_auroc-rows": (lambda: macro_auroc([0, 1], [[0.5, 0.5]]),
