@@ -563,8 +563,9 @@ class TestMainEntry:
                                             (["biaslab", "--trials", str(2**50)], "120. PiB")],
                              ids=["synth", "biaslab"])
     def test_unallocatable_size_exit_code(self, argv, size):
-        # each request exceeds any 64-bit address space; the child's address
-        # space is capped as well, so no case can commit real memory
+        # each request (2**60 bytes and more) is beyond what any machine can
+        # map, and the child's address space is capped at 2 GiB besides, so
+        # no case can commit real memory
         script = ("import resource, sys\n"
                   "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
                   "from dube.cli import main\n"
