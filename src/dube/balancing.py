@@ -124,8 +124,8 @@ def weighted_resample(class_rows, weights, n: int, seed: int) -> np.ndarray:
     Zero-weight rows are never drawn while positive-weight rows remain;
     if the shrink target exceeds the positive-weight count the remainder
     is filled uniformly from the zero-weight rows. All-zero weights draw
-    exactly the rows that all-one weights draw. A negative, NaN or
-    infinite weight raises ValueError.
+    exactly the rows that all-one weights draw. An empty class, or a
+    negative, NaN or infinite weight, raises ValueError.
     """
     class_rows = np.asarray(class_rows)
     weights = np.asarray(weights, dtype=np.float64)
@@ -137,6 +137,8 @@ def weighted_resample(class_rows, weights, n: int, seed: int) -> np.ndarray:
         raise ValueError("negative weight")
     if not np.isfinite(weights).all():
         raise ValueError("weights must be finite")
+    if class_rows.size == 0:
+        raise ValueError("class_rows must be nonempty")
     if weights.max() == 0.0:  # no row stands out: draw uniformly
         weights = np.ones_like(weights)
     gen = rng.stream(seed, rng.RESAMPLE)

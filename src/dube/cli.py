@@ -27,7 +27,7 @@ from .biaslab import (BIAS_STRATEGIES, ToyConfig, check_pbda_bound, draw_trials,
 from .dataset import Dataset, inject_flip_noise, load_csv, make_gaussian_1d, make_overlap_2d, \
     stratified_k_fold
 from .ensemble import DubeConfig, TrainingTrace, dube_fit, dube_fit_lockstep, write_atomic
-from .learners import KnnParams, TreeParams
+from .learners import LEARNERS, KnnParams, TreeParams
 from .metrics import evaluate, macro_auroc
 
 REPORT_SCHEMA = "dube-report-v1"
@@ -261,12 +261,11 @@ def run_bench(options) -> Report:
     ds = _load_input(options)
     point = _point("", options, None)
     report = Report("bench", _config_line("bench", options),
-                    ["kind", "repeat", "fold", "alpha", "macro_f1", "mcc", "macro_auroc"])
+                    ["kind", "repeat", "fold", "alpha", *_SUMMARY])
     [results] = _cross_validate(ds, options, [point], report.failures)
     detail_rows = []
     for rep, fold, metrics, alpha, _ in results:
-        report.rows.append(["cell", rep, fold, alpha, metrics.macro_f1,
-                            metrics.mcc, metrics.macro_auroc])
+        report.rows.append(["cell", rep, fold, alpha, *(getattr(metrics, name) for name in _SUMMARY)])
         for c, (precision, recall, f1) in enumerate(metrics.per_class):
             detail_rows.append([rep, fold, c, precision, recall, f1]
                                + metrics.confusion[c].tolist())
@@ -274,11 +273,10 @@ def run_bench(options) -> Report:
     report.rows.append(["mean", "", "", ""] + stats[0::2])
     report.rows.append(["std", "", "", ""] + stats[1::2])
     if options.get("details"):
-        m = len(detail_rows[0]) - 6
         report.extra_sections.append((
             "per-class details (confusion row = counts of predicted classes)",
             ["repeat", "fold", "class", "precision", "recall", "f1"]
-            + [f"pred_{c}" for c in range(m)],
+            + [f"pred_{c}" for c in range(ds.m)],
             detail_rows))
     resample_ms = [ms for *_, cell_ms in results for ms in cell_ms]
     report.timing = {"resample_ms_per_iteration_mean": float(np.mean(resample_ms or [0.0])),
@@ -408,11 +406,11 @@ def _optional_int(text: str):
 
 class Setting(NamedTuple):
     """One setting: flag ``--name`` (dashes for underscores), config-file
-    key and option ``name``. ``type`` parses a value (None keeps the
-    text); a ``switch`` is a store-true flag."""
+    key and option ``name``. ``type`` parses a value's text; a ``switch``
+    is a store-true flag."""
     name: str
     default: object = None
-    type: object = None
+    type: object = str
     choices: list | None = None
     help: str | None = None
     switch: bool = False
@@ -426,7 +424,7 @@ _CV = (
     Setting("intra", "shem", choices=sorted(_INTRA)),
     Setting("bins", 5, int, help="SHEM histogram bins"),
     Setting("alpha", 0.0, _alpha, help="perturbation scale or 'auto'"),
-    Setting("learner", "tree", choices=["tree", "knn"]),
+    Setting("learner", "tree", choices=list(LEARNERS)),
     Setting("tree_max_depth", None, _optional_int),
     Setting("tree_min_leaf", 1, int),
     Setting("tree_criterion", "gini", choices=["gini", "entropy"]),
@@ -521,13 +519,11 @@ def _read_config_file(path, command: Command) -> dict:
                 raise CliError(f"{path}:{lineno}: {key} is a switch: expected true or false, "
                                f"got {raw!r}")
             value = raw.lower() == "true"
-        elif setting.type is not None:
+        else:
             try:
                 value = setting.type(raw)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise CliError(f"{path}:{lineno}: {exc}") from exc
-        else:
-            value = raw
         if setting.choices is not None and value not in setting.choices:
             raise CliError(f"{path}:{lineno}: invalid {key} {raw!r} "
                            f"(choose from {', '.join(setting.choices)})")

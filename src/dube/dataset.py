@@ -76,13 +76,16 @@ class Dataset:
         m = self.m if self.m else int(labels.max()) + 1
         if labels.max() >= m:
             raise DatasetError(f"label {labels.max()} out of range for m={m}")
-        index = tuple(np.flatnonzero(labels == c) for c in range(m))
-        for arr in (feats, labels) + index:
+        empty, present = np.empty(0, dtype=np.intp), np.flatnonzero(np.bincount(labels))
+        index = [empty] * m  # classes without rows share one array; only the others are scanned
+        for c in present:
+            index[c] = np.flatnonzero(labels == c)
+        for arr in (feats, labels, empty, *(index[c] for c in present)):
             arr.flags.writeable = False
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "class_index", index)
+        object.__setattr__(self, "class_index", tuple(index))
 
     @property
     def n_rows(self) -> int:

@@ -219,7 +219,8 @@ def save_model(model: EnsembleModel, path) -> None:
 
 def load_model(path) -> EnsembleModel:
     """Read a :func:`save_model` file, raising ValueError unless every
-    member is well formed and agrees with the file's ``m`` and ``d``."""
+    member is well formed and agrees with the file's ``m`` and ``d``, and
+    the file holds ``config.k`` members of its config's learner kind."""
     try:
         with open(path) as fh:
             blob = json.load(fh)
@@ -239,4 +240,8 @@ def load_model(path) -> EnsembleModel:
         if (member.m, member.d) != (model.m, model.d):
             raise ValueError(f"{path}: member {i} has m={member.m}, d={member.d}; "
                              f"the model has m={model.m}, d={model.d}")
+    kind, kinds = blob["config"]["learner"]["kind"], {b["kind"] for b in blob["members"]}
+    if len(members) != model.config.k or kinds != {kind}:  # the config would fit another model
+        raise ValueError(f"{path}: the config fits k={model.config.k} {kind} members; "
+                         f"the file holds {len(members)} ({', '.join(sorted(kinds))})")
     return model

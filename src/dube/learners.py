@@ -50,24 +50,6 @@ class KnnParams:
 
 
 LearnerParams = TreeParams | KnnParams
-_PARAMS = {"tree": TreeParams, "knn": KnnParams}
-
-
-def params_to_dict(params: LearnerParams) -> dict:
-    """JSON form of learner hyperparameters: the kind, then every field."""
-    kind = next(kind for kind, cls in _PARAMS.items() if isinstance(params, cls))
-    return {"kind": kind, **asdict(params)}
-
-
-def params_from_dict(blob: dict) -> LearnerParams:
-    fields = {**blob}  # TypeError unless blob is a mapping
-    kind = fields.pop("kind")
-    if kind not in _PARAMS:
-        raise ValueError(f"unknown learner kind {kind!r}")
-    for key in ("max_depth", "min_samples_leaf", "k_neighbors"):
-        if fields.get(key) is not None:
-            fields[key] = _integer(fields, key)
-    return _PARAMS[kind](**fields)
 
 
 def _integer(blob: dict, key: str, low: int = 1, high: float = float("inf")) -> int:
@@ -553,9 +535,29 @@ def fit_learner(ds: Dataset, params: LearnerParams) -> _Classifier:
     raise TypeError(f"unknown learner params: {params!r}")
 
 
+# The learner kinds: each kind's hyperparameter class and classifier class.
+# Saved hyperparameters and saved members name their kind under "kind".
+LEARNERS = {"tree": (TreeParams, TreeClassifier), "knn": (KnnParams, KnnClassifier)}
+
+
+def params_to_dict(params: LearnerParams) -> dict:
+    """JSON form of learner hyperparameters: the kind, then every field."""
+    kind = next(kind for kind, (cls, _) in LEARNERS.items() if isinstance(params, cls))
+    return {"kind": kind, **asdict(params)}
+
+
+def params_from_dict(blob: dict) -> LearnerParams:
+    fields = {**blob}  # TypeError unless blob is a mapping
+    kind = fields.pop("kind")
+    if kind not in LEARNERS:
+        raise ValueError(f"unknown learner kind {kind!r}")
+    for key in ("max_depth", "min_samples_leaf", "k_neighbors"):
+        if fields.get(key) is not None:
+            fields[key] = _integer(fields, key)
+    return LEARNERS[kind][0](**fields)
+
+
 def learner_from_dict(blob: dict) -> _Classifier:
-    if blob["kind"] == "tree":
-        return TreeClassifier.from_dict(blob)
-    if blob["kind"] == "knn":
-        return KnnClassifier.from_dict(blob)
-    raise ValueError(f"unknown learner kind {blob.get('kind')!r}")
+    if blob["kind"] not in list(LEARNERS):  # compared, not hashed: a list is an unknown kind
+        raise ValueError(f"unknown learner kind {blob['kind']!r}")
+    return LEARNERS[blob["kind"]][1].from_dict(blob)

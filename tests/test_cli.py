@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import dube
 from dube import Dataset, load_csv, class_counts, make_overlap_2d
 from dube.biaslab import ToyConfig
+from dube.learners import LEARNERS
 from dube.cli import (CliError, DEFAULT_ALPHA_GRID, build_dube_config, build_parser, main,
                       resolve_options, run_bench, run_biaslab, run_noise_sweep, run_param_sweep,
                       run_synth, _COMMANDS, _DEFAULTS, _cv_cells, _cv_job, _read_config_file)
@@ -780,6 +781,14 @@ SWITCHES = [(command, setting) for command, setting in TABLE if setting.switch]
 class TestSettingsTable:
     def test_every_setting_has_a_sample(self):
         assert {setting.name for _, setting in TABLE} == set(SAMPLES)
+
+    def test_every_setting_has_a_parser(self):
+        # a text setting parses through str, so the config reader has one parse path
+        assert all(callable(setting.type) for _, setting in TABLE)
+
+    def test_learner_choices_are_the_learner_kinds(self):
+        choices = [setting.choices for _, setting in TABLE if setting.name == "learner"]
+        assert choices and all(c == list(LEARNERS) == ["tree", "knn"] for c in choices)
 
     @pytest.mark.parametrize("command,setting,raw", [
         (command, setting, raw) for command, setting in TABLE for raw in SAMPLES[setting.name]],

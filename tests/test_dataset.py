@@ -1,6 +1,7 @@
 import csv
 import math
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -211,6 +212,30 @@ class TestDatasetInvariants:
         ds = Dataset(gen.normal(size=(40, 3)), gen.integers(0, 4, 40), m=4)
         merged = np.sort(np.concatenate(ds.class_index))
         assert merged.tolist() == list(range(40))
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=st.lists(st.sampled_from([0, 1, 3, 7, 40]), min_size=1, max_size=30),
+           extra=st.integers(0, 50))
+    def test_class_index_has_every_class(self, labels, extra):
+        # labels with gaps and any m above the largest: absent classes get empty rows
+        labels = np.array(labels)
+        ds = Dataset(np.zeros((labels.size, 1)), labels, m=int(labels.max()) + 1 + extra)
+        assert len(ds.class_index) == ds.m
+        for c, rows in enumerate(ds.class_index):
+            want = np.flatnonzero(labels == c)
+            assert rows.dtype == want.dtype and rows.tolist() == want.tolist()
+            assert not rows.flags.writeable
+
+    def test_index_memory_does_not_grow_with_the_largest_label(self):
+        # it scanned every class id up to the largest label: 25.7 MB traced at 10**5
+        tracemalloc.start()
+        try:
+            ds = Dataset(np.zeros((2, 1)), [0, 10**5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert ds.class_index[10**5].tolist() == [1] and ds.class_index[5].size == 0
 
     def test_class_index_is_not_a_constructor_argument(self):
         # the index is always built from the labels, never taken from a caller

@@ -20,7 +20,8 @@ from dube import balancing, pbda, rng
 from dube.balancing import InterCBStrategy, IntraCBStrategy
 from dube.dataset import Dataset, DatasetError
 from dube.ensemble import dube_fit_lockstep
-from dube.learners import KnnParams, TreeClassifier, TreeParams, params_to_dict, tree_fit
+from dube.learners import (KnnParams, TreeClassifier, TreeParams, knn_fit, params_to_dict,
+                           tree_fit)
 from ensemble_reference import reference_members
 
 
@@ -441,6 +442,23 @@ class TestModelFileValidation:
             del (blob if where == "model" else blob["members"][0])[key]
         with pytest.raises(ValueError, match=f"missing key '{key}'"):
             load_model(self.save_knn(tmp_path, edit))
+
+    # A file whose config could not rebuild it: dube_fit(ds, model.config) would fit
+    # another number of members, or members of another kind. Both used to load.
+    @pytest.mark.parametrize("edit,message", [
+        (lambda blob: blob["config"].update(k=10), "the config fits k=10 tree members; "
+                                                   "the file holds 2 (tree)"),
+        (lambda blob: blob["config"].update(k=1), "the config fits k=1 tree members; "
+                                                  "the file holds 2 (tree)"),
+        (lambda blob: blob["config"].update(learner={"kind": "knn", "k_neighbors": 5}),
+         "the config fits k=2 knn members; the file holds 2 (tree)"),
+        (lambda blob: blob["members"].__setitem__(1, knn_fit(small_dataset(10), 3).to_dict()),
+         "the config fits k=2 tree members; the file holds 2 (knn, tree)")],
+        ids=["more-k", "fewer-k", "config-kind", "member-kind"])
+    def test_config_disagrees_with_members(self, tmp_path, edit, message):
+        path = save_edited_model(tmp_path, TreeParams(), edit)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_model(path)
 
     def test_no_members(self, tmp_path):
         with pytest.raises(ValueError, match="at least one member"):

@@ -41,6 +41,8 @@ CASES = {
                                    ValueError, "negative weight"),
     "weighted_resample-nan": (lambda: weighted_resample([0, 1, 2], [np.nan, 1.0, 1.0], 2, seed=0),
                               ValueError, "weights must be finite"),
+    "weighted_resample-empty": (lambda: weighted_resample([], [], 1, seed=0),
+                                ValueError, "class_rows must be nonempty"),
     "ToyConfig-class-size": (lambda: ToyConfig(n_maj=0), ValueError, "class sizes must be >= 1"),
     "ToyConfig-trials": (lambda: ToyConfig(trials=0), ValueError, "trials must be >= 1"),
     "Dataset-1d-features": (lambda: Dataset(np.zeros(3), [0, 1, 0]),
@@ -64,6 +66,11 @@ CASES = {
     "knn_fit-k": (lambda: knn_fit(TABLE, 0), DatasetError, "k_neighbors must be >= 1"),
     "learner_from_dict-kind": (lambda: learner_from_dict({"kind": "svm"}),
                                ValueError, "unknown learner kind 'svm'"),
+    # an unhashable kind is unknown too, so load_model words it the same way
+    "learner_from_dict-kind-list": (lambda: learner_from_dict({"kind": ["x"]}),
+                                    ValueError, "unknown learner kind ['x']"),
+    "learner_from_dict-kind-none": (lambda: learner_from_dict({"kind": None}),
+                                    ValueError, "unknown learner kind None"),
     "binary_auroc-one-class": (lambda: binary_auroc(np.array([True, True]), [0.1, 0.2]),
                                ValueError, "AUROC needs both positive and negative examples"),
     "macro_auroc-rows": (lambda: macro_auroc([0, 1], [[0.5, 0.5]]),

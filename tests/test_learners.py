@@ -10,8 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dube import Dataset, DatasetError, DubeConfig, dube_fit, learners
+from dube.ensemble import _config_from_dict, _config_to_dict
 from dube.learners import (KnnClassifier, KnnParams, TreeClassifier, TreeParams, fit_learner,
-                           learner_from_dict, knn_fit, tree_fit)
+                           learner_from_dict, knn_fit, params_from_dict, params_to_dict, tree_fit)
 from knn_reference import (blocked_distances, blocked_knn_predict_proba_many,
                            reference_knn_predict_proba_many)
 from tree_reference import _xlog2x as masked_xlog2x
@@ -747,12 +748,33 @@ class TestKnnMatchesBlockedForm:
 
 
 class TestSerialization:
+    # hyperparameters of every learner kind; a kind added to the table without them fails
+    PARAMS = {"tree": TreeParams(max_depth=3, min_samples_leaf=2, criterion="entropy"),
+              "knn": KnnParams(k_neighbors=3)}
+
+    @pytest.mark.parametrize("kind", learners.LEARNERS)
+    def test_every_kind_round_trips(self, kind):
+        params_class, classifier_class = learners.LEARNERS[kind]
+        params = self.PARAMS[kind]
+        assert type(params) is params_class
+        blob = json.loads(json.dumps(params_to_dict(params)))
+        assert blob["kind"] == kind and params_from_dict(blob) == params
+        cfg = DubeConfig(k=2, learner=params, seed=4)
+        assert _config_from_dict(json.loads(json.dumps(_config_to_dict(cfg)))) == cfg
+        gen = np.random.default_rng(8)
+        model = fit_learner(dataset(gen.normal(size=(30, 2)), np.arange(30) % 3), params)
+        clone = learner_from_dict(json.loads(json.dumps(model.to_dict())))
+        assert type(model) is type(clone) is classifier_class
+        queries = gen.normal(size=(10, 2))
+        assert np.array_equal(model.predict_proba_many(queries), clone.predict_proba_many(queries))
+
     def test_tree_round_trip(self):
         gen = np.random.default_rng(6)
         X = gen.normal(size=(70, 3))
         y = gen.integers(0, 2, 70)
         model = tree_fit(dataset(X, y))
         clone = learner_from_dict(model.to_dict())
+        assert type(clone) is learners.LEARNERS["tree"][1]
         queries = gen.normal(size=(30, 3))
         assert np.array_equal(model.predict_proba_many(queries),
                               clone.predict_proba_many(queries))
@@ -763,6 +785,7 @@ class TestSerialization:
         y = gen.integers(0, 2, 20)
         model = knn_fit(dataset(X, y), 3)
         clone = learner_from_dict(model.to_dict())
+        assert type(clone) is learners.LEARNERS["knn"][1]
         queries = gen.normal(size=(10, 2))
         assert np.array_equal(model.predict_proba_many(queries),
                               clone.predict_proba_many(queries))

@@ -2,7 +2,10 @@
 statements of ``src/dube`` that a test run never executes."""
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("line_coverage", ROOT / "tools" / "line_coverage.py")
@@ -37,6 +40,11 @@ class Thing:
                 -1)
         finally:
             pass
+
+
+if __name__ == "__main__":
+    print(used(
+        3))
 '''
 
 
@@ -61,3 +69,17 @@ def test_bare_constants_are_not_statements():
 
 def test_a_decorated_definition_starts_at_its_decorator():
     assert line_coverage.statements("@a\n@b\ndef f():\n    return 1\n") == [(1, 4), (4, 4)]
+
+
+def test_a_main_guard_is_not_a_statement():
+    source = 'x = 1\nif __name__ == "__main__":\n    f(x)\nif __name__ == "other":\n    g()\n'
+    assert line_coverage.statements(source) == [(1, 1), (4, 5), (5, 5)]
+
+
+@pytest.mark.parametrize("missed,status", [([], 0), ([("cli.py", 3, "x = 1")], 1)])
+def test_exit_status_is_one_when_a_statement_never_ran(monkeypatch, capsys, missed, status):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts the checkout's src first
+    monkeypatch.setattr(line_coverage, "never_ran", lambda root, run: [
+        (line_coverage.SOURCE / path, line, text) for path, line, text in missed])
+    assert line_coverage.main(["-q"]) == status
+    assert capsys.readouterr().out.endswith(f"{len(missed)} statement(s) never ran\n")

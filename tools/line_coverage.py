@@ -4,8 +4,11 @@ It runs pytest in this process under a ``sys.settrace`` line tracer that
 records only the lines run in ``src/dube``. Then it prints each statement
 none of whose lines ran, as ``file:line  source``, and their count. A
 compound statement (``if``, ``def``, ``try``, ...) counts as run when any
-line inside it ran; statements that compile to no code (docstrings and
-other bare constants) are left out.
+line inside it ran. Left out are statements that compile to no code
+(docstrings and other bare constants) and a module's ``if __name__ ==
+"__main__":`` block, which runs only when the module runs as a script,
+and no in-process test can do that. The exit status is 1 when any
+statement never ran, else 0, so the tool can gate a change.
 
 Run from the repository root::
 
@@ -59,10 +62,14 @@ def executed_lines(files, run) -> dict:
 
 def statements(source: str) -> list:
     """(first line, last line) of each statement in ``source`` that compiles
-    to code, a decorated definition starting at its first decorator."""
+    to code and lies outside a top-level ``if __name__ == "__main__":``
+    block, a decorated definition starting at its first decorator."""
+    tree = ast.parse(source)
+    script = {id(node) for top in tree.body if isinstance(top, ast.If)
+              and ast.unparse(top.test) == "__name__ == '__main__'" for node in ast.walk(top)}
     spans = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.stmt) and not (
+    for node in ast.walk(tree):
+        if isinstance(node, ast.stmt) and id(node) not in script and not (
                 isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
             first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
             spans.append((first, node.end_lineno))
@@ -92,7 +99,7 @@ def main(argv=None) -> int:
     for path, line, source in missed:
         print(f"{path.relative_to(ROOT)}:{line}  {source}")
     print(f"{len(missed)} statement(s) never ran")
-    return 0
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":
