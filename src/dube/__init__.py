@@ -15,8 +15,8 @@ from .biaslab import (BiasTrialReport, BoundCheck, ToyConfig, check_pbda_bound,
 from .dataset import (Dataset, DatasetError, FoldPlan, class_counts,
                       inject_flip_noise, load_csv, make_gaussian_1d,
                       make_overlap_2d, stratified_k_fold)
-from .ensemble import (DubeConfig, EnsembleModel, TrainingTrace, dube_fit,
-                       load_model, save_model)
+from .ensemble import (DubeConfig, EnsembleModel, dube_fit, load_model,
+                       save_model)
 from .learners import (KnnParams, TreeParams, fit_learner, knn_fit, tree_fit)
 from .metrics import (EvalReport, confusion_matrix, evaluate, macro_auroc,
                       macro_f1, mcc)
@@ -29,8 +29,8 @@ __all__ = [
     "BiasTrialReport", "BoundCheck", "ClassCovariance", "Dataset",
     "DatasetError", "DubeConfig", "EnsembleModel",
     "EvalReport", "FoldPlan", "InterCBStrategy", "IntraCBStrategy",
-    "KnnParams", "RNG_ALGORITHM", "ToyConfig", "TrainingTrace",
-    "TreeParams", "check_pbda_bound", "class_counts",
+    "KnnParams", "RNG_ALGORITHM", "ToyConfig", "TreeParams",
+    "check_pbda_bound", "class_counts",
     "class_covariance", "confusion_matrix", "draw_trials", "dube_fit",
     "evaluate", "fit_learner", "hem_weights",
     "inject_flip_noise", "knn_fit", "load_csv", "load_model",

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import rng
 from .balancing import InterCBStrategy, target_class_size
+from .dataset import check_gaussian_1d
 
 BIAS_STRATEGIES = ("none", "RUS", "ROS", "SMOTE1D", "RHS")
 
@@ -48,12 +49,7 @@ class ToyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.mu_min, self.mu_maj, self.sigma)):
-            raise ValueError("mu_min, mu_maj and sigma must be finite")
-        if self.n_min < 1 or self.n_maj < 1:
-            raise ValueError("class sizes must be >= 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        check_gaussian_1d(self.n_min, self.n_maj, self.mu_min, self.mu_maj, self.sigma)
         if self.mu_maj <= self.mu_min:
             raise ValueError("mu_maj must exceed mu_min (minority sits left)")
         if self.trials < 1:

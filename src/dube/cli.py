@@ -26,7 +26,7 @@ from .biaslab import (BIAS_STRATEGIES, ToyConfig, check_pbda_bound, draw_trials,
                       run_bias_trials, validate_row)
 from .dataset import Dataset, inject_flip_noise, load_csv, make_gaussian_1d, make_overlap_2d, \
     stratified_k_fold
-from .ensemble import DubeConfig, TrainingTrace, dube_fit, dube_fit_lockstep, write_atomic
+from .ensemble import DubeConfig, dube_fit, dube_fit_lockstep, write_atomic
 from .learners import LEARNERS, KnnParams, TreeParams
 from .metrics import evaluate, macro_auroc
 
@@ -137,11 +137,11 @@ def run_cv_cell(train: Dataset, test: Dataset, base_cfg: DubeConfig, seed: int, 
     cfg = replace(base_cfg, seed=rng.child_seed(seed, rng.CELL))
     if grid is not None:
         cfg = replace(cfg, alpha=tune_alpha(train, cfg, grid, seed))
-    trace = TrainingTrace()
-    model = dube_fit(train, cfg, trace)
+    resample_ms = []
+    model = dube_fit(train, cfg, resample_ms)
     probs = model.predict_proba_many(test.features)
     report = evaluate(test.labels, probs.argmax(axis=1), probs)
-    return report, cfg.alpha, [it.resample_ms for it in trace.iterations]
+    return report, cfg.alpha, resample_ms
 
 
 def _cv_cells(ds: Dataset, options):

@@ -263,17 +263,23 @@ def inject_flip_noise(ds: Dataset, r: float, seed: int) -> Dataset:
     return Dataset(ds.features, labels, m=2, label_names=ds.label_names)
 
 
-def make_gaussian_1d(n_min: int, n_maj: int, mu_min: float, mu_maj: float,
-                     sigma: float, seed: int) -> Dataset:
-    """1-D two-class Gaussian sample: majority (class 0) around ``mu_maj``,
-    minority (class 1, the "positive" class) around ``mu_min``, shared
-    standard deviation ``sigma``."""
+def check_gaussian_1d(n_min: int, n_maj: int, mu_min: float, mu_maj: float, sigma: float) -> None:
+    """DatasetError unless both class sizes are >= 1, the means and
+    ``sigma`` are finite, and ``sigma`` > 0, checked in that order."""
     if n_min < 1 or n_maj < 1:
         raise DatasetError("class sizes must be >= 1")
     if not all(math.isfinite(v) for v in (mu_min, mu_maj, sigma)):
         raise DatasetError("mu_min, mu_maj and sigma must be finite")
     if sigma <= 0:
         raise DatasetError(f"sigma must be positive, got {sigma}")
+
+
+def make_gaussian_1d(n_min: int, n_maj: int, mu_min: float, mu_maj: float,
+                     sigma: float, seed: int) -> Dataset:
+    """1-D two-class Gaussian sample: majority (class 0) around ``mu_maj``,
+    minority (class 1, the "positive" class) around ``mu_min``, shared
+    standard deviation ``sigma`` (:func:`check_gaussian_1d`)."""
+    check_gaussian_1d(n_min, n_maj, mu_min, mu_maj, sigma)
     gen = rng.stream(seed, rng.GAUSS_1D)
     x_maj = gen.normal(mu_maj, sigma, n_maj)
     x_min = gen.normal(mu_min, sigma, n_min)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -61,24 +61,6 @@ class DubeConfig:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
 
 
-@dataclass
-class IterationTrace:
-    """Record of one training iteration (t >= 2)."""
-
-    target_size: int
-    weights: np.ndarray
-    sampled_rows: list
-    ensemble_probs: np.ndarray
-    resample_ms: float
-
-
-@dataclass
-class TrainingTrace:
-    """Optional instrumentation collected by :func:`dube_fit`."""
-
-    iterations: list = field(default_factory=list)
-
-
 class EnsembleModel(_Classifier):
     """Ordered fitted members with uniform soft-vote aggregation."""
 
@@ -97,20 +79,19 @@ class EnsembleModel(_Classifier):
         return total / len(self.members)
 
 
-def dube_fit(ds: Dataset, cfg: DubeConfig, trace: TrainingTrace | None = None) -> EnsembleModel:
+def dube_fit(ds: Dataset, cfg: DubeConfig, resample_ms: list | None = None) -> EnsembleModel:
     """Train a duple-balanced ensemble on ``ds``: the one-alpha case of
     :func:`dube_fit_lockstep`.
 
     Requires m >= 2. With k = 1 the result is a single learner trained on
-    the raw data and no resampling is performed. Pass a
-    :class:`TrainingTrace` to capture per-iteration targets, weights,
-    drawn rows, the soft-vote matrix in effect, and resampling wall time.
+    the raw data and no resampling is performed. Pass a list as
+    ``resample_ms`` to have each iteration t >= 2 append the wall time of
+    its resample step in milliseconds.
     """
-    return dube_fit_lockstep(ds, cfg, [cfg.alpha], trace)[0]
+    return dube_fit_lockstep(ds, cfg, [cfg.alpha], resample_ms)[0]
 
 
-def dube_fit_lockstep(ds: Dataset, cfg: DubeConfig, alphas,
-                      trace: TrainingTrace | None = None) -> list:
+def dube_fit_lockstep(ds: Dataset, cfg: DubeConfig, alphas, resample_ms: list | None = None) -> list:
     """The ensemble :func:`dube_fit` trains for ``replace(cfg, alpha=a)``,
     for each ``a`` of ``alphas``, all trained at once.
 
@@ -124,7 +105,8 @@ def dube_fit_lockstep(ds: Dataset, cfg: DubeConfig, alphas,
     class). Each iteration starts by adding the previous iteration's
     training-set votes to the running sums, so the last iteration's
     members, and with k = 1 the first, never predict on ``ds``.
-    ``trace`` records the first alpha's iterations.
+    ``resample_ms``, if a list, gets each iteration's wall time of the
+    resample steps of all alphas, in milliseconds.
     """
     configs = [replace(cfg, alpha=a) for a in alphas]
     if ds.m < 2:
@@ -137,17 +119,11 @@ def dube_fit_lockstep(ds: Dataset, cfg: DubeConfig, alphas,
 
     for t in range(2, cfg.k + 1):
         sums = sums + np.stack([member.predict_proba_many(ds.features) for member in fitted])
-        steps = []
-        for total in sums:
-            current = total / (t - 1)
-            t0 = time.perf_counter()
-            steps.append(resample_step(ds.labels, ds.class_index, current, cfg.inter, cfg.intra,
-                                       rng.child_seed(cfg.seed, rng.RESAMPLE, t)))
-            if trace is not None and len(steps) == 1:
-                n, per_class, weights = steps[0]
-                trace.iterations.append(IterationTrace(
-                    target_size=n, weights=weights, sampled_rows=per_class, ensemble_probs=current,
-                    resample_ms=(time.perf_counter() - t0) * 1000.0))
+        t0 = time.perf_counter()
+        steps = [resample_step(ds.labels, ds.class_index, total / (t - 1), cfg.inter, cfg.intra,
+                               rng.child_seed(cfg.seed, rng.RESAMPLE, t)) for total in sums]
+        if resample_ms is not None:
+            resample_ms.append((time.perf_counter() - t0) * 1000.0)
         blocks = [perturb(ds.features[np.stack([per_class[c] for _, per_class, _ in steps])],
                           [other.alpha for other in configs], covariances[c],
                           rng.child_seed(cfg.seed, rng.PERTURB, t, c))

@@ -546,11 +546,16 @@ def params_to_dict(params: LearnerParams) -> dict:
     return {"kind": kind, **asdict(params)}
 
 
+def _learner_kind(kind) -> str:
+    """``kind``; ValueError unless it is a key of :data:`LEARNERS`."""
+    if kind not in list(LEARNERS):  # compared, not hashed: a list is an unknown kind
+        raise ValueError(f"unknown learner kind {kind!r}")
+    return kind
+
+
 def params_from_dict(blob: dict) -> LearnerParams:
     fields = {**blob}  # TypeError unless blob is a mapping
-    kind = fields.pop("kind")
-    if kind not in LEARNERS:
-        raise ValueError(f"unknown learner kind {kind!r}")
+    kind = _learner_kind(fields.pop("kind"))
     for key in ("max_depth", "min_samples_leaf", "k_neighbors"):
         if fields.get(key) is not None:
             fields[key] = _integer(fields, key)
@@ -558,6 +563,4 @@ def params_from_dict(blob: dict) -> LearnerParams:
 
 
 def learner_from_dict(blob: dict) -> _Classifier:
-    if blob["kind"] not in list(LEARNERS):  # compared, not hashed: a list is an unknown kind
-        raise ValueError(f"unknown learner kind {blob['kind']!r}")
-    return LEARNERS[blob["kind"]][1].from_dict(blob)
+    return LEARNERS[_learner_kind(blob["kind"])][1].from_dict(blob)

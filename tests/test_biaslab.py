@@ -10,6 +10,7 @@ from biaslab_reference import d_max, max_margin_1d, reference_run_bias_trials, s
 from dube import rng
 from dube.biaslab import (BIAS_STRATEGIES, ToyConfig, TrialDraws, _smote_draws, check_pbda_bound,
                           draw_trials, pbda_bound_values, run_bias_trials)
+from dube.dataset import DatasetError, make_gaussian_1d
 
 FIG_TOY = dict(n_min=3, n_maj=15, mu_min=0.0, mu_maj=4.0, sigma=1.0)
 
@@ -145,6 +146,19 @@ class TestRunBiasTrials:
             ToyConfig(mu_min=4.0, mu_maj=0.0)
         with pytest.raises(ValueError):
             ToyConfig(sigma=0.0)
+
+    @pytest.mark.parametrize("toy, message", [
+        (dict(FIG_TOY, n_min=0), "class sizes must be >= 1"),
+        (dict(FIG_TOY, mu_maj=float("inf")), "mu_min, mu_maj and sigma must be finite"),
+        (dict(FIG_TOY, sigma=0.0), "sigma must be positive, got 0.0"),
+        # two rules broken: the first in the shared order is named
+        (dict(FIG_TOY, n_maj=0, sigma=float("nan")), "class sizes must be >= 1"),
+        (dict(FIG_TOY, mu_min=float("nan"), sigma=-1.0), "mu_min, mu_maj and sigma must be finite")])
+    def test_toy_and_generator_share_their_checks(self, toy, message):
+        with pytest.raises(DatasetError, match=f"^{message}$"):
+            ToyConfig(**toy)
+        with pytest.raises(DatasetError, match=f"^{message}$"):
+            make_gaussian_1d(**toy, seed=0)
 
     @pytest.mark.parametrize("field", ["mu_min", "mu_maj", "sigma"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -18,8 +18,10 @@ from dube import Dataset, load_csv, class_counts, make_overlap_2d
 from dube.biaslab import ToyConfig
 from dube.learners import LEARNERS
 from dube.cli import (CliError, DEFAULT_ALPHA_GRID, build_dube_config, build_parser, main,
-                      resolve_options, run_bench, run_biaslab, run_noise_sweep, run_param_sweep,
-                      run_synth, _COMMANDS, _DEFAULTS, _cv_cells, _cv_job, _read_config_file)
+                      resolve_options, run_bench, run_biaslab, run_cv_cell, run_noise_sweep,
+                      run_param_sweep, run_synth, _COMMANDS, _DEFAULTS, _cv_cells, _cv_job,
+                      _read_config_file)
+from dube.ensemble import DubeConfig
 
 
 def options(command, **overrides):
@@ -61,6 +63,20 @@ class TestBench:
         kinds = [row[0] for row in report.rows]
         assert kinds.count("mean") == 1 and kinds.count("std") == 1
         assert "resample_ms_per_iteration_mean" in report.timing
+        # worker processes send each cell's resample times back with its metrics
+        concurrent = run_bench(options("bench", input=path, k=3, folds=3, seed=1, jobs=2))
+        assert concurrent.body() == report.body()
+        timing = concurrent.render().splitlines()[1]
+        assert timing.startswith("# timing: ")
+        assert "resample_ms_per_iteration_mean=" in timing and "resample_ms_total=" in timing
+        assert concurrent.timing["resample_ms_total"] > 0
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_cell_returns_one_resample_time_per_resampling_iteration(self, k):
+        train, test = make_overlap_2d(10, 30, "mid", seed=2), make_overlap_2d(5, 15, "mid", seed=3)
+        *_, resample_ms = run_cv_cell(train, test, DubeConfig(k=k), 7, None)
+        assert len(resample_ms) == k - 1
+        assert all(ms >= 0 for ms in resample_ms)
 
     def test_determinism_two_executions(self, tmp_path):
         path = write_dataset(tmp_path / "toy.csv")

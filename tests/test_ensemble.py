@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dube import (DubeConfig, EnsembleModel, TrainingTrace, class_counts,
-                  dube_fit, load_model, make_overlap_2d, save_model)
+import dube
+from dube import (DubeConfig, EnsembleModel, class_counts, dube_fit, load_model,
+                  make_overlap_2d, save_model)
 from dube import balancing, pbda, rng
 from dube.balancing import InterCBStrategy, IntraCBStrategy
 from dube.dataset import Dataset, DatasetError
@@ -88,48 +89,67 @@ class TestSoftVote:
                     predictor.predict_proba_many(np.zeros(shape))
 
 
+@pytest.fixture
+def resample_steps(monkeypatch):
+    """The (soft vote, (n, per-class rows, weights)) of every resample step
+    of the test's fits, recorded where dube.ensemble looks the step up."""
+    import dube.ensemble as ens
+    steps = []
+
+    def record(labels, class_index, probs, *rest):
+        step = balancing.resample_step(labels, class_index, probs, *rest)
+        steps.append((probs, step))
+        return step
+    monkeypatch.setattr(ens, "resample_step", record)
+    return steps
+
+
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        # a removed name must leave the export list too
+        assert [name for name in dube.__all__ if not hasattr(dube, name)] == []
+
+
 class TestDubeFit:
-    def test_k1_trains_single_learner_on_raw_data(self):
+    def test_k1_trains_single_learner_on_raw_data(self, resample_steps):
         ds = small_dataset(1)
         cfg = DubeConfig(k=1, seed=3)
-        trace = TrainingTrace()
-        model = dube_fit(ds, cfg, trace)
+        model = dube_fit(ds, cfg)
         assert len(model.members) == 1
-        assert trace.iterations == []  # no resampling happened
+        assert resample_steps == []  # no resampling happened
         reference = tree_fit(ds, TreeParams())
         assert np.array_equal(model.predict_proba_many(ds.features),
                               reference.predict_proba_many(ds.features))
 
-    def test_rus_uniform_trace_targets_equal_min_count(self):
+    def test_rus_uniform_trace_targets_equal_min_count(self, resample_steps):
         ds = small_dataset(2)
         cfg = DubeConfig(k=4, inter=InterCBStrategy("RUS"),
                          intra=IntraCBStrategy("Uniform"), alpha=0.0, seed=5)
-        trace = TrainingTrace()
-        dube_fit(ds, cfg, trace)
+        dube_fit(ds, cfg)
         min_count = int(class_counts(ds).min())
-        assert [it.target_size for it in trace.iterations] == [min_count] * 3
-        for it in trace.iterations:
-            for rows in it.sampled_rows:
+        assert [n for _, (n, _, _) in resample_steps] == [min_count] * 3
+        for _, (_, per_class, _) in resample_steps:
+            for rows in per_class:
                 assert rows.size == min_count
 
-    def test_total_resample_size_is_m_times_n(self):
+    def test_total_resample_size_is_m_times_n(self, resample_steps):
         ds = small_dataset(3)
         cfg = DubeConfig(k=3, inter=InterCBStrategy("RHS"), seed=6, alpha=0.1)
-        trace = TrainingTrace()
-        dube_fit(ds, cfg, trace)
-        for it in trace.iterations:
-            assert sum(rows.size for rows in it.sampled_rows) == ds.m * it.target_size
+        dube_fit(ds, cfg)
+        assert len(resample_steps) == 2
+        for _, (n, per_class, _) in resample_steps:
+            assert sum(rows.size for rows in per_class) == ds.m * n
 
-    def test_buffered_predictions_match_recomputation_bitwise(self):
+    def test_buffered_predictions_match_recomputation_bitwise(self, resample_steps):
         ds = small_dataset(4)
         cfg = DubeConfig(k=5, alpha=0.2, seed=7)
-        trace = TrainingTrace()
-        model = dube_fit(ds, cfg, trace)
-        for t, it in enumerate(trace.iterations, start=2):
+        model = dube_fit(ds, cfg)
+        assert len(resample_steps) == 4
+        for t, (probs, _) in enumerate(resample_steps, start=2):
             total = np.zeros((ds.n_rows, ds.m))
             for member in model.members[: t - 1]:
                 total += member.predict_proba_many(ds.features)
-            assert np.array_equal(it.ensemble_probs, total / (t - 1))
+            assert np.array_equal(probs, total / (t - 1))
 
     def test_determinism(self):
         ds = small_dataset(5)
@@ -146,14 +166,14 @@ class TestDubeFit:
         b = dube_fit(ds, DubeConfig(k=4, alpha=0.3, seed=12)).predict_proba_many(probe)
         assert not np.array_equal(a, b)
 
-    def test_growing_k_keeps_earlier_iterations(self):
+    def test_growing_k_keeps_earlier_iterations(self, resample_steps):
         ds = small_dataset(6)
-        t_small = TrainingTrace()
-        t_big = TrainingTrace()
-        dube_fit(ds, DubeConfig(k=3, seed=9), t_small)
-        dube_fit(ds, DubeConfig(k=5, seed=9), t_big)
-        for early, late in zip(t_small.iterations, t_big.iterations):
-            for a, b in zip(early.sampled_rows, late.sampled_rows):
+        dube_fit(ds, DubeConfig(k=3, seed=9))
+        dube_fit(ds, DubeConfig(k=5, seed=9))
+        small, big = resample_steps[:2], resample_steps[2:]
+        assert len(big) == 4
+        for (_, early), (_, late) in zip(small, big):
+            for a, b in zip(early[1], late[1]):
                 assert np.array_equal(a, b)
 
     def test_single_class_rejected(self):
@@ -168,14 +188,14 @@ class TestDubeFit:
         probs = model.predict_proba_many(ds.features)
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
-    def test_uniform_alpha0_hem_weights_live_in_trace(self):
+    def test_uniform_alpha0_hem_weights_live_in_trace(self, resample_steps):
         ds = small_dataset(8)
         cfg = DubeConfig(k=3, intra=IntraCBStrategy("HEM"), seed=4)
-        trace = TrainingTrace()
-        dube_fit(ds, cfg, trace)
-        for it in trace.iterations:
-            assert it.weights.size == ds.n_rows
-            assert (it.weights >= 0).all()
+        dube_fit(ds, cfg)
+        assert len(resample_steps) == 2
+        for _, (_, _, weights) in resample_steps:
+            assert weights.size == ds.n_rows
+            assert (weights >= 0).all()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -639,7 +659,7 @@ class TestModelFileTypes:
 
     @pytest.mark.parametrize("learner,key,value,message", [
         (TreeParams(), "kind", "svm", "unknown learner kind 'svm'"),
-        (TreeParams(), "kind", ["tree"], "unhashable type: 'list'"),
+        (TreeParams(), "kind", ["tree"], r"unknown learner kind \['tree'\]"),
         (TreeParams(), "depth", 3, "unexpected keyword argument 'depth'"),
         (TreeParams(), "min_samples_leaf", 2.5, "min_samples_leaf must be an integer"),
         (TreeParams(), "min_samples_leaf", None, "'<' not supported"),
@@ -771,6 +791,80 @@ class TestLockstepMatchesDubeFit:
             for got, want, ref in zip(model.members, alone, reference):
                 assert_same_member(got, want)
                 assert_same_member(got, ref)
+
+
+def identity_table(sizes, d, seed):
+    """Class c's rows around c on a 0.1 grid, so splits and neighbours meet ties."""
+    gen = np.random.default_rng(seed)
+    X = np.round(np.vstack([gen.normal(c, 1.0, size=(n, d)) for c, n in enumerate(sizes)]), 1)
+    return Dataset(X, np.repeat(np.arange(len(sizes)), sizes), m=len(sizes))
+
+
+@st.composite
+def identity_problems(draw, equal_counts=False, trees_only=False):
+    """A table of 2-3 classes of at most 40 rows and 1-3 features, and a config."""
+    m = draw(st.integers(2, 3))
+    sizes = (draw(st.lists(st.integers(2, 40), min_size=m, max_size=m)) if not equal_counts
+             else [draw(st.integers(2, 40))] * m)
+    ds = identity_table(sizes, draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1)))
+    learner = TreeParams(max_depth=draw(st.none() | st.integers(1, 4)),
+                         criterion=draw(st.sampled_from(["gini", "entropy"])))
+    if not trees_only and draw(st.booleans()):
+        learner = KnnParams(k_neighbors=draw(st.integers(1, 3)))
+    cfg = DubeConfig(k=draw(st.integers(1, 4)),
+                     inter=InterCBStrategy(draw(st.sampled_from(["RUS", "ROS", "RHS"]))),
+                     intra=IntraCBStrategy(draw(st.sampled_from(["Uniform", "HEM", "SHEM"]))),
+                     alpha=draw(st.sampled_from([0.0, 0.3])), learner=learner,
+                     seed=draw(st.integers(0, 2**32 - 1)))
+    return ds, cfg
+
+
+def identity_probe(ds):
+    return np.vstack([ds.features, np.random.default_rng(0).normal(0, 3, (20, ds.n_features))])
+
+
+class TestPaperIdentities:
+    """Identities that follow from the paper's definitions, checked end to
+    end through dube_fit as equal predicted probabilities."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(identity_problems())
+    @example((identity_table([12, 30, 5], 2, 1),
+              DubeConfig(k=4, inter=InterCBStrategy("RHS"), alpha=0.3, learner=KnnParams(3), seed=8)))
+    def test_shem_with_one_bin_is_uniform(self, problem):
+        # one bin holds every error, so every row has weight 1
+        ds, cfg = problem
+        shem = dube_fit(ds, replace(cfg, intra=IntraCBStrategy("SHEM", bins=1)))
+        uniform = dube_fit(ds, replace(cfg, intra=IntraCBStrategy("Uniform")))
+        probe = identity_probe(ds)
+        assert np.array_equal(shem.predict_proba_many(probe), uniform.predict_proba_many(probe))
+
+    @settings(max_examples=100, deadline=None)
+    @given(identity_problems(equal_counts=True))
+    @example((identity_table([15, 15], 3, 2),
+              DubeConfig(k=4, intra=IntraCBStrategy("HEM"), alpha=0.3, seed=5)))
+    def test_inter_strategies_agree_on_equal_class_counts(self, problem):
+        # the smallest, largest and mean class size are one n
+        ds, cfg = problem
+        probe = identity_probe(ds)
+        rus, ros, rhs = (dube_fit(ds, replace(cfg, inter=InterCBStrategy(tag))).predict_proba_many(probe)
+                         for tag in ("RUS", "ROS", "RHS"))
+        assert np.array_equal(rus, ros) and np.array_equal(rus, rhs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(identity_problems(equal_counts=True, trees_only=True))
+    @example((identity_table([20, 20, 20], 1, 3), DubeConfig(k=4, seed=6)))
+    def test_ros_uniform_without_noise_grows_copies_of_the_raw_tree(self, problem):
+        # every row is drawn once, and no tree depends on row order; KNN
+        # breaks distance ties by row index, so it is left out
+        ds, cfg = problem
+        cfg = replace(cfg, inter=InterCBStrategy("ROS"), intra=IntraCBStrategy("Uniform"), alpha=0.0)
+        probe = identity_probe(ds)
+        raw = tree_fit(ds, cfg.learner).predict_proba_many(probe)
+        members = dube_fit(ds, cfg).members
+        assert len(members) == cfg.k
+        for member in members:
+            assert np.array_equal(member.predict_proba_many(probe), raw)
 
 
 class TestHugeAlpha:

@@ -43,7 +43,7 @@ CASES = {
                               ValueError, "weights must be finite"),
     "weighted_resample-empty": (lambda: weighted_resample([], [], 1, seed=0),
                                 ValueError, "class_rows must be nonempty"),
-    "ToyConfig-class-size": (lambda: ToyConfig(n_maj=0), ValueError, "class sizes must be >= 1"),
+    "ToyConfig-class-size": (lambda: ToyConfig(n_maj=0), DatasetError, "class sizes must be >= 1"),
     "ToyConfig-trials": (lambda: ToyConfig(trials=0), ValueError, "trials must be >= 1"),
     "Dataset-1d-features": (lambda: Dataset(np.zeros(3), [0, 1, 0]),
                             DatasetError, "features must be 2-D, got shape (3,)"),
