@@ -64,12 +64,12 @@ class TestBench:
         assert kinds.count("mean") == 1 and kinds.count("std") == 1
         assert "resample_ms_per_iteration_mean" in report.timing
         # worker processes send each cell's resample times back with its metrics
-        concurrent = run_bench(options("bench", input=path, k=3, folds=3, seed=1, jobs=2))
-        assert concurrent.body() == report.body()
-        timing = concurrent.render().splitlines()[1]
+        pooled = run_bench(options("bench", input=path, k=3, folds=3, seed=1, jobs=2))
+        assert pooled.body() == report.body()
+        timing = pooled.render().splitlines()[1]
         assert timing.startswith("# timing: ")
         assert "resample_ms_per_iteration_mean=" in timing and "resample_ms_total=" in timing
-        assert concurrent.timing["resample_ms_total"] > 0
+        assert pooled.timing["resample_ms_total"] > 0
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_cell_returns_one_resample_time_per_resampling_iteration(self, k):
