@@ -37,7 +37,7 @@ class InterCBStrategy:
     tag: str
 
     def __post_init__(self):
-        if self.tag not in ("RUS", "ROS", "RHS"):
+        if self.tag not in list(TARGETS):  # compared, not hashed: a list is an unknown tag
             raise ValueError(f"unknown inter-class strategy {self.tag!r}")
 
 
@@ -49,7 +49,7 @@ class IntraCBStrategy:
     bins: int = 5
 
     def __post_init__(self):
-        if self.tag not in ("Uniform", "HEM", "SHEM"):
+        if self.tag not in list(WEIGHTS):  # compared, not hashed: a list is an unknown tag
             raise ValueError(f"unknown intra-class strategy {self.tag!r}")
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
@@ -62,11 +62,7 @@ def target_class_size(counts, strategy: InterCBStrategy) -> int:
         raise ValueError("need at least two classes")
     if (counts < 1).any():
         raise ValueError("class counts must be positive")
-    if strategy.tag == "RUS":
-        return int(counts.min())
-    if strategy.tag == "ROS":
-        return int(counts.max())
-    return int(counts.sum() // counts.size)
+    return int(TARGETS[strategy.tag](counts))
 
 
 def batch_errors(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -95,7 +91,8 @@ def shem_weights(errors, b: int) -> np.ndarray:
     An error of 1.0 closes into the top bin. The histogram is built over
     all provided errors, so an instance's own bin is never empty and the
     reciprocal is always finite. With b = 1 every instance shares the
-    single bin and the weights are uniform.
+    single bin and the weights are uniform. Only the bins that hold an
+    error are counted, so memory follows the number of errors, not b.
     """
     errors = np.asarray(errors, dtype=np.float64)
     if errors.size == 0:
@@ -107,8 +104,15 @@ def shem_weights(errors, b: int) -> np.ndarray:
     if np.isnan(errors).any():
         raise ValueError("errors must be finite")
     bins = np.minimum((errors * b).astype(np.int64), b - 1)
-    density = np.bincount(bins, minlength=b) / errors.size
-    return 1.0 / density[bins]
+    _, inverse, counts = np.unique(bins, return_inverse=True, return_counts=True)
+    return 1.0 / (counts / errors.size)[inverse]
+
+
+# each inter-class tag's target size, from the array of class counts
+TARGETS = {"RUS": np.min, "ROS": np.max, "RHS": lambda counts: counts.sum() // counts.size}
+# each intra-class tag's instance weights, from the errors and the SHEM bin count
+WEIGHTS = {"Uniform": lambda errors, bins: np.ones(errors.size),
+           "HEM": lambda errors, bins: hem_weights(errors), "SHEM": shem_weights}
 
 
 def weighted_resample(class_rows, weights, n: int, seed: int) -> np.ndarray:
@@ -161,15 +165,6 @@ def weighted_resample(class_rows, weights, n: int, seed: int) -> np.ndarray:
     return np.concatenate([class_rows, class_rows[extra]])
 
 
-def intra_weights(errors: np.ndarray, strategy: IntraCBStrategy) -> np.ndarray:
-    """Per-instance weights for one intra-class strategy, errors in [0, 1]."""
-    if strategy.tag == "Uniform":
-        return np.ones(errors.size)
-    if strategy.tag == "HEM":
-        return hem_weights(errors)
-    return shem_weights(errors, strategy.bins)
-
-
 def resample_step(labels, class_index, probs, inter: InterCBStrategy,
                   intra: IntraCBStrategy, seed: int):
     """One full duple-balanced resampling step.
@@ -186,7 +181,7 @@ def resample_step(labels, class_index, probs, inter: InterCBStrategy,
     counts = [index.size for index in class_index]
     n = target_class_size(counts, inter)
     errors = batch_errors(probs, labels)
-    weights = intra_weights(errors, intra)
+    weights = WEIGHTS[intra.tag](errors, intra.bins)
     per_class = [weighted_resample(rows, weights[rows], n, rng.child_seed(seed, c))
                  for c, rows in enumerate(class_index)]
     return n, per_class, weights

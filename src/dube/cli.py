@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .balancing import InterCBStrategy, IntraCBStrategy
+from .balancing import TARGETS, WEIGHTS, InterCBStrategy, IntraCBStrategy
 from .biaslab import (BIAS_STRATEGIES, ToyConfig, check_pbda_bound, draw_trials,
                       run_bias_trials, validate_row)
 from .dataset import Dataset, inject_flip_noise, load_csv, make_gaussian_1d, make_overlap_2d, \
@@ -32,8 +32,8 @@ from .metrics import evaluate, macro_auroc
 
 REPORT_SCHEMA = "dube-report-v1"
 
-_INTER = {"rus": "RUS", "ros": "ROS", "rhs": "RHS"}
-_INTRA = {"uniform": "Uniform", "hem": "HEM", "shem": "SHEM"}
+_INTER = {tag.lower(): tag for tag in TARGETS}
+_INTRA = {tag.lower(): tag for tag in WEIGHTS}
 DEFAULT_ALPHA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
@@ -291,7 +291,7 @@ def run_noise_sweep(options) -> Report:
         _require(0 <= r <= 1, f"--noise-grid ratios must be in [0, 1], got {r}")
     report = Report("noise-sweep", _config_line("noise-sweep", options),
                     ["noise_ratio", "intra", *_MEAN_STD_COLUMNS])
-    grid = [(r, intra) for r in options["noise_grid"] for intra in ("uniform", "hem", "shem")]
+    grid = [(r, intra) for r in options["noise_grid"] for intra in _INTRA]
     points = [_point(f"r={r} intra={intra} ", {**options, "intra": intra}, r) for r, intra in grid]
     for (r, intra), results in zip(grid, _cross_validate(ds, options, points, report.failures)):
         if results:

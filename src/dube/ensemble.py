@@ -114,11 +114,10 @@ def dube_fit_lockstep(ds: Dataset, cfg: DubeConfig, alphas, resample_ms: list | 
     covariances = [class_covariance(ds, c) for c in range(ds.m)]
 
     first = fit_learner(ds, cfg.learner)
-    members = [[first] for _ in configs]
-    fitted, sums = [first], 0.0  # at t=2 every config shares the first member, so one sum
+    rounds, sums = [[first]], 0.0  # at t=2 every config shares the first member, so one sum
 
     for t in range(2, cfg.k + 1):
-        sums = sums + np.stack([member.predict_proba_many(ds.features) for member in fitted])
+        sums = sums + np.stack([member.predict_proba_many(ds.features) for member in rounds[-1]])
         t0 = time.perf_counter()
         steps = [resample_step(ds.labels, ds.class_index, total / (t - 1), cfg.inter, cfg.intra,
                                rng.child_seed(cfg.seed, rng.RESAMPLE, t)) for total in sums]
@@ -129,12 +128,10 @@ def dube_fit_lockstep(ds: Dataset, cfg: DubeConfig, alphas, resample_ms: list | 
                           rng.child_seed(cfg.seed, rng.PERTURB, t, c))
                   for c in range(ds.m)]
         # n rows of each class, n shared by all configs; fit_members empties blocks
-        fitted = fit_members(blocks, np.repeat(np.arange(ds.m), steps[0][0]), ds.m, cfg.learner)
-        for member, ensemble in zip(fitted, members):
-            ensemble.append(member)
+        rounds.append(fit_members(blocks, np.repeat(np.arange(ds.m), steps[0][0]), ds.m, cfg.learner))
 
-    return [EnsembleModel(ensemble, ds.m, ds.n_features, other)
-            for ensemble, other in zip(members, configs)]
+    return [EnsembleModel([first, *(r[i] for r in rounds[1:])], ds.m, ds.n_features, other)
+            for i, other in enumerate(configs)]
 
 
 MODEL_FORMAT = "dube-model"

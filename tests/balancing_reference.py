@@ -4,14 +4,15 @@ The prediction error is the paper's scalar definition, one probability
 vector at a time: the L1 distance between the vector and the one-hot
 truth, mapped from [0, 2] onto [0, 1]. The library computes the same
 quantity for every row at once with ``balancing.batch_errors``.
-``resample_step_with_fallbacks`` is a resampling step that replaces
-vanishing weights by ones before every draw.
+``shem_weights_by_bincount`` is the SHEM formula with a histogram of
+all b bins. ``resample_step_with_fallbacks`` is a resampling step that
+replaces vanishing weights by ones before every draw.
 """
 
 import numpy as np
 
 from dube import rng
-from dube.balancing import batch_errors, shem_weights, target_class_size, weighted_resample
+from dube.balancing import batch_errors, target_class_size, weighted_resample
 
 
 def prediction_error(p, y: int) -> float:
@@ -40,6 +41,15 @@ def normalize_error(e: float) -> float:
     return e / 2.0
 
 
+def shem_weights_by_bincount(errors, b: int) -> np.ndarray:
+    """Inverse densities of b equal-width bins of [0, 1], counted over all
+    b bins; ``errors`` must lie in [0, 1]."""
+    errors = np.asarray(errors, dtype=np.float64)
+    bins = np.minimum((errors * b).astype(np.int64), b - 1)
+    density = np.bincount(bins, minlength=b) / errors.size
+    return 1.0 / density[bins]
+
+
 def resample_step_with_fallbacks(labels, class_index, probs, inter, intra, seed):
     """``(n, per_class_rows)`` of ``balancing.resample_step``, with the
     uniform draw for vanishing weights stated where it once lived.
@@ -55,7 +65,7 @@ def resample_step_with_fallbacks(labels, class_index, probs, inter, intra, seed)
     elif intra.tag == "HEM":
         weights = errors.copy() if errors.max() > 0 else np.ones(errors.size)
     else:
-        weights = shem_weights(errors, intra.bins)
+        weights = shem_weights_by_bincount(errors, intra.bins)
     per_class = []
     for c, rows in enumerate(class_index):
         w = weights[rows]

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balancing_reference import normalize_error, prediction_error, resample_step_with_fallbacks
+from balancing_reference import (normalize_error, prediction_error, resample_step_with_fallbacks,
+                                 shem_weights_by_bincount)
 from dube import rng
 from dube.balancing import (InterCBStrategy, IntraCBStrategy, batch_errors, hem_weights,
                             resample_step, shem_weights, target_class_size,
@@ -176,6 +179,24 @@ class TestShemWeights:
             density = (hist == bin_id).sum() / errors.size
             assert in_bin[0] == 1.0 / density
             assert in_bin[0] * density == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=80),
+           st.integers(1, 64))
+    def test_equal_to_the_full_histogram(self, errors, b):
+        assert np.array_equal(shem_weights(errors, b), shem_weights_by_bincount(errors, b))
+
+    def test_memory_follows_the_rows_not_the_bins(self):
+        errors = np.random.default_rng(5).random(1000)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            w = shem_weights(errors, 10**7)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert w.shape == (1000,)
+        assert peak < 1 << 20, peak  # a histogram of every bin would take 160 MB
 
 
 class TestWeightedResample:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import dube
 from dube import Dataset, load_csv, class_counts, make_overlap_2d
+from dube.balancing import TARGETS, WEIGHTS
 from dube.biaslab import ToyConfig
 from dube.learners import LEARNERS
 from dube.cli import (CliError, DEFAULT_ALPHA_GRID, build_dube_config, build_parser, main,
@@ -775,6 +776,8 @@ class TestResolveOptions:
         assert opts["inter"] == "rhs"
         assert opts["intra"] == "shem"
         assert opts["bins"] == 5
+        for command in ("bench", "param-sweep"):  # the CLI's defaults are the library's
+            assert build_dube_config(resolve_options(command, {})) == DubeConfig()
 
 
 # one or more values for every setting of every command, as typed by a user
@@ -805,6 +808,13 @@ class TestSettingsTable:
     def test_learner_choices_are_the_learner_kinds(self):
         choices = [setting.choices for _, setting in TABLE if setting.name == "learner"]
         assert choices and all(c == list(LEARNERS) == ["tree", "knn"] for c in choices)
+
+    @pytest.mark.parametrize("name,table,expected", [("inter", TARGETS, ["rhs", "ros", "rus"]),
+                                                     ("intra", WEIGHTS, ["hem", "shem", "uniform"])])
+    def test_strategy_choices_are_the_balancing_tags(self, name, table, expected):
+        choices = [setting.choices for _, setting in TABLE if setting.name == name]
+        assert choices and all(c == sorted(tag.lower() for tag in table) == expected
+                               for c in choices)
 
     @pytest.mark.parametrize("command,setting,raw", [
         (command, setting, raw) for command, setting in TABLE for raw in SAMPLES[setting.name]],

@@ -625,7 +625,9 @@ class TestModelFileTypes:
         ("alpha", float("inf"), "alpha must be finite and >= 0, got inf"),
         ("alpha", -0.1, "alpha must be finite and >= 0, got -0.1"),
         ("alpha", "0.2", "'<=' not supported"),
-        ("alpha", True, "alpha must be finite and >= 0, got True")])
+        ("alpha", True, "alpha must be finite and >= 0, got True"),
+        ("inter", ["RUS"], r"unknown inter-class strategy \['RUS'\]"),
+        ("intra", ["HEM"], r"unknown intra-class strategy \['HEM'\]")])
     def test_config_value(self, tmp_path, key, value, message):
         def edit(blob):
             blob["config"][key] = value

@@ -23,6 +23,11 @@ TABLE = Dataset(np.arange(8.0)[:, None], [0, 1] * 4)
 CASES = {
     "IntraCBStrategy-tag": (lambda: IntraCBStrategy("hem"),
                             ValueError, "unknown intra-class strategy 'hem'"),
+    # a tag is compared, not hashed, so a list is an unknown tag
+    "InterCBStrategy-tag-list": (lambda: InterCBStrategy(["RUS"]),
+                                 ValueError, "unknown inter-class strategy ['RUS']"),
+    "IntraCBStrategy-tag-list": (lambda: IntraCBStrategy(["HEM"]),
+                                 ValueError, "unknown intra-class strategy ['HEM']"),
     "IntraCBStrategy-bins": (lambda: IntraCBStrategy("SHEM", bins=0),
                              ValueError, "bins must be >= 1"),
     "target_class_size-one-class": (lambda: target_class_size([5], InterCBStrategy("RUS")),
