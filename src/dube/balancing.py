@@ -43,7 +43,9 @@ class InterCBStrategy:
 
 @dataclass(frozen=True)
 class IntraCBStrategy:
-    """Intra-class weighting tag (Uniform, HEM or SHEM) plus the SHEM bin count."""
+    """Intra-class weighting tag (Uniform, HEM or SHEM) plus the SHEM bin count,
+    1 to 2**53: up to 2**53, b and b - 1 are exact float64 integers, so an
+    error of 1.0 closes into bin b - 1 and no bin id overflows int64."""
 
     tag: str
     bins: int = 5
@@ -53,6 +55,8 @@ class IntraCBStrategy:
             raise ValueError(f"unknown intra-class strategy {self.tag!r}")
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
+        if self.bins > 2**53:
+            raise ValueError(f"bins must be <= 2**53, got {self.bins}")
 
 
 def target_class_size(counts, strategy: InterCBStrategy) -> int:
@@ -97,8 +101,7 @@ def shem_weights(errors, b: int) -> np.ndarray:
     errors = np.asarray(errors, dtype=np.float64)
     if errors.size == 0:
         raise ValueError("empty error list")
-    if b < 1:
-        raise ValueError("bins must be >= 1")
+    IntraCBStrategy("SHEM", b)  # the bin count's rule
     if (errors < 0).any() or (errors > 1).any():
         raise ValueError("errors must lie in [0, 1]")
     if np.isnan(errors).any():

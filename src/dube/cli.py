@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -170,14 +171,19 @@ def _cv_job(job):
         return f"{label}repeat={rep} fold={fold}: {exc}"
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS keeps one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _cross_validate(ds: Dataset, options, points, failures: list) -> list:
     """Cross-validate every point over the same repeated stratified cells.
 
     A point is (failure label prefix, DubeConfig, training-noise ratio or
     None, alpha grid that each cell tunes over or None; see :func:`_point`).
     The (point, cell) jobs run in point-major order, in worker processes if
-    ``options["jobs"]`` > 1; failed cells append their messages to
-    ``failures`` in that order. Each job carries the table and its cell's
+    ``options["jobs"]`` > 1 (no more than there are jobs or usable CPUs);
+    failed cells append their messages to ``failures`` in that order. Each job carries the table and its cell's
     :func:`_cv_cells` record and splits its own rows, so memory holds the
     table, the fold plans and the running cells' copies, never every cell's.
     Returns, per point, the (repeat, fold, metrics, alpha, resample_ms) of
@@ -191,7 +197,7 @@ def _cross_validate(ds: Dataset, options, points, failures: list) -> list:
         # imported here: at module level these add ~1.2 MB to every run's peak memory
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(options["jobs"], len(jobs)),
+        with ProcessPoolExecutor(max_workers=min(options["jobs"], len(jobs), _usable_cpus()),
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
             outcomes = list(pool.map(_cv_job, jobs))
     results = [[] for _ in points]

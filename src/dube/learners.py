@@ -52,11 +52,11 @@ class KnnParams:
 LearnerParams = TreeParams | KnnParams
 
 
-def _integer(blob: dict, key: str, low: int = 1, high: float = float("inf")) -> int:
-    """``blob[key]`` as an int; ValueError unless it is a whole number (3.0 is) in [low, high]."""
+def _integer(blob: dict, key: str, low: int = 1) -> int:
+    """``blob[key]`` as an int; ValueError unless it is a whole number (3.0 is) >= low."""
     value = blob[key]
-    if type(value) not in (int, float) or value % 1 != 0 or not low <= value <= high:
-        raise ValueError(f"{key} must be an integer in [{low}, {high:g}], got {value!r}")
+    if type(value) not in (int, float) or value % 1 != 0 or value < low:
+        raise ValueError(f"{key} must be an integer in [{low}, inf], got {value!r}")
     return int(value)
 
 
@@ -87,7 +87,7 @@ class TreeClassifier(_Classifier):
     split value through one flat gather from the C-ordered batch, and
     moves to ``child[2 * i + (x <= threshold[i])]`` in a table built once
     per tree (right child, then left, for each node i). Children are
-    numbered above their parent (``from_dict`` checks it), so routing
+    numbered above their parent (the constructor checks it), so routing
     ends after at most depth steps. ``forest_fit`` (and so
     ``tree_fit``) numbers each tree's nodes in the order a depth-first
     stack from its root creates them: a popped split node numbers its
@@ -97,14 +97,27 @@ class TreeClassifier(_Classifier):
     """
 
     def __init__(self, feature, threshold, left, right, proba, m, d):
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.proba = np.asarray(proba, dtype=np.float64)
-        self.m = int(m)
-        self.d = int(d)
-        self._child = np.stack([self.right, self.left], axis=1).ravel()
+        """ValueError unless the arrays make a well-formed tree."""
+        feature, left, right = (np.asarray(a, dtype=np.int64) for a in (feature, left, right))
+        threshold, proba = (np.asarray(a, dtype=np.float64) for a in (threshold, proba))
+        m, d = int(m), int(d)
+        n, arrays = feature.size, (feature, threshold, left, right)
+        if n == 0 or proba.shape != (n, m) or any(a.shape != (n,) for a in arrays):
+            raise ValueError(f"tree arrays must share a nonzero length n, proba (n, {m})")
+        if feature.min() < -1 or feature.max() >= d:
+            raise ValueError(f"tree feature index outside [-1, {d})")
+        if not (np.isfinite(threshold).all() and np.isfinite(proba).all()):
+            raise ValueError("tree thresholds and probabilities must be finite")
+        inner = np.flatnonzero(feature >= 0)
+        children = np.concatenate([left[inner], right[inner]])
+        if (children <= np.tile(inner, 2)).any() or (children >= n).any():
+            raise ValueError("tree child index must lie above its parent and below the node count")
+        leaves = proba[feature < 0]
+        if (leaves < 0).any() or (np.abs(leaves.sum(axis=1) - 1.0) > 1e-9).any():
+            raise ValueError("tree leaf probabilities must be nonnegative and sum to 1")
+        self.feature, self.threshold, self.proba = feature, threshold, proba
+        self.left, self.right, self.m, self.d = left, right, m, d
+        self._child = np.stack([right, left], axis=1).ravel()
 
     def predict_proba_many(self, X) -> np.ndarray:
         X = np.ascontiguousarray(self._rows(X))
@@ -147,23 +160,7 @@ class TreeClassifier(_Classifier):
     def from_dict(cls, blob: dict) -> "TreeClassifier":
         """Rebuild a tree, raising ValueError unless it is well formed."""
         m, d = _integer(blob, "m"), _integer(blob, "d")
-        feature, left, right = (np.asarray(blob[k], dtype=np.int64) for k in ("feature", "left", "right"))
-        threshold, proba = (np.asarray(blob[k], dtype=np.float64) for k in ("threshold", "proba"))
-        n, arrays = feature.size, (feature, threshold, left, right)
-        if n == 0 or proba.shape != (n, m) or any(a.shape != (n,) for a in arrays):
-            raise ValueError(f"tree arrays must share a nonzero length n, proba (n, {m})")
-        if feature.min() < -1 or feature.max() >= d:
-            raise ValueError(f"tree feature index outside [-1, {d})")
-        if not (np.isfinite(threshold).all() and np.isfinite(proba).all()):
-            raise ValueError("tree thresholds and probabilities must be finite")
-        inner = np.flatnonzero(feature >= 0)
-        children = np.concatenate([left[inner], right[inner]])
-        if (children <= np.tile(inner, 2)).any() or (children >= n).any():
-            raise ValueError("tree child index must lie above its parent and below the node count")
-        leaves = proba[feature < 0]
-        if (leaves < 0).any() or (np.abs(leaves.sum(axis=1) - 1.0) > 1e-9).any():
-            raise ValueError("tree leaf probabilities must be nonnegative and sum to 1")
-        return cls(feature, threshold, left, right, proba, m, d)
+        return cls(*(blob[k] for k in ("feature", "threshold", "left", "right", "proba")), m, d)
 
 
 # Query rows are scored in blocks of at most this many bytes of float64
@@ -185,11 +182,20 @@ class KnnClassifier(_Classifier):
     """
 
     def __init__(self, X, y, m, k_neighbors):
-        self.X = np.asarray(X, dtype=np.float64)
-        self.y = np.asarray(y, dtype=np.int64)
-        self.m = int(m)
-        self.k_neighbors = int(k_neighbors)
-        self.d = self.X.shape[1]
+        """ValueError unless ``X`` and ``y`` make a training table with labels
+        in [0, m), and DatasetError unless 1 <= k_neighbors <= its rows."""
+        X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        m, k = int(m), int(k_neighbors)
+        if X.ndim != 2 or X.shape[0] == 0 or y.shape != (X.shape[0],) or not np.isfinite(X).all():
+            raise ValueError("knn X must be finite with shape (n, d), n >= 1, and y length n")
+        if k > X.shape[0]:
+            raise DatasetError(f"k_neighbors={k} exceeds {X.shape[0]} training rows")
+        if k < 1:
+            raise DatasetError("k_neighbors must be >= 1")
+        if not ((y >= 0) & (y < m) & (y == np.floor(y))).all():
+            raise ValueError(f"knn labels must lie in [0, {m}) and be integers")
+        self.X, self.y, self.m, self.k_neighbors = X, y.astype(np.int64), m, k
+        self.d = X.shape[1]
         with np.errstate(over="ignore"):  # a value above ~1.3e154 squares to inf; it ranks last
             self._sq_norms = (self.X ** 2).sum(axis=1)
 
@@ -236,14 +242,7 @@ class KnnClassifier(_Classifier):
     @classmethod
     def from_dict(cls, blob: dict) -> "KnnClassifier":
         """Rebuild a KNN member, raising ValueError unless it is well formed."""
-        X, y = np.asarray(blob["X"], dtype=np.float64), np.asarray(blob["y"], dtype=np.float64)
-        m = _integer(blob, "m")
-        if X.ndim != 2 or X.shape[0] == 0 or y.shape != (X.shape[0],) or not np.isfinite(X).all():
-            raise ValueError("knn X must be finite with shape (n, d), n >= 1, and y length n")
-        k = _integer(blob, "k_neighbors", 1, X.shape[0])
-        if not ((y >= 0) & (y < m) & (y == np.floor(y))).all():
-            raise ValueError(f"knn labels must lie in [0, {m}) and be integers")
-        return cls(X, y, m, k)
+        return cls(blob["X"], blob["y"], _integer(blob, "m"), _integer(blob, "k_neighbors"))
 
 
 def _nearest(d2, k):
@@ -519,10 +518,6 @@ def _xlog2x(p):
 
 def knn_fit(ds: Dataset, k_neighbors: int) -> KnnClassifier:
     """Memorize ``ds`` for k-nearest-neighbor prediction."""
-    if k_neighbors > ds.n_rows:
-        raise DatasetError(f"k_neighbors={k_neighbors} exceeds {ds.n_rows} training rows")
-    if k_neighbors < 1:
-        raise DatasetError("k_neighbors must be >= 1")
     return KnnClassifier(ds.features, ds.labels, ds.m, k_neighbors)
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,12 @@ class TestShemWeights:
     def test_top_edge_closes_into_last_bin(self):
         # 1.0 shares the top bin [0.75, 1] with 0.9
         assert shem_weights([0.9, 1.0, 0.1], 4).tolist() == [1.5, 1.5, 3.0]
+
+    def test_top_edge_closes_at_the_largest_bin_count(self):
+        # at b = 2**53, 0.5 and 1.0 fall in bins 2**52 and 2**53 - 1, with no cast warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert shem_weights([0.5, 1.0], 2**53).tolist() == [2.0, 2.0]
 
     def test_uniform_errors_law_of_large_numbers(self):
         gen = rng.stream(123, 99)

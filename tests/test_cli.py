@@ -124,7 +124,10 @@ class TestBench:
         assert len(results) == 20
         assert peak < 4 * ds.features.nbytes, peak / ds.features.nbytes
 
-    def test_no_more_workers_than_jobs(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cpus, workers", [(16, [3]), (2, [2])])
+    def test_no_more_workers_than_jobs(self, tmp_path, monkeypatch, cpus, workers):
+        # the fake pool runs in this process, so no worker is ever started
+        import dube.cli as cli
         started = []
 
         class InProcessPool:
@@ -140,9 +143,11 @@ class TestBench:
             def map(self, fn, jobs):
                 return map(fn, jobs)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         path = write_dataset(tmp_path / "toy.csv")
-        run_bench(options("bench", input=path, k=2, folds=3, jobs=8))
-        assert started == [3]
+        body = run_bench(options("bench", input=path, k=2, folds=3, jobs=8)).body("text")
+        assert started == workers
+        assert body == run_bench(options("bench", input=path, k=2, folds=3, jobs=1)).body("text")
 
     def test_folds_must_be_at_least_two(self, tmp_path):
         path = write_dataset(tmp_path / "toy.csv")
@@ -298,6 +303,14 @@ class TestPartialFailure:
         out = capsys.readouterr().out
         assert "# failed:" in out
         assert "exceeds" in out
+
+    def test_bins_above_2_53_rejected_before_any_cell(self, tmp_path, capsys):
+        path = write_dataset(tmp_path / "toy.csv")
+        assert main(["bench", "--input", path, "--k", "2", "--folds", "2",
+                     "--bins", "10000000000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert "error: bins must be <= 2**53, got 10000000000000000000" in captured.err
+        assert "# failed:" not in captured.out
 
     def test_all_cells_failed_is_config_error(self, tmp_path, capsys):
         path = write_dataset(tmp_path / "toy.csv", n_min=11, n_maj=44)

@@ -490,11 +490,15 @@ class TestModelFileValidation:
                                      lambda blob: blob["members"][0].update(k_neighbors=0)))
 
     def test_k_neighbors_above_rows(self, tmp_path):
+        rows = []
+
         def edit(blob):
             member = blob["members"][0]
-            member["k_neighbors"] = len(member["X"]) + 1
-        with pytest.raises(ValueError, match="k_neighbors"):
-            load_model(self.save_knn(tmp_path, edit))
+            rows.append(len(member["X"]))
+            member["k_neighbors"] = rows[0] + 1
+        path = self.save_knn(tmp_path, edit)
+        with pytest.raises(ValueError, match=f"^k_neighbors={rows[0] + 1} exceeds {rows[0]} training rows$"):
+            load_model(path)
 
     @pytest.mark.parametrize("label", [-1, 2])
     def test_label_outside_classes(self, tmp_path, label):

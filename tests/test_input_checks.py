@@ -15,7 +15,7 @@ from dube.balancing import (InterCBStrategy, IntraCBStrategy, hem_weights, shem_
 from dube.biaslab import ToyConfig
 from dube.dataset import (Dataset, DatasetError, make_gaussian_1d, make_overlap_2d,
                           stratified_k_fold)
-from dube.learners import KnnParams, knn_fit, learner_from_dict
+from dube.learners import KnnClassifier, KnnParams, TreeClassifier, knn_fit, learner_from_dict
 from dube.metrics import binary_auroc, macro_auroc
 
 TABLE = Dataset(np.arange(8.0)[:, None], [0, 1] * 4)
@@ -30,6 +30,8 @@ CASES = {
                                  ValueError, "unknown intra-class strategy ['HEM']"),
     "IntraCBStrategy-bins": (lambda: IntraCBStrategy("SHEM", bins=0),
                              ValueError, "bins must be >= 1"),
+    "IntraCBStrategy-bins-above-2**53": (lambda: IntraCBStrategy("SHEM", bins=2**53 + 1),
+                                         ValueError, "bins must be <= 2**53, got 9007199254740993"),
     "target_class_size-one-class": (lambda: target_class_size([5], InterCBStrategy("RUS")),
                                     ValueError, "need at least two classes"),
     "target_class_size-empty-class": (lambda: target_class_size([5, 0], InterCBStrategy("ROS")),
@@ -38,6 +40,11 @@ CASES = {
     "hem_weights-nan": (lambda: hem_weights([np.nan, 0.5]), ValueError, "errors must be finite"),
     "shem_weights-nan": (lambda: shem_weights([np.nan, 0.5], 3),
                          ValueError, "errors must be finite"),
+    # past 2**53 the bin ids used to overflow int64 (an OverflowError or a cast warning)
+    "shem_weights-bins-2**63+1": (lambda: shem_weights([0.5, 0.9], 2**63 + 1), ValueError,
+                                  "bins must be <= 2**53, got 9223372036854775809"),
+    "shem_weights-bins-2**63-1": (lambda: shem_weights([0.5, 1.0], 2**63 - 1), ValueError,
+                                  "bins must be <= 2**53, got 9223372036854775807"),
     "weighted_resample-lengths": (lambda: weighted_resample([0, 1, 2], [1.0, 1.0], 2, seed=0),
                                   ValueError, "weights must match class_rows in length"),
     "weighted_resample-target": (lambda: weighted_resample([0, 1], [1.0, 1.0], 0, seed=0),
@@ -69,6 +76,12 @@ CASES = {
                                    DatasetError, "class sizes must be >= 1"),
     "KnnParams-k": (lambda: KnnParams(0), ValueError, "k_neighbors must be >= 1"),
     "knn_fit-k": (lambda: knn_fit(TABLE, 0), DatasetError, "k_neighbors must be >= 1"),
+    # node 1's left child is node 0, its parent: routing would never end
+    "TreeClassifier-cycle": (lambda: TreeClassifier([0, 0, -1], [0.5, 0.5, 0.0], [1, 0, -1], [2, 2, -1],
+                                                    [[0, 0], [0, 0], [1, 0]], 2, 1), ValueError,
+                             "tree child index must lie above its parent and below the node count"),
+    "KnnClassifier-k-above-rows": (lambda: KnnClassifier(np.zeros((3, 2)), [0, 1, 0], 2, 5),
+                                   DatasetError, "k_neighbors=5 exceeds 3 training rows"),
     "learner_from_dict-kind": (lambda: learner_from_dict({"kind": "svm"}),
                                ValueError, "unknown learner kind 'svm'"),
     # an unhashable kind is unknown too, so load_model words it the same way
