@@ -183,9 +183,10 @@ def _cross_validate(ds: Dataset, options, points, failures: list) -> list:
     None, alpha grid that each cell tunes over or None; see :func:`_point`).
     The (point, cell) jobs run in point-major order, in worker processes if
     ``options["jobs"]`` > 1 (no more than there are jobs or usable CPUs);
-    failed cells append their messages to ``failures`` in that order. Each job carries the table and its cell's
-    :func:`_cv_cells` record and splits its own rows, so memory holds the
-    table, the fold plans and the running cells' copies, never every cell's.
+    failed cells append their messages to ``failures`` in that order. Each
+    job carries the table and its cell's :func:`_cv_cells` record and
+    splits its own rows, so memory holds the table, the fold plans and the
+    running cells' copies, never every cell's.
     Returns, per point, the (repeat, fold, metrics, alpha, resample_ms) of
     every cell that succeeded.
     """

@@ -124,8 +124,7 @@ class TestBench:
         assert len(results) == 20
         assert peak < 4 * ds.features.nbytes, peak / ds.features.nbytes
 
-    @pytest.mark.parametrize("cpus, workers", [(16, [3]), (2, [2])])
-    def test_no_more_workers_than_jobs(self, tmp_path, monkeypatch, cpus, workers):
+    def test_no_more_workers_than_jobs(self, tmp_path, monkeypatch):
         # the fake pool runs in this process, so no worker is ever started
         import dube.cli as cli
         started = []
@@ -143,11 +142,14 @@ class TestBench:
             def map(self, fn, jobs):
                 return map(fn, jobs)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         path = write_dataset(tmp_path / "toy.csv")
-        body = run_bench(options("bench", input=path, k=2, folds=3, jobs=8)).body("text")
-        assert started == workers
-        assert body == run_bench(options("bench", input=path, k=2, folds=3, jobs=1)).body("text")
+        serial = run_bench(options("bench", input=path, k=2, folds=3, jobs=1)).body("text")
+        for cpus, workers in [(16, 3), (2, 2)]:  # 3 cells, then 2 usable CPUs
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            started.clear()
+            body = run_bench(options("bench", input=path, k=2, folds=3, jobs=8)).body("text")
+            assert started == [workers]
+            assert body == serial
 
     def test_folds_must_be_at_least_two(self, tmp_path):
         path = write_dataset(tmp_path / "toy.csv")
