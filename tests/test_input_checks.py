@@ -40,7 +40,7 @@ CASES = {
     "hem_weights-nan": (lambda: hem_weights([np.nan, 0.5]), ValueError, "errors must be finite"),
     "shem_weights-nan": (lambda: shem_weights([np.nan, 0.5], 3),
                          ValueError, "errors must be finite"),
-    # past 2**53 the bin ids used to overflow int64 (an OverflowError or a cast warning)
+    # near 2**63 a bin id would overflow int64 (an OverflowError or a cast warning)
     "shem_weights-bins-2**63+1": (lambda: shem_weights([0.5, 0.9], 2**63 + 1), ValueError,
                                   "bins must be <= 2**53, got 9223372036854775809"),
     "shem_weights-bins-2**63-1": (lambda: shem_weights([0.5, 1.0], 2**63 - 1), ValueError,
