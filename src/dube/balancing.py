@@ -53,10 +53,7 @@ class IntraCBStrategy:
     def __post_init__(self):
         if self.tag not in list(WEIGHTS):  # compared, not hashed: a list is an unknown tag
             raise ValueError(f"unknown intra-class strategy {self.tag!r}")
-        if self.bins < 1:
-            raise ValueError("bins must be >= 1")
-        if self.bins > 2**53:
-            raise ValueError(f"bins must be <= 2**53, got {self.bins}")
+        object.__setattr__(self, "bins", rng.integer(self.bins, "bins", high=2**53))
 
 
 def target_class_size(counts, strategy: InterCBStrategy) -> int:
@@ -101,7 +98,7 @@ def shem_weights(errors, b: int) -> np.ndarray:
     errors = np.asarray(errors, dtype=np.float64)
     if errors.size == 0:
         raise ValueError("empty error list")
-    IntraCBStrategy("SHEM", b)  # the bin count's rule
+    b = IntraCBStrategy("SHEM", b).bins  # the bin count's rule
     if (errors < 0).any() or (errors > 1).any():
         raise ValueError("errors must lie in [0, 1]")
     if np.isnan(errors).any():

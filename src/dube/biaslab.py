@@ -49,11 +49,12 @@ class ToyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_gaussian_1d(self.n_min, self.n_maj, self.mu_min, self.mu_maj, self.sigma)
+        sizes = check_gaussian_1d(self.n_min, self.n_maj, self.mu_min, self.mu_maj, self.sigma)
         if self.mu_maj <= self.mu_min:
             raise ValueError("mu_maj must exceed mu_min (minority sits left)")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        ints = (*sizes, rng.integer(self.trials, "trials"), rng.integer(self.seed, "seed", 0))
+        for name, value in zip(("n_min", "n_maj", "trials", "seed"), ints):
+            object.__setattr__(self, name, value)
 
     @property
     def optimal_boundary(self) -> float:
@@ -224,12 +225,10 @@ def check_pbda_bound(n_rep: int, sigma_p: float, trials: int, seed: int = 0) -> 
     extreme copy is the expected max of those draws; it vanishes for
     n_rep = 1 and both bounds collapse to zero.
     """
-    if n_rep < 1:
-        raise ValueError("n_rep must be >= 1")
+    n_rep = rng.integer(n_rep, "n_rep")
     if sigma_p <= 0:
         raise ValueError("sigma_p must be positive")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = rng.integer(trials, "trials")
     gen = rng.stream(seed, rng.BOUND, n_rep)
     draws = gen.normal(0.0, sigma_p, (trials, n_rep))
     empirical = float(draws.max(axis=1).mean())

@@ -35,7 +35,7 @@ class Dataset:
         numbers within int64 (``2.0`` is class 2); anything else, such as
         ``0.5`` or the text ``"1"``, raises DatasetError.
     m : int, optional
-        Size of the label space. Defaults to ``max(labels) + 1``. A
+        Size of the label space; 0, the default, means ``max(labels) + 1``. A
         subset of a dataset keeps the parent's ``m`` even if some class
         has no rows in the subset.
     label_names : tuple of str, optional
@@ -73,7 +73,7 @@ class Dataset:
             raise DatasetError("features contain NaN or infinite values")
         if labels.min() < 0:
             raise DatasetError("negative class id")
-        m = self.m if self.m else int(labels.max()) + 1
+        m = rng.integer(self.m, "m", 0) or int(labels.max()) + 1
         if labels.max() >= m:
             raise DatasetError(f"label {labels.max()} out of range for m={m}")
         empty, present = np.empty(0, dtype=np.intp), np.flatnonzero(np.bincount(labels))
@@ -219,11 +219,12 @@ def stratified_k_fold(ds: Dataset, k: int, seed: int) -> FoldPlan:
 
     Raises
     ------
+    ValueError
+        If k is not an integer >= 2 (:func:`dube.rng.integer`).
     DatasetError
-        If k < 2 or any class has fewer than k rows.
+        If any class has fewer than k rows.
     """
-    if k < 2:
-        raise DatasetError(f"k must be >= 2, got {k}")
+    k = rng.integer(k, "k", 2)
     counts = class_counts(ds)
     small = np.flatnonzero(counts < k)
     if small.size:
@@ -263,15 +264,16 @@ def inject_flip_noise(ds: Dataset, r: float, seed: int) -> Dataset:
     return Dataset(ds.features, labels, m=2, label_names=ds.label_names)
 
 
-def check_gaussian_1d(n_min: int, n_maj: int, mu_min: float, mu_maj: float, sigma: float) -> None:
-    """DatasetError unless both class sizes are >= 1, the means and
-    ``sigma`` are finite, and ``sigma`` > 0, checked in that order."""
-    if n_min < 1 or n_maj < 1:
-        raise DatasetError("class sizes must be >= 1")
+def check_gaussian_1d(n_min: int, n_maj: int, mu_min: float, mu_maj: float, sigma: float) -> tuple:
+    """The class sizes as ints: ValueError unless both are integers >= 1
+    (:func:`dube.rng.integer`), then DatasetError unless the means and
+    ``sigma`` are finite and ``sigma`` > 0, checked in that order."""
+    sizes = rng.integer(n_min, "n_min"), rng.integer(n_maj, "n_maj")
     if not all(math.isfinite(v) for v in (mu_min, mu_maj, sigma)):
         raise DatasetError("mu_min, mu_maj and sigma must be finite")
     if sigma <= 0:
         raise DatasetError(f"sigma must be positive, got {sigma}")
+    return sizes
 
 
 def make_gaussian_1d(n_min: int, n_maj: int, mu_min: float, mu_maj: float,
@@ -279,7 +281,7 @@ def make_gaussian_1d(n_min: int, n_maj: int, mu_min: float, mu_maj: float,
     """1-D two-class Gaussian sample: majority (class 0) around ``mu_maj``,
     minority (class 1, the "positive" class) around ``mu_min``, shared
     standard deviation ``sigma`` (:func:`check_gaussian_1d`)."""
-    check_gaussian_1d(n_min, n_maj, mu_min, mu_maj, sigma)
+    n_min, n_maj = check_gaussian_1d(n_min, n_maj, mu_min, mu_maj, sigma)
     gen = rng.stream(seed, rng.GAUSS_1D)
     x_maj = gen.normal(mu_maj, sigma, n_maj)
     x_min = gen.normal(mu_min, sigma, n_min)
@@ -299,10 +301,10 @@ def make_overlap_2d(n_min: int, n_maj: int, overlap_level: str, seed: int) -> Da
     Each class is an equal mixture of two unit-variance Gaussian blobs;
     the minority blobs sit above the majority blobs at a vertical offset
     of 4 / 2.5 / 1.5 standard deviations for overlap level ``low`` /
-    ``mid`` / ``high``. Majority rows (class 0) come first.
+    ``mid`` / ``high``. Majority rows (class 0) come first. The class
+    sizes are integers >= 1 (:func:`dube.rng.integer`).
     """
-    if n_min < 1 or n_maj < 1:
-        raise DatasetError("class sizes must be >= 1")
+    n_min, n_maj = rng.integer(n_min, "n_min"), rng.integer(n_maj, "n_maj")
     try:
         sep = _OVERLAP_SEPARATION[overlap_level]
     except KeyError:

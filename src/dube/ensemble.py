@@ -34,7 +34,7 @@ import numpy as np
 from . import rng
 from .balancing import InterCBStrategy, IntraCBStrategy, resample_step
 from .dataset import Dataset
-from .learners import (LearnerParams, TreeParams, _Classifier, _integer, fit_learner, fit_members,
+from .learners import (LearnerParams, TreeParams, _Classifier, fit_learner, fit_members,
                        learner_from_dict, params_from_dict, params_to_dict)
 from .pbda import class_covariance, perturb
 
@@ -55,8 +55,8 @@ class DubeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("ensemble size k must be >= 1")
+        object.__setattr__(self, "k", rng.integer(self.k, "k"))
+        object.__setattr__(self, "seed", rng.integer(self.seed, "seed", 0))
         if isinstance(self.alpha, bool) or not 0 <= self.alpha < float("inf"):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
 
@@ -65,10 +65,16 @@ class EnsembleModel(_Classifier):
     """Ordered fitted members with uniform soft-vote aggregation."""
 
     def __init__(self, members, m: int, d: int, config: DubeConfig):
-        self.members = list(members)
-        self.m = int(m)
-        self.d = int(d)
-        self.config = config
+        """ValueError unless there is a member and every member has m
+        classes and d features."""
+        self.members, self.config = list(members), config
+        self.m, self.d = rng.integer(m, "m"), rng.integer(d, "d")
+        if not self.members:
+            raise ValueError("a model needs at least one member")
+        for i, member in enumerate(self.members):
+            if (member.m, member.d) != (self.m, self.d):
+                raise ValueError(f"member {i} has m={member.m}, d={member.d}; "
+                                 f"the model has m={self.m}, d={self.d}")
 
     def predict_proba_many(self, X) -> np.ndarray:
         """Arithmetic mean of member probability rows."""
@@ -145,10 +151,9 @@ def _config_to_dict(cfg: DubeConfig) -> dict:
 
 
 def _config_from_dict(blob: dict) -> DubeConfig:
-    return DubeConfig(k=_integer(blob, "k"), inter=InterCBStrategy(blob["inter"]),
-                      intra=IntraCBStrategy(blob["intra"], bins=_integer(blob, "bins")),
-                      alpha=blob["alpha"], learner=params_from_dict(blob["learner"]),
-                      seed=_integer(blob, "seed", 0))
+    return DubeConfig(k=blob["k"], inter=InterCBStrategy(blob["inter"]),
+                      intra=IntraCBStrategy(blob["intra"], bins=blob["bins"]), alpha=blob["alpha"],
+                      learner=params_from_dict(blob["learner"]), seed=blob["seed"])
 
 
 def write_atomic(path, pieces) -> None:
@@ -192,8 +197,9 @@ def save_model(model: EnsembleModel, path) -> None:
 
 def load_model(path) -> EnsembleModel:
     """Read a :func:`save_model` file, raising ValueError unless every
-    member is well formed and agrees with the file's ``m`` and ``d``, and
-    the file holds ``config.k`` members of its config's learner kind."""
+    member is well formed, the model passes :class:`EnsembleModel`'s
+    checks, and the file holds ``config.k`` members of its config's learner
+    kind."""
     try:
         with open(path) as fh:
             blob = json.load(fh)
@@ -201,18 +207,15 @@ def load_model(path) -> EnsembleModel:
                 or blob.get("version") != MODEL_VERSION):
             raise ValueError(f"not a {MODEL_FORMAT} v{MODEL_VERSION} file: {path}")
         members = [learner_from_dict(b) for b in blob["members"]]
-        model = EnsembleModel(members, _integer(blob, "m"), _integer(blob, "d"),
-                              _config_from_dict(blob["config"]))
+        m, d, config = blob["m"], blob["d"], _config_from_dict(blob["config"])
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
     except (TypeError, OverflowError, RecursionError) as exc:  # wrong JSON type, huge number, deep nesting
         raise ValueError(f"{path}: {exc}") from exc
-    if not members:
-        raise ValueError(f"{path}: a model needs at least one member")
-    for i, member in enumerate(members):
-        if (member.m, member.d) != (model.m, model.d):
-            raise ValueError(f"{path}: member {i} has m={member.m}, d={member.d}; "
-                             f"the model has m={model.m}, d={model.d}")
+    try:
+        model = EnsembleModel(members, m, d, config)
+    except ValueError as exc:  # the model's own rules, named with the file
+        raise ValueError(f"{path}: {exc}") from exc
     kind, kinds = blob["config"]["learner"]["kind"], {b["kind"] for b in blob["members"]}
     if len(members) != model.config.k or kinds != {kind}:  # the config would fit another model
         raise ValueError(f"{path}: the config fits k={model.config.k} {kind} members; "

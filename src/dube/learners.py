@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import rng
 from .dataset import Dataset, DatasetError
 
 
@@ -32,10 +33,9 @@ class TreeParams:
     criterion: str = "gini"
 
     def __post_init__(self):
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be positive or None")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
+        if self.max_depth is not None:
+            object.__setattr__(self, "max_depth", rng.integer(self.max_depth, "max_depth"))
+        object.__setattr__(self, "min_samples_leaf", rng.integer(self.min_samples_leaf, "min_samples_leaf"))
         if self.criterion not in ("gini", "entropy"):
             raise ValueError(f"unknown criterion {self.criterion!r}")
 
@@ -45,19 +45,10 @@ class KnnParams:
     k_neighbors: int
 
     def __post_init__(self):
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
+        object.__setattr__(self, "k_neighbors", rng.integer(self.k_neighbors, "k_neighbors"))
 
 
 LearnerParams = TreeParams | KnnParams
-
-
-def _integer(blob: dict, key: str, low: int = 1) -> int:
-    """``blob[key]`` as an int; ValueError unless it is a whole number (3.0 is) >= low."""
-    value = blob[key]
-    if type(value) not in (int, float) or value % 1 != 0 or value < low:
-        raise ValueError(f"{key} must be an integer in [{low}, inf], got {value!r}")
-    return int(value)
 
 
 class _Classifier:
@@ -98,9 +89,9 @@ class TreeClassifier(_Classifier):
 
     def __init__(self, feature, threshold, left, right, proba, m, d):
         """ValueError unless the arrays make a well-formed tree."""
+        m, d = rng.integer(m, "m"), rng.integer(d, "d")
         feature, left, right = (np.asarray(a, dtype=np.int64) for a in (feature, left, right))
         threshold, proba = (np.asarray(a, dtype=np.float64) for a in (threshold, proba))
-        m, d = int(m), int(d)
         n, arrays = feature.size, (feature, threshold, left, right)
         if n == 0 or proba.shape != (n, m) or any(a.shape != (n,) for a in arrays):
             raise ValueError(f"tree arrays must share a nonzero length n, proba (n, {m})")
@@ -159,8 +150,7 @@ class TreeClassifier(_Classifier):
     @classmethod
     def from_dict(cls, blob: dict) -> "TreeClassifier":
         """Rebuild a tree, raising ValueError unless it is well formed."""
-        m, d = _integer(blob, "m"), _integer(blob, "d")
-        return cls(*(blob[k] for k in ("feature", "threshold", "left", "right", "proba")), m, d)
+        return cls(*(blob[k] for k in ("feature", "threshold", "left", "right", "proba", "m", "d")))
 
 
 # Query rows are scored in blocks of at most this many bytes of float64
@@ -183,15 +173,14 @@ class KnnClassifier(_Classifier):
 
     def __init__(self, X, y, m, k_neighbors):
         """ValueError unless ``X`` and ``y`` make a training table with labels
-        in [0, m), and DatasetError unless 1 <= k_neighbors <= its rows."""
+        in [0, m) and k_neighbors is an integer >= 1, and DatasetError if
+        k_neighbors exceeds its rows."""
+        m, k = rng.integer(m, "m"), rng.integer(k_neighbors, "k_neighbors")
         X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
-        m, k = int(m), int(k_neighbors)
         if X.ndim != 2 or X.shape[0] == 0 or y.shape != (X.shape[0],) or not np.isfinite(X).all():
             raise ValueError("knn X must be finite with shape (n, d), n >= 1, and y length n")
         if k > X.shape[0]:
             raise DatasetError(f"k_neighbors={k} exceeds {X.shape[0]} training rows")
-        if k < 1:
-            raise DatasetError("k_neighbors must be >= 1")
         if not ((y >= 0) & (y < m) & (y == np.floor(y))).all():
             raise ValueError(f"knn labels must lie in [0, {m}) and be integers")
         self.X, self.y, self.m, self.k_neighbors = X, y.astype(np.int64), m, k
@@ -242,7 +231,7 @@ class KnnClassifier(_Classifier):
     @classmethod
     def from_dict(cls, blob: dict) -> "KnnClassifier":
         """Rebuild a KNN member, raising ValueError unless it is well formed."""
-        return cls(blob["X"], blob["y"], _integer(blob, "m"), _integer(blob, "k_neighbors"))
+        return cls(blob["X"], blob["y"], blob["m"], blob["k_neighbors"])
 
 
 def _nearest(d2, k):
@@ -551,9 +540,6 @@ def _learner_kind(kind) -> str:
 def params_from_dict(blob: dict) -> LearnerParams:
     fields = {**blob}  # TypeError unless blob is a mapping
     kind = _learner_kind(fields.pop("kind"))
-    for key in ("max_depth", "min_samples_leaf", "k_neighbors"):
-        if fields.get(key) is not None:
-            fields[key] = _integer(fields, key)
     return LEARNERS[kind][0](**fields)
 
 

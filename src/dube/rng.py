@@ -17,6 +17,8 @@ matched across runs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 RNG_ALGORITHM = "philox4x64(numpy)+seedseq-spawn"
@@ -35,14 +37,25 @@ CELL = 10
 TUNE = 11
 
 
+def integer(value, name: str, low: int = 1, high: float = math.inf) -> int:
+    """``value`` as an int; ValueError unless it is a whole number in
+    [low, high]. 3.0 and ``np.int64(3)`` are; True, "3", None, NaN and inf
+    are not. Every whole-number setting of the package passes here."""
+    number = value  # a plain int skips the conversion: the common case, kept cheap
+    if type(value) is not int and isinstance(value, (np.integer, float, np.floating)):
+        number = int(value) if float(value).is_integer() else None
+    if type(number) is not int or not low <= number <= high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return number
+
+
 def _sequence(seed: int, path: tuple) -> np.random.SeedSequence:
-    if seed < 0:  # numpy's own message would not name the seed
-        raise ValueError(f"seed must be an integer >= 0, got {seed}")
-    return np.random.SeedSequence(seed, spawn_key=path)
+    return np.random.SeedSequence(integer(seed, "seed", 0), spawn_key=path)
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
-    """Return the generator for (seed, path); ValueError if seed < 0."""
+    """Return the generator for (seed, path); ValueError unless seed is an
+    integer >= 0 (:func:`integer`)."""
     return np.random.Generator(np.random.Philox(_sequence(seed, path)))
 
 
@@ -50,6 +63,6 @@ def child_seed(seed: int, *path: int) -> int:
     """Derive a plain integer seed for (seed, path).
 
     Used where an API takes a seed rather than a generator; the result
-    feeds back into :func:`stream` on the callee side. ValueError if seed < 0.
+    feeds back into :func:`stream` on the callee side. Seeds as in :func:`stream`.
     """
     return int(_sequence(seed, path).generate_state(1, dtype=np.uint64)[0] >> 1)

@@ -148,17 +148,19 @@ class TestRunBiasTrials:
             ToyConfig(sigma=0.0)
 
     @pytest.mark.parametrize("toy, message", [
-        (dict(FIG_TOY, n_min=0), "class sizes must be >= 1"),
+        (dict(FIG_TOY, n_min=0), r"n_min must be an integer in \[1, inf\], got 0"),
         (dict(FIG_TOY, mu_maj=float("inf")), "mu_min, mu_maj and sigma must be finite"),
         (dict(FIG_TOY, sigma=0.0), "sigma must be positive, got 0.0"),
         # two rules broken: the first in the shared order is named
-        (dict(FIG_TOY, n_maj=0, sigma=float("nan")), "class sizes must be >= 1"),
+        (dict(FIG_TOY, n_maj=0, sigma=float("nan")), r"n_maj must be an integer in \[1, inf\], got 0"),
         (dict(FIG_TOY, mu_min=float("nan"), sigma=-1.0), "mu_min, mu_maj and sigma must be finite")])
     def test_toy_and_generator_share_their_checks(self, toy, message):
-        with pytest.raises(DatasetError, match=f"^{message}$"):
-            ToyConfig(**toy)
-        with pytest.raises(DatasetError, match=f"^{message}$"):
-            make_gaussian_1d(**toy, seed=0)
+        # the class sizes follow the package's integer rule, a plain ValueError
+        error = ValueError if " must be an integer in " in message else DatasetError
+        for call in (lambda: ToyConfig(**toy), lambda: make_gaussian_1d(**toy, seed=0)):
+            with pytest.raises(ValueError, match=f"^{message}$") as info:
+                call()
+            assert type(info.value) is error
 
     @pytest.mark.parametrize("field", ["mu_min", "mu_maj", "sigma"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

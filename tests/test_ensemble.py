@@ -326,7 +326,7 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("learner", [TreeParams(), KnnParams(k_neighbors=3)],
                              ids=["tree", "knn"])
-    @pytest.mark.parametrize("count", [0, 1, 3])
+    @pytest.mark.parametrize("count", [1, 3])  # a model has at least one member
     def test_bytes_equal_one_dumps_of_the_blob(self, tmp_path, monkeypatch, learner, count):
         import dube.ensemble as ens
         fitted = self.fitted(learner)
@@ -587,6 +587,44 @@ class TestModelFileIntegers:
         assert type(model.config.k) is int and type(model.config.seed) is int
 
 
+def whole(low, high):
+    """A whole number in [low, high], as an int, a float or a numpy int."""
+    return st.builds(lambda kind, value: kind(value), st.sampled_from([int, float, np.int64]),
+                     st.integers(low, high))
+
+
+class TestIntegerSettingsRoundTrip:
+    """Every whole-number setting is checked, and made an int, where its
+    object is built, so a config that builds also fits, saves and loads.
+    A KNN neighbour count of 2.5 used to fit members with 2 neighbours and
+    write a file that would not load; a numpy min_samples_leaf used to fit
+    and then fail to save."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=whole(1, 3), intra=st.sampled_from(["Uniform", "HEM", "SHEM"]), bins=whole(1, 2**53),
+           seed=whole(0, 2**32), knn=st.booleans(), depth=st.none() | whole(1, 4), leaf=whole(1, 3),
+           neighbours=whole(1, 3))
+    def test_accepted_config_fits_saves_and_loads_equal(self, k, intra, bins, seed, knn, depth, leaf,
+                                                        neighbours):
+        learner = KnnParams(neighbours) if knn else TreeParams(max_depth=depth, min_samples_leaf=leaf)
+        cfg = DubeConfig(k=k, intra=IntraCBStrategy(intra, bins), learner=learner, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(dube_fit(small_dataset(), cfg), path)
+            assert load_model(path).config == cfg
+
+    def test_fractional_knn_neighbours_rejected_when_built(self):
+        with pytest.raises(ValueError, match=r"^k_neighbors must be an integer in \[1, inf\], got 2.5$"):
+            DubeConfig(k=2, learner=KnnParams(2.5))
+
+    def test_numpy_min_samples_leaf_saves_and_loads(self, tmp_path):
+        learner = TreeParams(min_samples_leaf=np.int64(2))
+        assert type(learner.min_samples_leaf) is int
+        path = tmp_path / "model.json"
+        save_model(dube_fit(small_dataset(), DubeConfig(k=2, learner=learner)), path)
+        assert load_model(path).config.learner == TreeParams(min_samples_leaf=2)
+
+
 class TestModelFileTypes:
     """Every malformed model file raises ValueError. A JSON value of the
     wrong type used to raise AttributeError or TypeError, an unknown
@@ -622,7 +660,7 @@ class TestModelFileTypes:
     @pytest.mark.parametrize("key,value,message", [
         ("k", 2.5, r"k must be an integer in \[1, inf\], got 2.5"),
         ("k", "3", r"k must be an integer in \[1, inf\], got '3'"),
-        ("bins", 2.5, r"bins must be an integer in \[1, inf\], got 2.5"),
+        ("bins", 2.5, r"bins must be an integer in \[1, 9007199254740992\], got 2.5"),
         ("seed", "x", r"seed must be an integer in \[0, inf\], got 'x'"),
         ("seed", -1, r"seed must be an integer in \[0, inf\], got -1"),
         ("alpha", float("nan"), "alpha must be finite and >= 0, got nan"),
@@ -668,7 +706,7 @@ class TestModelFileTypes:
         (TreeParams(), "kind", ["tree"], r"unknown learner kind \['tree'\]"),
         (TreeParams(), "depth", 3, "unexpected keyword argument 'depth'"),
         (TreeParams(), "min_samples_leaf", 2.5, "min_samples_leaf must be an integer"),
-        (TreeParams(), "min_samples_leaf", None, "'<' not supported"),
+        (TreeParams(), "min_samples_leaf", None, r"min_samples_leaf must be an integer in \[1, inf\], got None"),
         (TreeParams(), "max_depth", "4", "max_depth must be an integer"),
         (TreeParams(), "max_depth", 0, "max_depth must be an integer"),
         (KnnParams(k_neighbors=3), "k_neighbors", "3", "k_neighbors must be an integer"),
