@@ -26,9 +26,6 @@ def leaf(m, d):
     """A one-node tree of m classes on d features."""
     return TreeClassifier([-1], [0.0], [-1], [-1], [[1.0] + [0.0] * (m - 1)], m, d)
 
-
-LEAF = leaf(2, 1)
-
 CASES = {
     "IntraCBStrategy-tag": (lambda: IntraCBStrategy("hem"),
                             ValueError, "unknown intra-class strategy 'hem'"),
@@ -99,7 +96,7 @@ CASES = {
     # a memberless model used to predict NaN rows with a divide warning
     "EnsembleModel-no-members": (lambda: EnsembleModel([], 2, 2, DubeConfig()),
                                  ValueError, "a model needs at least one member"),
-    "EnsembleModel-member-size": (lambda: EnsembleModel([LEAF], 2, 3, DubeConfig()), ValueError,
+    "EnsembleModel-member-size": (lambda: EnsembleModel([leaf(2, 1)], 2, 3, DubeConfig()), ValueError,
                                   "member 0 has m=2, d=1; the model has m=2, d=3"),
     "learner_from_dict-kind": (lambda: learner_from_dict({"kind": "svm"}),
                                ValueError, "unknown learner kind 'svm'"),
