@@ -37,8 +37,7 @@ class InterCBStrategy:
     tag: str
 
     def __post_init__(self):
-        if self.tag not in list(TARGETS):  # compared, not hashed: a list is an unknown tag
-            raise ValueError(f"unknown inter-class strategy {self.tag!r}")
+        rng.one_of(self.tag, TARGETS, "inter-class strategy")
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,7 @@ class IntraCBStrategy:
     bins: int = 5
 
     def __post_init__(self):
-        if self.tag not in list(WEIGHTS):  # compared, not hashed: a list is an unknown tag
-            raise ValueError(f"unknown intra-class strategy {self.tag!r}")
+        rng.one_of(self.tag, WEIGHTS, "intra-class strategy")
         object.__setattr__(self, "bins", rng.integer(self.bins, "bins", high=2**53))
 
 
@@ -135,8 +133,7 @@ def weighted_resample(class_rows, weights, n: int, seed: int) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if class_rows.shape != weights.shape:
         raise ValueError("weights must match class_rows in length")
-    if n < 1:
-        raise ValueError("target size must be >= 1")
+    n = rng.integer(n, "n")
     if (weights < 0).any():
         raise ValueError("negative weight")
     if not np.isfinite(weights).all():

@@ -129,9 +129,8 @@ def draw_trials(cfg: ToyConfig) -> TrialDraws:
 
 def validate_row(cfg: ToyConfig, strategy: str, alpha_sigma: float) -> None:
     """Raise ``ValueError`` if (strategy, alpha_sigma) cannot run on cfg."""
-    if strategy not in BIAS_STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {BIAS_STRATEGIES}")
-    if not 0 <= alpha_sigma < float("inf"):
+    rng.one_of(strategy, BIAS_STRATEGIES, "strategy")
+    if isinstance(alpha_sigma, bool) or not 0 <= alpha_sigma < float("inf"):
         raise ValueError(f"alpha_sigma must be finite and >= 0, got {alpha_sigma!r}")
     if strategy == "SMOTE1D" and cfg.n_min < 2:
         raise ValueError("SMOTE1D needs at least two minority points")
@@ -226,8 +225,8 @@ def check_pbda_bound(n_rep: int, sigma_p: float, trials: int, seed: int = 0) -> 
     n_rep = 1 and both bounds collapse to zero.
     """
     n_rep = rng.integer(n_rep, "n_rep")
-    if sigma_p <= 0:
-        raise ValueError("sigma_p must be positive")
+    if isinstance(sigma_p, bool) or not 0 < sigma_p < float("inf"):
+        raise ValueError(f"sigma_p must be finite and > 0, got {sigma_p!r}")
     trials = rng.integer(trials, "trials")
     gen = rng.stream(seed, rng.BOUND, n_rep)
     draws = gen.normal(0.0, sigma_p, (trials, n_rep))

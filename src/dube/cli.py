@@ -25,10 +25,10 @@ from . import rng
 from .balancing import TARGETS, WEIGHTS, InterCBStrategy, IntraCBStrategy
 from .biaslab import (BIAS_STRATEGIES, ToyConfig, check_pbda_bound, draw_trials,
                       run_bias_trials, validate_row)
-from .dataset import Dataset, inject_flip_noise, load_csv, make_gaussian_1d, make_overlap_2d, \
-    stratified_k_fold
+from .dataset import OVERLAP_SEPARATION, Dataset, inject_flip_noise, load_csv, make_gaussian_1d, \
+    make_overlap_2d, stratified_k_fold
 from .ensemble import DubeConfig, dube_fit, dube_fit_lockstep, write_atomic
-from .learners import LEARNERS, KnnParams, TreeParams
+from .learners import CRITERIA, LEARNERS, KnnParams, TreeParams
 from .metrics import evaluate, macro_auroc
 
 REPORT_SCHEMA = "dube-report-v1"
@@ -434,7 +434,7 @@ _CV = (
     Setting("learner", "tree", choices=list(LEARNERS)),
     Setting("tree_max_depth", None, _optional_int),
     Setting("tree_min_leaf", 1, int),
-    Setting("tree_criterion", "gini", choices=["gini", "entropy"]),
+    Setting("tree_criterion", "gini", choices=list(CRITERIA)),
     Setting("knn_neighbors", 5, int),
     Setting("folds", 5, int),
     Setting("repeats", 1, int),
@@ -481,7 +481,7 @@ _COMMANDS = {
     "synth": Command(
         run_synth, "emit a synthetic dataset as CSV",
         (Setting("generator", "gaussian1d", choices=["gaussian1d", "overlap2d"]), *_TOY[:-2],
-         Setting("overlap", "mid", choices=["low", "mid", "high"]), _TOY[-1]),
+         Setting("overlap", "mid", choices=list(OVERLAP_SEPARATION)), _TOY[-1]),
         _FILES),
 }
 

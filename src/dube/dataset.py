@@ -247,7 +247,7 @@ def inject_flip_noise(ds: Dataset, r: float, seed: int) -> Dataset:
     """
     if ds.m != 2:
         raise DatasetError("flip noise is defined for binary datasets only")
-    if not 0.0 <= r <= 1.0:
+    if isinstance(r, bool) or not 0.0 <= r <= 1.0:
         raise DatasetError(f"noise ratio must be in [0, 1], got {r}")
     counts = class_counts(ds)
     minority = int(np.argmin(counts))
@@ -292,7 +292,7 @@ def make_gaussian_1d(n_min: int, n_maj: int, mu_min: float, mu_maj: float,
 
 # Distance (in component standard deviations) between the nearest
 # opposite-class blob centers, per overlap level.
-_OVERLAP_SEPARATION = {"low": 4.0, "mid": 2.5, "high": 1.5}
+OVERLAP_SEPARATION = {"low": 4.0, "mid": 2.5, "high": 1.5}
 
 
 def make_overlap_2d(n_min: int, n_maj: int, overlap_level: str, seed: int) -> Dataset:
@@ -305,10 +305,7 @@ def make_overlap_2d(n_min: int, n_maj: int, overlap_level: str, seed: int) -> Da
     sizes are integers >= 1 (:func:`dube.rng.integer`).
     """
     n_min, n_maj = rng.integer(n_min, "n_min"), rng.integer(n_maj, "n_maj")
-    try:
-        sep = _OVERLAP_SEPARATION[overlap_level]
-    except KeyError:
-        raise DatasetError(f"unknown overlap level {overlap_level!r}") from None
+    sep = OVERLAP_SEPARATION[rng.one_of(overlap_level, OVERLAP_SEPARATION, "overlap level")]
     gen = rng.stream(seed, rng.OVERLAP_2D)
     maj_centers = np.array([[0.0, 0.0], [4.0, 0.0]])
     min_centers = maj_centers + np.array([0.0, sep])

@@ -17,6 +17,9 @@ import numpy as np
 from . import rng
 from .dataset import Dataset, DatasetError
 
+# The split criteria a tree grows by.
+CRITERIA = ("gini", "entropy")
+
 
 @dataclass(frozen=True)
 class TreeParams:
@@ -36,8 +39,7 @@ class TreeParams:
         if self.max_depth is not None:
             object.__setattr__(self, "max_depth", rng.integer(self.max_depth, "max_depth"))
         object.__setattr__(self, "min_samples_leaf", rng.integer(self.min_samples_leaf, "min_samples_leaf"))
-        if self.criterion not in ("gini", "entropy"):
-            raise ValueError(f"unknown criterion {self.criterion!r}")
+        rng.one_of(self.criterion, CRITERIA, "criterion")
 
 
 @dataclass(frozen=True)
@@ -530,18 +532,11 @@ def params_to_dict(params: LearnerParams) -> dict:
     return {"kind": kind, **asdict(params)}
 
 
-def _learner_kind(kind) -> str:
-    """``kind``; ValueError unless it is a key of :data:`LEARNERS`."""
-    if kind not in list(LEARNERS):  # compared, not hashed: a list is an unknown kind
-        raise ValueError(f"unknown learner kind {kind!r}")
-    return kind
-
-
 def params_from_dict(blob: dict) -> LearnerParams:
     fields = {**blob}  # TypeError unless blob is a mapping
-    kind = _learner_kind(fields.pop("kind"))
+    kind = rng.one_of(fields.pop("kind"), LEARNERS, "learner kind")
     return LEARNERS[kind][0](**fields)
 
 
 def learner_from_dict(blob: dict) -> _Classifier:
-    return LEARNERS[_learner_kind(blob["kind"])][1].from_dict(blob)
+    return LEARNERS[rng.one_of(blob["kind"], LEARNERS, "learner kind")][1].from_dict(blob)

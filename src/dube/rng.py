@@ -49,6 +49,16 @@ def integer(value, name: str, low: int = 1, high: float = math.inf) -> int:
     return number
 
 
+def one_of(value, options, name: str):
+    """``value``; ValueError unless it equals one of ``list(options)``.
+    The value is compared, never hashed, so an unhashable value such as a
+    list is an unknown choice, not a TypeError. Every named choice of the
+    package passes here."""
+    if value not in list(options):
+        raise ValueError(f"unknown {name} {value!r}")
+    return value
+
+
 def _sequence(seed: int, path: tuple) -> np.random.SeedSequence:
     return np.random.SeedSequence(integer(seed, "seed", 0), spawn_key=path)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dube import DubeConfig, InterCBStrategy, IntraCBStrategy, ensemble, make_overlap_2d
+from dube import DubeConfig, InterCBStrategy, IntraCBStrategy, KnnParams, ensemble, make_overlap_2d
 from dube.cli import main
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -51,6 +51,20 @@ def test_traced_fit_reads_every_drawn_row(tracing):
     nodes = sum(member.n_nodes for member in model.members)
     assert metrics["learners.tree_fits"] == 3 and metrics["learners.tree_nodes"] == nodes
     assert metrics["learners.first_member_fits"] == 1
+
+
+def test_traced_knn_fit_counts_every_training_vote(tracing):
+    ds = make_overlap_2d(15, 45, "mid", seed=0)
+    cfg = DubeConfig(k=3, inter=InterCBStrategy("RHS"), intra=IntraCBStrategy("SHEM"),
+                     alpha=0.2, learner=KnnParams(3), seed=1)
+    with tracing.Tracer() as tracer:
+        model = ensemble.dube_fit(ds, cfg)
+    assert tracer.hook_errors == 0
+    metrics = tracing.layer_metrics(tracer.spans, None)
+    # every member but the last votes once on the training rows; the last never does
+    evals = sum(ds.n_rows * member.X.shape[0] for member in model.members[:-1])
+    assert metrics["learners.knn_distance_evals"] == evals > 0
+    assert metrics["ensemble.members"] == 3
 
 
 def test_traced_bench_runs_without_hook_errors(tracing, tmp_path, capsys):

@@ -17,7 +17,8 @@ import dube
 from dube import Dataset, load_csv, class_counts, make_overlap_2d
 from dube.balancing import TARGETS, WEIGHTS
 from dube.biaslab import ToyConfig
-from dube.learners import LEARNERS
+from dube.dataset import OVERLAP_SEPARATION
+from dube.learners import CRITERIA, LEARNERS
 from dube.cli import (CliError, DEFAULT_ALPHA_GRID, build_dube_config, build_parser, main,
                       resolve_options, run_bench, run_biaslab, run_cv_cell, run_noise_sweep,
                       run_param_sweep, run_synth, _COMMANDS, _DEFAULTS, _cv_cells, _cv_job,
@@ -824,6 +825,13 @@ class TestSettingsTable:
     def test_learner_choices_are_the_learner_kinds(self):
         choices = [setting.choices for _, setting in TABLE if setting.name == "learner"]
         assert choices and all(c == list(LEARNERS) == ["tree", "knn"] for c in choices)
+
+    @pytest.mark.parametrize("name,table,expected", [
+        ("tree_criterion", CRITERIA, ["gini", "entropy"]),
+        ("overlap", OVERLAP_SEPARATION, ["low", "mid", "high"])])
+    def test_choices_are_their_library_tables(self, name, table, expected):
+        choices = [setting.choices for _, setting in TABLE if setting.name == name]
+        assert choices and all(c == list(table) == expected for c in choices)
 
     @pytest.mark.parametrize("name,table,expected", [("inter", TARGETS, ["rhs", "ros", "rus"]),
                                                      ("intra", WEIGHTS, ["hem", "shem", "uniform"])])

@@ -463,5 +463,5 @@ class TestGenerators:
         assert scores["low"] > scores["mid"] > scores["high"]
 
     def test_unknown_overlap_level(self):
-        with pytest.raises(DatasetError):
+        with pytest.raises(ValueError, match=r"^unknown overlap level 'extreme'$"):
             make_overlap_2d(10, 10, "extreme", seed=0)

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from dube import DubeConfig, EnsembleModel, rng
-from dube.balancing import (InterCBStrategy, IntraCBStrategy, hem_weights, shem_weights,
-                            target_class_size, weighted_resample)
-from dube.biaslab import ToyConfig, check_pbda_bound
-from dube.dataset import (Dataset, DatasetError, make_gaussian_1d, make_overlap_2d,
-                          stratified_k_fold)
-from dube.learners import (KnnClassifier, KnnParams, TreeClassifier, TreeParams, knn_fit,
-                           learner_from_dict)
+from dube.balancing import (TARGETS, WEIGHTS, InterCBStrategy, IntraCBStrategy, hem_weights,
+                            shem_weights, target_class_size, weighted_resample)
+from dube.biaslab import BIAS_STRATEGIES, ToyConfig, check_pbda_bound, validate_row
+from dube.dataset import (OVERLAP_SEPARATION, Dataset, DatasetError, inject_flip_noise,
+                          make_gaussian_1d, make_overlap_2d, stratified_k_fold)
+from dube.learners import (CRITERIA, LEARNERS, KnnClassifier, KnnParams, TreeClassifier,
+                           TreeParams, knn_fit, learner_from_dict, params_from_dict)
 from dube.metrics import binary_auroc, macro_auroc
 
 TABLE = Dataset(np.arange(8.0)[:, None], [0, 1] * 4)
@@ -29,7 +29,6 @@ def leaf(m, d):
 CASES = {
     "IntraCBStrategy-tag": (lambda: IntraCBStrategy("hem"),
                             ValueError, "unknown intra-class strategy 'hem'"),
-    # a tag is compared, not hashed, so a list is an unknown tag
     "InterCBStrategy-tag-list": (lambda: InterCBStrategy(["RUS"]),
                                  ValueError, "unknown inter-class strategy ['RUS']"),
     "IntraCBStrategy-tag-list": (lambda: IntraCBStrategy(["HEM"]),
@@ -57,13 +56,22 @@ CASES = {
     "weighted_resample-lengths": (lambda: weighted_resample([0, 1, 2], [1.0, 1.0], 2, seed=0),
                                   ValueError, "weights must match class_rows in length"),
     "weighted_resample-target": (lambda: weighted_resample([0, 1], [1.0, 1.0], 0, seed=0),
-                                 ValueError, "target size must be >= 1"),
+                                 ValueError, "n must be an integer in [1, inf], got 0"),
     "weighted_resample-negative": (lambda: weighted_resample([0, 1], [1.0, -1.0], 1, seed=0),
                                    ValueError, "negative weight"),
     "weighted_resample-nan": (lambda: weighted_resample([0, 1, 2], [np.nan, 1.0, 1.0], 2, seed=0),
                               ValueError, "weights must be finite"),
     "weighted_resample-empty": (lambda: weighted_resample([], [], 1, seed=0),
                                 ValueError, "class_rows must be nonempty"),
+    # a bool is not a number of a real-valued setting, as DubeConfig's alpha is not
+    "validate_row-alpha_sigma-bool": (lambda: validate_row(ToyConfig(), "RUS", True),
+                                      ValueError, "alpha_sigma must be finite and >= 0, got True"),
+    "check_pbda_bound-sigma_p-nan": (lambda: check_pbda_bound(2, float("nan"), 10),
+                                     ValueError, "sigma_p must be finite and > 0, got nan"),
+    "check_pbda_bound-sigma_p-inf": (lambda: check_pbda_bound(2, float("inf"), 10),
+                                     ValueError, "sigma_p must be finite and > 0, got inf"),
+    "check_pbda_bound-sigma_p-bool": (lambda: check_pbda_bound(2, True, 10),
+                                      ValueError, "sigma_p must be finite and > 0, got True"),
     "ToyConfig-class-size": (lambda: ToyConfig(n_maj=0),
                              ValueError, "n_maj must be an integer in [1, inf], got 0"),
     "ToyConfig-trials": (lambda: ToyConfig(trials=0),
@@ -77,6 +85,8 @@ CASES = {
                                DatasetError, "negative class id"),
     "Dataset-label-past-m": (lambda: Dataset(np.zeros((2, 1)), [0, 2], m=2),
                              DatasetError, "label 2 out of range for m=2"),
+    "inject_flip_noise-ratio-bool": (lambda: inject_flip_noise(TABLE, True, 0),
+                                     DatasetError, "noise ratio must be in [0, 1], got True"),
     "FoldPlan-split-fold": (lambda: stratified_k_fold(TABLE, 2, seed=0).split(TABLE, 2),
                             DatasetError, "fold 2 out of range"),
     "stratified_k_fold-k": (lambda: stratified_k_fold(TABLE, 1, seed=0),
@@ -157,6 +167,7 @@ INTEGERS = {
     "make_overlap_2d-n_maj": (lambda v: make_overlap_2d(5, v, "mid", 0).class_index[0].size, "n_maj", 1, None),
     "check_pbda_bound-n_rep": (lambda v: check_pbda_bound(v, 0.5, 10).n_rep, "n_rep", 1, None),
     "check_pbda_bound-trials": (lambda v: check_pbda_bound(2, 0.5, v).trials, "trials", 1, None),
+    "weighted_resample-n": (lambda v: weighted_resample([0, 1], [1.0, 1.0], v, seed=0).size, "n", 1, None),
 }
 NOT_WHOLE = [2.5, True, "3", None, float("nan"), float("inf")]
 
@@ -177,3 +188,35 @@ def test_integer_setting_keeps_an_int(call, name, low, high):
     for value in (3.0, np.int64(3)):
         got = call(value)
         assert type(got) is int and got == call(3)
+
+
+MEMBERS = {"tree": leaf(2, 1).to_dict(), "knn": knn_fit(TABLE, 1).to_dict()}
+# Every named choice of the library, as (call, name, table): each passes
+# rng.one_of where its object is built.
+CHOICES = {
+    "InterCBStrategy-tag": (lambda v: InterCBStrategy(v), "inter-class strategy", TARGETS),
+    "IntraCBStrategy-tag": (lambda v: IntraCBStrategy(v), "intra-class strategy", WEIGHTS),
+    "TreeParams-criterion": (lambda v: TreeParams(criterion=v), "criterion", CRITERIA),
+    "params_from_dict-kind": (lambda v: params_from_dict({"kind": v, "k_neighbors": 3} if v == "knn"
+                                                         else {"kind": v}), "learner kind", LEARNERS),
+    # a known kind reads its own member; an unknown one reads the tree's with its kind replaced
+    "learner_from_dict-kind": (lambda v: learner_from_dict({**MEMBERS["knn" if v == "knn" else "tree"],
+                                                            "kind": v}), "learner kind", LEARNERS),
+    "make_overlap_2d-level": (lambda v: make_overlap_2d(5, 5, v, 0), "overlap level", OVERLAP_SEPARATION),
+    "validate_row-strategy": (lambda v: validate_row(ToyConfig(), v, 0.0), "strategy", BIAS_STRATEGIES),
+}
+
+
+@pytest.mark.parametrize("call, name, table", CHOICES.values(), ids=CHOICES.keys())
+def test_choice_rejects_what_is_not_a_key_of_its_table(call, name, table):
+    # a one-item list is compared, never hashed: an unknown choice, not a TypeError
+    for value in ["unknown", *([key] for key in table)]:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'unknown {name} {value!r}')}$") as info:
+            call(value)
+        assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("call, name, table", CHOICES.values(), ids=CHOICES.keys())
+def test_choice_accepts_each_key_of_its_table(call, name, table):
+    for key in table:
+        call(key)
