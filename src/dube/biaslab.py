@@ -21,7 +21,7 @@ its data draws ended.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,12 +49,12 @@ class ToyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        sizes = check_gaussian_1d(self.n_min, self.n_maj, self.mu_min, self.mu_maj, self.sigma)
-        if self.mu_maj <= self.mu_min:
+        toy = check_gaussian_1d(self.n_min, self.n_maj, self.mu_min, self.mu_maj, self.sigma)
+        if toy[3] <= toy[2]:  # mu_maj <= mu_min
             raise ValueError("mu_maj must exceed mu_min (minority sits left)")
-        ints = (*sizes, rng.integer(self.trials, "trials"), rng.integer(self.seed, "seed", 0))
-        for name, value in zip(("n_min", "n_maj", "trials", "seed"), ints):
-            object.__setattr__(self, name, value)
+        checked = (*toy, rng.integer(self.trials, "trials"), rng.integer(self.seed, "seed", 0))
+        for field, value in zip(fields(self), checked):  # checked is in field order
+            object.__setattr__(self, field.name, value)
 
     @property
     def optimal_boundary(self) -> float:
@@ -130,8 +130,7 @@ def draw_trials(cfg: ToyConfig) -> TrialDraws:
 def validate_row(cfg: ToyConfig, strategy: str, alpha_sigma: float) -> None:
     """Raise ``ValueError`` if (strategy, alpha_sigma) cannot run on cfg."""
     rng.one_of(strategy, BIAS_STRATEGIES, "strategy")
-    if isinstance(alpha_sigma, bool) or not 0 <= alpha_sigma < float("inf"):
-        raise ValueError(f"alpha_sigma must be finite and >= 0, got {alpha_sigma!r}")
+    rng.real(alpha_sigma, "alpha_sigma", 0)
     if strategy == "SMOTE1D" and cfg.n_min < 2:
         raise ValueError("SMOTE1D needs at least two minority points")
 
@@ -225,8 +224,7 @@ def check_pbda_bound(n_rep: int, sigma_p: float, trials: int, seed: int = 0) -> 
     n_rep = 1 and both bounds collapse to zero.
     """
     n_rep = rng.integer(n_rep, "n_rep")
-    if isinstance(sigma_p, bool) or not 0 < sigma_p < float("inf"):
-        raise ValueError(f"sigma_p must be finite and > 0, got {sigma_p!r}")
+    sigma_p = rng.real(sigma_p, "sigma_p", 0, above=True)
     trials = rng.integer(trials, "trials")
     gen = rng.stream(seed, rng.BOUND, n_rep)
     draws = gen.normal(0.0, sigma_p, (trials, n_rep))

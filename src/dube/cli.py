@@ -115,7 +115,7 @@ def build_dube_config(options) -> DubeConfig:
         learner = KnnParams(k_neighbors=options["knn_neighbors"])
     alpha = options["alpha"]
     return DubeConfig(k=options["k"], inter=inter, intra=intra,
-                      alpha=0.0 if alpha == "auto" else float(alpha),
+                      alpha=0.0 if alpha == "auto" else alpha,
                       learner=learner, seed=options["seed"])
 
 
@@ -294,11 +294,11 @@ def run_bench(options) -> Report:
 def run_noise_sweep(options) -> Report:
     ds = _load_input(options)
     _require(ds.m == 2, "noise sweep needs a binary dataset")
-    for r in _distinct("noise-grid", options["noise_grid"]):
-        _require(0 <= r <= 1, f"--noise-grid ratios must be in [0, 1], got {r}")
+    ratios = [rng.real(r, "--noise-grid ratios", 0, 1)
+              for r in _distinct("noise-grid", options["noise_grid"])]
     report = Report("noise-sweep", _config_line("noise-sweep", options),
                     ["noise_ratio", "intra", *_MEAN_STD_COLUMNS])
-    grid = [(r, intra) for r in options["noise_grid"] for intra in _INTRA]
+    grid = [(r, intra) for r in ratios for intra in _INTRA]
     points = [_point(f"r={r} intra={intra} ", {**options, "intra": intra}, r) for r, intra in grid]
     for (r, intra), results in zip(grid, _cross_validate(ds, options, points, report.failures)):
         if results:

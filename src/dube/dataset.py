@@ -111,8 +111,7 @@ class FoldPlan:
 
     def split(self, ds: Dataset, fold: int) -> tuple[Dataset, Dataset]:
         """Return (train, test) datasets for one held-out fold."""
-        if not 0 <= fold < self.k_folds:
-            raise DatasetError(f"fold {fold} out of range")
+        fold = rng.integer(fold, "fold", 0, self.k_folds - 1)
         test_rows = np.flatnonzero(self.assignments == fold)
         train_rows = np.flatnonzero(self.assignments != fold)
         return ds.subset(train_rows), ds.subset(test_rows)
@@ -247,8 +246,7 @@ def inject_flip_noise(ds: Dataset, r: float, seed: int) -> Dataset:
     """
     if ds.m != 2:
         raise DatasetError("flip noise is defined for binary datasets only")
-    if isinstance(r, bool) or not 0.0 <= r <= 1.0:
-        raise DatasetError(f"noise ratio must be in [0, 1], got {r}")
+    r = rng.real(r, "noise ratio", 0, 1)
     counts = class_counts(ds)
     minority = int(np.argmin(counts))
     majority = 1 - minority
@@ -265,15 +263,12 @@ def inject_flip_noise(ds: Dataset, r: float, seed: int) -> Dataset:
 
 
 def check_gaussian_1d(n_min: int, n_maj: int, mu_min: float, mu_maj: float, sigma: float) -> tuple:
-    """The class sizes as ints: ValueError unless both are integers >= 1
-    (:func:`dube.rng.integer`), then DatasetError unless the means and
-    ``sigma`` are finite and ``sigma`` > 0, checked in that order."""
-    sizes = rng.integer(n_min, "n_min"), rng.integer(n_maj, "n_maj")
-    if not all(math.isfinite(v) for v in (mu_min, mu_maj, sigma)):
-        raise DatasetError("mu_min, mu_maj and sigma must be finite")
-    if sigma <= 0:
-        raise DatasetError(f"sigma must be positive, got {sigma}")
-    return sizes
+    """(n_min, n_maj, mu_min, mu_maj, sigma), the sizes as ints and the
+    rest as floats: ValueError unless both sizes are integers >= 1
+    (:func:`dube.rng.integer`), the means are finite and ``sigma`` is
+    finite and > 0 (:func:`dube.rng.real`), checked in that order."""
+    return (rng.integer(n_min, "n_min"), rng.integer(n_maj, "n_maj"), rng.real(mu_min, "mu_min"),
+            rng.real(mu_maj, "mu_maj"), rng.real(sigma, "sigma", 0, above=True))
 
 
 def make_gaussian_1d(n_min: int, n_maj: int, mu_min: float, mu_maj: float,
@@ -281,7 +276,7 @@ def make_gaussian_1d(n_min: int, n_maj: int, mu_min: float, mu_maj: float,
     """1-D two-class Gaussian sample: majority (class 0) around ``mu_maj``,
     minority (class 1, the "positive" class) around ``mu_min``, shared
     standard deviation ``sigma`` (:func:`check_gaussian_1d`)."""
-    n_min, n_maj = check_gaussian_1d(n_min, n_maj, mu_min, mu_maj, sigma)
+    n_min, n_maj, mu_min, mu_maj, sigma = check_gaussian_1d(n_min, n_maj, mu_min, mu_maj, sigma)
     gen = rng.stream(seed, rng.GAUSS_1D)
     x_maj = gen.normal(mu_maj, sigma, n_maj)
     x_min = gen.normal(mu_min, sigma, n_min)

@@ -34,7 +34,7 @@ import numpy as np
 from . import rng
 from .balancing import InterCBStrategy, IntraCBStrategy, resample_step
 from .dataset import Dataset
-from .learners import (LearnerParams, TreeParams, _Classifier, fit_learner, fit_members,
+from .learners import (LEARNERS, LearnerParams, TreeParams, _Classifier, fit_learner, fit_members,
                        learner_from_dict, params_from_dict, params_to_dict)
 from .pbda import class_covariance, perturb
 
@@ -57,8 +57,10 @@ class DubeConfig:
     def __post_init__(self):
         object.__setattr__(self, "k", rng.integer(self.k, "k"))
         object.__setattr__(self, "seed", rng.integer(self.seed, "seed", 0))
-        if isinstance(self.alpha, bool) or not 0 <= self.alpha < float("inf"):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", rng.real(self.alpha, "alpha", 0))
+        rng.one_of(type(self.inter), [InterCBStrategy], "inter type")
+        rng.one_of(type(self.intra), [IntraCBStrategy], "intra type")
+        rng.one_of(type(self.learner), [params for params, _ in LEARNERS.values()], "learner type")
 
 
 class EnsembleModel(_Classifier):
@@ -196,8 +198,9 @@ def save_model(model: EnsembleModel, path) -> None:
 
 
 def load_model(path) -> EnsembleModel:
-    """Read a :func:`save_model` file, raising ValueError unless every
-    member is well formed, the model passes :class:`EnsembleModel`'s
+    """Read a :func:`save_model` file, raising ValueError, whose message
+    starts with the path, unless the file is JSON, every member is well
+    formed, the model passes :class:`EnsembleModel`'s
     checks, and the file holds ``config.k`` members of its config's learner
     kind."""
     try:
@@ -205,19 +208,16 @@ def load_model(path) -> EnsembleModel:
             blob = json.load(fh)
         if (not isinstance(blob, dict) or blob.get("format") != MODEL_FORMAT
                 or blob.get("version") != MODEL_VERSION):
-            raise ValueError(f"not a {MODEL_FORMAT} v{MODEL_VERSION} file: {path}")
-        members = [learner_from_dict(b) for b in blob["members"]]
-        m, d, config = blob["m"], blob["d"], _config_from_dict(blob["config"])
+            raise ValueError(f"not a {MODEL_FORMAT} v{MODEL_VERSION} file")
+        model = EnsembleModel([learner_from_dict(b) for b in blob["members"]], blob["m"], blob["d"],
+                              _config_from_dict(blob["config"]))
+        kind, kinds = blob["config"]["learner"]["kind"], {b["kind"] for b in blob["members"]}
+        if len(model.members) != model.config.k or kinds != {kind}:  # the config would fit another model
+            raise ValueError(f"the config fits k={model.config.k} {kind} members; "
+                             f"the file holds {len(model.members)} ({', '.join(sorted(kinds))})")
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
-    except (TypeError, OverflowError, RecursionError) as exc:  # wrong JSON type, huge number, deep nesting
+    # a bad value or a rule of the model, wrong JSON type, huge number, deep nesting
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    try:
-        model = EnsembleModel(members, m, d, config)
-    except ValueError as exc:  # the model's own rules, named with the file
-        raise ValueError(f"{path}: {exc}") from exc
-    kind, kinds = blob["config"]["learner"]["kind"], {b["kind"] for b in blob["members"]}
-    if len(members) != model.config.k or kinds != {kind}:  # the config would fit another model
-        raise ValueError(f"{path}: the config fits k={model.config.k} {kind} members; "
-                         f"the file holds {len(members)} ({', '.join(sorted(kinds))})")
     return model

@@ -31,11 +31,11 @@ def confusion_matrix(y_true, y_pred, m: int | None = None) -> np.ndarray:
     y_pred = np.asarray(y_pred, dtype=np.int64)
     if y_true.shape != y_pred.shape:
         raise ValueError("y_true and y_pred must have equal length")
-    if m is None:
-        m = int(max(y_true.max(), y_pred.max())) + 1
-    cm = np.zeros((m, m), dtype=np.int64)
-    np.add.at(cm, (y_true, y_pred), 1)
-    return cm
+    labels = np.concatenate([y_true, y_pred])
+    m = int(labels.max()) + 1 if m is None else m
+    if labels.size and not 0 <= labels.min() <= labels.max() < m:
+        raise ValueError(f"labels must lie in [0, {m}), got {labels.min()} to {labels.max()}")
+    return np.bincount(y_true * m + y_pred, minlength=m * m).reshape(m, m)
 
 
 def _precision_recall_f1(cm: np.ndarray):

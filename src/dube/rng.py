@@ -18,6 +18,7 @@ matched across runs.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -46,6 +47,25 @@ def integer(value, name: str, low: int = 1, high: float = math.inf) -> int:
         number = int(value) if float(value).is_integer() else None
     if type(number) is not int or not low <= number <= high:
         raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return number
+
+
+def real(value, name: str, low: float = -math.inf, high: float = math.inf, above: bool = False) -> float:
+    """``value`` as a float; ValueError unless it is a finite real number in
+    [low, high], or in (low, high] with ``above``. 1 and ``np.float32(0.5)``
+    are; True, "0.5", None, NaN, inf and 10**400 (past the float range) are
+    not. The value is made a Python float before any comparison, since a
+    numpy float compared with a Python bound goes through numpy's casts,
+    and a float32 against a bound near the float maximum warns of an
+    overflow. Every real-valued setting of the package passes here."""
+    try:
+        number = float(value) if isinstance(value, Real) and type(value) is not bool else math.nan
+    except OverflowError:  # an int past the float range
+        number = math.nan
+    if not (math.isfinite(number) and (low < number if above else low <= number) and number <= high):
+        bound = (f"in {'(' if above else '['}{low:g}, {high:g}]" if high < math.inf
+                 else f"finite and {'>' if above else '>='} {low:g}" if low > -math.inf else "finite")
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
     return number
 
 

@@ -774,11 +774,13 @@ class TestSeedAndToyChecks:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: seed must be an integer in [0, inf], got -1\n"
 
-    @pytest.mark.parametrize("flag, value", [("--sigma", "nan"), ("--sigma", "inf"),
-                                             ("--mu-min", "inf")])
-    def test_synth_non_finite_toy_value(self, capsys, flag, value):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sigma", "nan", "sigma must be finite and > 0, got nan"),
+        ("--sigma", "inf", "sigma must be finite and > 0, got inf"),
+        ("--mu-min", "inf", "mu_min must be finite, got inf")])
+    def test_synth_non_finite_toy_value(self, capsys, flag, value, message):
         assert main(["synth", flag, value]) == 2
-        assert capsys.readouterr().err == "error: mu_min, mu_maj and sigma must be finite\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_toy_settings_are_toy_config_fields(self):
         settings = {s.name: s for s in _COMMANDS["biaslab"].echoed}

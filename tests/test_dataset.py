@@ -392,7 +392,7 @@ class TestFlipNoise:
 
     def test_bad_ratio_rejected(self):
         ds = make_gaussian_1d(5, 20, 0, 4, 1, seed=0)
-        with pytest.raises(DatasetError):
+        with pytest.raises(ValueError, match=r"^noise ratio must be in \[0, 1\], got 1.5$"):
             inject_flip_noise(ds, 1.5, seed=0)
 
     @settings(max_examples=200, deadline=None)
@@ -427,7 +427,7 @@ class TestGenerators:
         assert np.array_equal(a.features, b.features)
 
     def test_gaussian_1d_bad_sigma(self):
-        with pytest.raises(DatasetError):
+        with pytest.raises(ValueError, match="^sigma must be finite and > 0, got 0.0$"):
             make_gaussian_1d(3, 15, 0, 4, 0.0, seed=0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -435,7 +435,9 @@ class TestGenerators:
     def test_gaussian_1d_non_finite(self, position, value):
         args = [3, 15, 0.0, 4.0, 1.0]
         args[position] = value
-        with pytest.raises(DatasetError, match="^mu_min, mu_maj and sigma must be finite$"):
+        name = ["mu_min", "mu_maj", "sigma"][position - 2]
+        bound = " and > 0" if name == "sigma" else ""
+        with pytest.raises(ValueError, match=f"^{name} must be finite{bound}, got {value!r}$"):
             make_gaussian_1d(*args, seed=0)
 
     def test_overlap_2d_counts_and_determinism(self):

@@ -497,7 +497,8 @@ class TestModelFileValidation:
             rows.append(len(member["X"]))
             member["k_neighbors"] = rows[0] + 1
         path = self.save_knn(tmp_path, edit)
-        with pytest.raises(ValueError, match=f"^k_neighbors={rows[0] + 1} exceeds {rows[0]} training rows$"):
+        message = f"{path}: k_neighbors={rows[0] + 1} exceeds {rows[0]} training rows"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_model(path)
 
     @pytest.mark.parametrize("label", [-1, 2])
@@ -593,21 +594,28 @@ def whole(low, high):
                      st.integers(low, high))
 
 
+def real(low, high):
+    """A real number in [low, high], as an int, a float or a numpy float."""
+    return (st.integers(int(low), int(high)) | st.floats(low, high)
+            | st.floats(low, high, width=32).map(np.float32) | st.floats(low, high).map(np.float64))
+
+
 class TestIntegerSettingsRoundTrip:
     """Every whole-number setting is checked, and made an int, where its
-    object is built, so a config that builds also fits, saves and loads.
-    A KNN neighbour count of 2.5 used to fit members with 2 neighbours and
-    write a file that would not load; a numpy min_samples_leaf used to fit
-    and then fail to save."""
+    object is built, and alpha is made a float, so a config that builds
+    also fits, saves and loads. A KNN neighbour count of 2.5 used to fit
+    members with 2 neighbours and write a file that would not load; a numpy
+    min_samples_leaf used to fit and then fail to save."""
 
     @settings(max_examples=30, deadline=None)
     @given(k=whole(1, 3), intra=st.sampled_from(["Uniform", "HEM", "SHEM"]), bins=whole(1, 2**53),
            seed=whole(0, 2**32), knn=st.booleans(), depth=st.none() | whole(1, 4), leaf=whole(1, 3),
-           neighbours=whole(1, 3))
+           neighbours=whole(1, 3), alpha=real(0, 2))
     def test_accepted_config_fits_saves_and_loads_equal(self, k, intra, bins, seed, knn, depth, leaf,
-                                                        neighbours):
+                                                        neighbours, alpha):
         learner = KnnParams(neighbours) if knn else TreeParams(max_depth=depth, min_samples_leaf=leaf)
-        cfg = DubeConfig(k=k, intra=IntraCBStrategy(intra, bins), learner=learner, seed=seed)
+        cfg = DubeConfig(k=k, intra=IntraCBStrategy(intra, bins), alpha=alpha, learner=learner, seed=seed)
+        assert type(cfg.alpha) is float and cfg.alpha == alpha
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.json"
             save_model(dube_fit(small_dataset(), cfg), path)
@@ -666,7 +674,7 @@ class TestModelFileTypes:
         ("alpha", float("nan"), "alpha must be finite and >= 0, got nan"),
         ("alpha", float("inf"), "alpha must be finite and >= 0, got inf"),
         ("alpha", -0.1, "alpha must be finite and >= 0, got -0.1"),
-        ("alpha", "0.2", "'<=' not supported"),
+        ("alpha", "0.2", "alpha must be finite and >= 0, got '0.2'"),
         ("alpha", True, "alpha must be finite and >= 0, got True"),
         ("inter", ["RUS"], r"unknown inter-class strategy \['RUS'\]"),
         ("intra", ["HEM"], r"unknown intra-class strategy \['HEM'\]")])
@@ -675,6 +683,29 @@ class TestModelFileTypes:
             blob["config"][key] = value
         with pytest.raises(ValueError, match=message):
             load_model(save_edited_model(tmp_path, TreeParams(), edit))
+
+    # a config value, a member's own rule and a JSON syntax error used to
+    # reach the caller without the file's name
+    @pytest.mark.parametrize("edit,message", [
+        (lambda blob: blob["config"].update(k=0), "k must be an integer in [1, inf], got 0"),
+        (lambda blob: blob["config"].update(inter=3), "unknown inter-class strategy 3"),
+        (lambda blob: blob["config"].update(bins=0),
+         "bins must be an integer in [1, 9007199254740992], got 0"),
+        (lambda blob: blob["config"].update(alpha=-1), "alpha must be finite and >= 0, got -1"),
+        (lambda blob: blob["members"][0].update(d=0), "d must be an integer in [1, inf], got 0"),
+        (lambda blob: blob.update(format="other"), "not a dube-model v1 file")],
+        ids=["k", "inter", "bins", "alpha", "member", "format"])
+    def test_error_names_the_file(self, tmp_path, edit, message):
+        path = save_edited_model(tmp_path, TreeParams(), edit)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_model(path)
+
+    def test_json_syntax_error_names_the_file(self, tmp_path):
+        path = save_edited_model(tmp_path, TreeParams(), lambda blob: None)
+        path.write_text(path.read_text()[:-1])
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: Expecting ")
 
     def test_deeply_nested_json(self, tmp_path):
         path = save_edited_model(tmp_path, TreeParams(), lambda blob: None)

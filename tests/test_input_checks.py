@@ -5,6 +5,7 @@ the exception's type and its whole message.
 """
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from dube import DubeConfig, EnsembleModel, rng
 from dube.balancing import (TARGETS, WEIGHTS, InterCBStrategy, IntraCBStrategy, hem_weights,
                             shem_weights, target_class_size, weighted_resample)
 from dube.biaslab import BIAS_STRATEGIES, ToyConfig, check_pbda_bound, validate_row
+from dube.cli import _DEFAULTS, run_noise_sweep
 from dube.dataset import (OVERLAP_SEPARATION, Dataset, DatasetError, inject_flip_noise,
                           make_gaussian_1d, make_overlap_2d, stratified_k_fold)
 from dube.learners import (CRITERIA, LEARNERS, KnnClassifier, KnnParams, TreeClassifier,
                            TreeParams, knn_fit, learner_from_dict, params_from_dict)
-from dube.metrics import binary_auroc, macro_auroc
+from dube.metrics import binary_auroc, confusion_matrix, macro_auroc
 
 TABLE = Dataset(np.arange(8.0)[:, None], [0, 1] * 4)
 
@@ -86,9 +88,9 @@ CASES = {
     "Dataset-label-past-m": (lambda: Dataset(np.zeros((2, 1)), [0, 2], m=2),
                              DatasetError, "label 2 out of range for m=2"),
     "inject_flip_noise-ratio-bool": (lambda: inject_flip_noise(TABLE, True, 0),
-                                     DatasetError, "noise ratio must be in [0, 1], got True"),
+                                     ValueError, "noise ratio must be in [0, 1], got True"),
     "FoldPlan-split-fold": (lambda: stratified_k_fold(TABLE, 2, seed=0).split(TABLE, 2),
-                            DatasetError, "fold 2 out of range"),
+                            ValueError, "fold must be an integer in [0, 1], got 2"),
     "stratified_k_fold-k": (lambda: stratified_k_fold(TABLE, 1, seed=0),
                             ValueError, "k must be an integer in [2, inf], got 1"),
     "make_gaussian_1d-class-size": (lambda: make_gaussian_1d(0, 5, 0.0, 4.0, 1.0, seed=0),
@@ -115,6 +117,12 @@ CASES = {
                                     ValueError, "unknown learner kind ['x']"),
     "learner_from_dict-kind-none": (lambda: learner_from_dict({"kind": None}),
                                     ValueError, "unknown learner kind None"),
+    # a negative label used to wrap into the last row, one past m raised IndexError
+    "confusion_matrix-negative-label": (lambda: confusion_matrix([0, -1], [0, 1]),
+                                        ValueError, "labels must lie in [0, 2), got -1 to 1"),
+    "confusion_matrix-label-past-m": (lambda: confusion_matrix([0, 2], [0, 1], m=2),
+                                      ValueError, "labels must lie in [0, 2), got 0 to 2"),
+    "real-above-high": (lambda: rng.real(0, "x", 0, 1, above=True), ValueError, "x must be in (0, 1], got 0"),
     "binary_auroc-one-class": (lambda: binary_auroc(np.array([True, True]), [0.1, 0.2]),
                                ValueError, "AUROC needs both positive and negative examples"),
     "macro_auroc-rows": (lambda: macro_auroc([0, 1], [[0.5, 0.5]]),
@@ -220,3 +228,57 @@ def test_choice_rejects_what_is_not_a_key_of_its_table(call, name, table):
 def test_choice_accepts_each_key_of_its_table(call, name, table):
     for key in table:
         call(key)
+
+
+# Every real-valued setting of the library, as (call keeping what it made of
+# the value, or None where it keeps nothing of it, name, low, high, above):
+# each passes rng.real where its object is built or its function starts.
+SYNTH = str(Path(__file__).parent / "golden" / "synth.csv")
+REALS = {
+    "DubeConfig-alpha": (lambda v: DubeConfig(alpha=v).alpha, "alpha", 0, None, False),
+    "validate_row-alpha_sigma": (lambda v: validate_row(ToyConfig(), "RUS", v), "alpha_sigma", 0, None, False),
+    "check_pbda_bound-sigma_p": (lambda v: check_pbda_bound(2, v, 10).sigma_p, "sigma_p", 0, None, True),
+    "inject_flip_noise-ratio": (lambda v: inject_flip_noise(TABLE, v, 0) and None, "noise ratio", 0, 1, False),
+    "ToyConfig-mu_min": (lambda v: ToyConfig(mu_min=v).mu_min, "mu_min", None, None, False),
+    "ToyConfig-mu_maj": (lambda v: ToyConfig(mu_maj=v).mu_maj, "mu_maj", None, None, False),
+    "ToyConfig-sigma": (lambda v: ToyConfig(sigma=v).sigma, "sigma", 0, None, True),
+    "run_noise_sweep-ratio": (lambda v: run_noise_sweep({**_DEFAULTS["noise-sweep"], "input": SYNTH, "k": 1,
+                                                         "folds": 2, "noise_grid": [v]}).rows[0][0],
+                              "--noise-grid ratios", 0, 1, False),
+}
+NOT_REAL = [True, "0.5", None, float("nan"), float("inf"), -float("inf"), 10**400]
+
+
+@pytest.mark.parametrize("call, name, low, high, above", REALS.values(), ids=REALS.keys())
+def test_real_setting_rejects_what_is_not_a_finite_number_in_range(call, name, low, high, above):
+    if high is not None:
+        bound = f"in [{low}, {high}]"
+    else:
+        bound = "finite" + ("" if low is None else f" and {'>' if above else '>='} {low}")
+    outside = ([] if low is None else [low if above else low - 0.5]) + ([] if high is None else [high + 0.5])
+    for value in NOT_REAL + outside:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {bound}, got {value!r}')}$") as info:
+            call(value)
+        assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("call, name, low, high, above", REALS.values(), ids=REALS.keys())
+def test_real_setting_keeps_a_float(call, name, low, high, above):
+    # a float32 is made a Python float before it meets a bound, so no cast warns
+    for value in (1, np.float32(0.5), np.float64(0.5)):
+        got = call(value)
+        assert got is None or (type(got) is float and got == float(value))
+
+
+# DubeConfig's object fields pass rng.one_of on their type: each of these
+# used to build, and a string strategy failed only at fit time.
+@pytest.mark.parametrize("field, value", [
+    ("inter", "RUS"), ("inter", None), ("inter", IntraCBStrategy("HEM")),
+    ("intra", "HEM"), ("intra", None), ("intra", InterCBStrategy("RUS")),
+    ("learner", "tree"), ("learner", None), ("learner", InterCBStrategy("RUS"))],
+    ids=[f"{field}-{kind}" for field in ("inter", "intra", "learner") for kind in ("str", "None", "strategy")])
+def test_dube_config_field_rejects_another_type(field, value):
+    message = f"unknown {field} type {type(value)!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        DubeConfig(k=2, **{field: value})
+    assert type(info.value) is ValueError
