@@ -777,7 +777,8 @@ class TestSeedAndToyChecks:
     @pytest.mark.parametrize("flag, value, message", [
         ("--sigma", "nan", "sigma must be finite and > 0, got nan"),
         ("--sigma", "inf", "sigma must be finite and > 0, got inf"),
-        ("--mu-min", "inf", "mu_min must be finite, got inf")])
+        ("--mu-min", "inf", "mu_min must be finite, got inf")],
+        ids=["--sigma-nan", "--sigma-inf", "--mu-min-inf"])
     def test_synth_non_finite_toy_value(self, capsys, flag, value, message):
         assert main(["synth", flag, value]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
