@@ -35,7 +35,7 @@ from . import rng
 from .balancing import InterCBStrategy, IntraCBStrategy, resample_step
 from .dataset import Dataset
 from .learners import (LEARNERS, LearnerParams, TreeParams, _Classifier, fit_learner, fit_members,
-                       learner_from_dict, params_from_dict, params_to_dict)
+                       from_dict, to_dict)
 from .pbda import class_covariance, perturb
 
 
@@ -149,13 +149,13 @@ MODEL_VERSION = 1
 def _config_to_dict(cfg: DubeConfig) -> dict:
     return {"k": cfg.k, "inter": cfg.inter.tag,
             "intra": cfg.intra.tag, "bins": cfg.intra.bins,
-            "alpha": cfg.alpha, "seed": cfg.seed, "learner": params_to_dict(cfg.learner)}
+            "alpha": cfg.alpha, "seed": cfg.seed, "learner": to_dict(cfg.learner)}
 
 
 def _config_from_dict(blob: dict) -> DubeConfig:
     return DubeConfig(k=blob["k"], inter=InterCBStrategy(blob["inter"]),
                       intra=IntraCBStrategy(blob["intra"], bins=blob["bins"]), alpha=blob["alpha"],
-                      learner=params_from_dict(blob["learner"]), seed=blob["seed"])
+                      learner=from_dict(blob["learner"], member=False), seed=blob["seed"])
 
 
 def write_atomic(path, pieces) -> None:
@@ -192,7 +192,7 @@ def save_model(model: EnsembleModel, path) -> None:
         "config": _config_to_dict(model.config),
         "members": [],
     })
-    members = ((", " if i else "") + json.dumps(member.to_dict())
+    members = ((", " if i else "") + json.dumps(to_dict(member))
                for i, member in enumerate(model.members))
     write_atomic(path, chain([head[:-2]], members, [head[-2:]]))  # head ends in "[]}"
 
@@ -209,7 +209,7 @@ def load_model(path) -> EnsembleModel:
         if (not isinstance(blob, dict) or blob.get("format") != MODEL_FORMAT
                 or blob.get("version") != MODEL_VERSION):
             raise ValueError(f"not a {MODEL_FORMAT} v{MODEL_VERSION} file")
-        model = EnsembleModel([learner_from_dict(b) for b in blob["members"]], blob["m"], blob["d"],
+        model = EnsembleModel([from_dict(b, member=True) for b in blob["members"]], blob["m"], blob["d"],
                               _config_from_dict(blob["config"]))
         kind, kinds = blob["config"]["learner"]["kind"], {b["kind"] for b in blob["members"]}
         if len(model.members) != model.config.k or kinds != {kind}:  # the config would fit another model

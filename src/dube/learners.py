@@ -10,7 +10,7 @@ deterministic given the training data and hyperparameters.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,6 +89,9 @@ class TreeClassifier(_Classifier):
     depends on the order of the training rows.
     """
 
+    # The keys of the saved form after its kind, in file order (see to_dict).
+    SAVED = ("m", "d", "feature", "threshold", "left", "right", "proba")
+
     def __init__(self, feature, threshold, left, right, proba, m, d):
         """ValueError unless the arrays make a well-formed tree."""
         m, d = rng.integer(m, "m"), rng.integer(d, "d")
@@ -137,23 +140,6 @@ class TreeClassifier(_Classifier):
                 depths[self.right[i]] = depths[i] + 1
         return int(depths.max())
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "tree",
-            "m": self.m,
-            "d": self.d,
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "proba": self.proba.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, blob: dict) -> "TreeClassifier":
-        """Rebuild a tree, raising ValueError unless it is well formed."""
-        return cls(*(blob[k] for k in ("feature", "threshold", "left", "right", "proba", "m", "d")))
-
 
 # Query rows are scored in blocks of at most this many bytes of float64
 # squared distances (one row at least), so a block's memory grows with the
@@ -172,6 +158,8 @@ class KnnClassifier(_Classifier):
     ties go to the lower training-row index, and NaN distances rank after
     every number, in index order.
     """
+
+    SAVED = ("m", "k_neighbors", "X", "y")
 
     def __init__(self, X, y, m, k_neighbors):
         """ValueError unless ``X`` and ``y`` make a training table with labels
@@ -220,20 +208,6 @@ class KnnClassifier(_Classifier):
             for c in range(self.m):
                 out[start:start + step, c] = (votes == c).sum(axis=1) / k
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "knn",
-            "m": self.m,
-            "k_neighbors": self.k_neighbors,
-            "X": self.X.tolist(),
-            "y": self.y.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, blob: dict) -> "KnnClassifier":
-        """Rebuild a KNN member, raising ValueError unless it is well formed."""
-        return cls(blob["X"], blob["y"], blob["m"], blob["k_neighbors"])
 
 
 def _nearest(d2, k):
@@ -522,21 +496,27 @@ def fit_learner(ds: Dataset, params: LearnerParams) -> _Classifier:
 
 
 # The learner kinds: each kind's hyperparameter class and classifier class.
-# Saved hyperparameters and saved members name their kind under "kind".
+# Saved hyperparameters and saved members name their kind under "kind",
+# followed by their constructor arguments (to_dict and from_dict).
 LEARNERS = {"tree": (TreeParams, TreeClassifier), "knn": (KnnParams, KnnClassifier)}
 
 
-def params_to_dict(params: LearnerParams) -> dict:
-    """JSON form of learner hyperparameters: the kind, then every field."""
-    kind = next(kind for kind, (cls, _) in LEARNERS.items() if isinstance(params, cls))
-    return {"kind": kind, **asdict(params)}
+def to_dict(obj) -> dict:
+    """JSON form of learner hyperparameters or a fitted member: its kind,
+    then each constructor argument by name, in file order (a dataclass's
+    fields, a member's ``SAVED``), arrays as lists."""
+    kind = next(kind for kind, classes in LEARNERS.items() if isinstance(obj, classes))
+    names = obj.SAVED if isinstance(obj, _Classifier) else [field.name for field in fields(obj)]
+    blob = {"kind": kind, **{name: getattr(obj, name) for name in names}}
+    return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in blob.items()}
 
 
-def params_from_dict(blob: dict) -> LearnerParams:
-    fields = {**blob}  # TypeError unless blob is a mapping
-    kind = rng.one_of(fields.pop("kind"), LEARNERS, "learner kind")
-    return LEARNERS[kind][0](**fields)
-
-
-def learner_from_dict(blob: dict) -> _Classifier:
-    return LEARNERS[rng.one_of(blob["kind"], LEARNERS, "learner kind")][1].from_dict(blob)
+def from_dict(blob: dict, member: bool):
+    """The object :func:`to_dict` saved as ``blob``: a fitted member if
+    ``member``, else hyperparameters. The kind passes :func:`rng.one_of`;
+    every other key goes to the kind's constructor as the argument of its
+    name, so a missing or unknown key is the constructor's TypeError and a
+    bad value its ValueError."""
+    args = {**blob}  # TypeError unless blob is a mapping
+    kind = rng.one_of(args.pop("kind"), LEARNERS, "learner kind")
+    return LEARNERS[kind][member](**args)

@@ -26,6 +26,12 @@ class EvalReport:
     confusion: np.ndarray     # (m, m) counts, rows = truth
 
 
+def _check_labels(labels: np.ndarray, m: int) -> None:
+    """ValueError unless every label lies in [0, m)."""
+    if labels.size and not 0 <= labels.min() <= labels.max() < m:
+        raise ValueError(f"labels must lie in [0, {m}), got {labels.min()} to {labels.max()}")
+
+
 def confusion_matrix(y_true, y_pred, m: int | None = None) -> np.ndarray:
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
@@ -33,8 +39,7 @@ def confusion_matrix(y_true, y_pred, m: int | None = None) -> np.ndarray:
         raise ValueError("y_true and y_pred must have equal length")
     labels = np.concatenate([y_true, y_pred])
     m = int(labels.max()) + 1 if m is None else m
-    if labels.size and not 0 <= labels.min() <= labels.max() < m:
-        raise ValueError(f"labels must lie in [0, {m}), got {labels.min()} to {labels.max()}")
+    _check_labels(labels, m)
     return np.bincount(y_true * m + y_pred, minlength=m * m).reshape(m, m)
 
 
@@ -89,8 +94,10 @@ def binary_auroc(y_is_pos: np.ndarray, scores: np.ndarray) -> float:
     """Rank-statistic AUROC of one score column.
 
     Equals the fraction of positive-negative pairs ranked correctly,
-    ties counting one half.
+    ties counting one half. ``y_is_pos`` is read as a bool mask, so an
+    integer 0/1 mask gives the same value.
     """
+    y_is_pos = np.asarray(y_is_pos, dtype=bool)  # an int mask would fancy-index the ranks
     n_pos = int(y_is_pos.sum())
     n_neg = y_is_pos.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -103,8 +110,9 @@ def binary_auroc(y_is_pos: np.ndarray, scores: np.ndarray) -> float:
 def macro_auroc(y_true, scores) -> float:
     """Mean one-vs-rest AUROC over the score columns.
 
-    Every class must appear in ``y_true``; a class with no positives (or
-    no negatives) has no defined ranking and is rejected rather than
+    Every label must lie in [0, m) for m score columns, and every class
+    must appear in ``y_true``; a class with no positives (or no
+    negatives) has no defined ranking and is rejected rather than
     silently skipped.
     """
     y_true = np.asarray(y_true, dtype=np.int64)
@@ -112,6 +120,7 @@ def macro_auroc(y_true, scores) -> float:
     if scores.shape[0] != y_true.size:
         raise ValueError("scores must have one row per label")
     m = scores.shape[1]
+    _check_labels(y_true, m)
     total = 0.0
     for c in range(m):
         is_pos = y_true == c

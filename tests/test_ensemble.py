@@ -21,8 +21,7 @@ from dube import balancing, pbda, rng
 from dube.balancing import InterCBStrategy, IntraCBStrategy
 from dube.dataset import Dataset, DatasetError
 from dube.ensemble import dube_fit_lockstep
-from dube.learners import (KnnParams, TreeClassifier, TreeParams, knn_fit, params_to_dict,
-                           tree_fit)
+from dube.learners import KnnParams, TreeClassifier, TreeParams, knn_fit, to_dict, tree_fit
 from ensemble_reference import reference_members
 
 
@@ -336,8 +335,8 @@ class TestSaveLoad:
                 "m": model.m, "d": model.d,
                 "config": {"k": cfg.k, "inter": cfg.inter.tag, "intra": cfg.intra.tag,
                            "bins": cfg.intra.bins, "alpha": cfg.alpha, "seed": cfg.seed,
-                           "learner": params_to_dict(cfg.learner)},
-                "members": [member.to_dict() for member in model.members]}
+                           "learner": to_dict(cfg.learner)},
+                "members": [to_dict(member) for member in model.members]}
         path = tmp_path / "model.json"
         pieces = self.recorded_writes(ens, monkeypatch)
         save_model(model, path)
@@ -363,7 +362,7 @@ class TestSaveLoad:
                              ids=["tree", "knn"])
     def test_save_peak_bounded_by_the_largest_member(self, tmp_path, learner):
         model = self.fitted(learner, k=6, rows=1500)
-        largest = max(model.members, key=lambda member: len(json.dumps(member.to_dict())))
+        largest = max(model.members, key=lambda member: len(json.dumps(to_dict(member))))
         alone = EnsembleModel([largest], model.m, model.d, model.config)
 
         def peak(saved):
@@ -454,14 +453,20 @@ class TestModelFileValidation:
         with pytest.raises(ValueError, match="member 0 has m=2, d=2; the model has m=2, d=3"):
             load_model(self.save_knn(tmp_path, lambda blob: blob.update(d=3)))
 
-    @pytest.mark.parametrize("where,key", [("model", "m"), ("model", "config"),
-                                           ("model", "members"), ("member", "k_neighbors"),
-                                           ("member", "y")])
+    # a member's keys are its constructor's arguments, so the constructor names a missing one
+    MISSING = {("model", "m"): "missing key 'm'", ("model", "config"): "missing key 'config'",
+               ("model", "members"): "missing key 'members'",
+               ("member", "k_neighbors"): "KnnClassifier.__init__() missing 1 required positional "
+                                          "argument: 'k_neighbors'",
+               ("member", "y"): "KnnClassifier.__init__() missing 1 required positional argument: 'y'"}
+
+    @pytest.mark.parametrize("where,key", MISSING, ids=[f"{where}-{key}" for where, key in MISSING])
     def test_missing_key(self, tmp_path, where, key):
         def edit(blob):
             del (blob if where == "model" else blob["members"][0])[key]
-        with pytest.raises(ValueError, match=f"missing key '{key}'"):
-            load_model(self.save_knn(tmp_path, edit))
+        path = self.save_knn(tmp_path, edit)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {self.MISSING[where, key]}')}$"):
+            load_model(path)
 
     # A file whose config could not rebuild it: dube_fit(ds, model.config) would fit
     # another number of members, or members of another kind. Both used to load.
@@ -472,7 +477,7 @@ class TestModelFileValidation:
                                                   "the file holds 2 (tree)"),
         (lambda blob: blob["config"].update(learner={"kind": "knn", "k_neighbors": 5}),
          "the config fits k=2 knn members; the file holds 2 (tree)"),
-        (lambda blob: blob["members"].__setitem__(1, knn_fit(small_dataset(10), 3).to_dict()),
+        (lambda blob: blob["members"].__setitem__(1, to_dict(knn_fit(small_dataset(10), 3))),
          "the config fits k=2 tree members; the file holds 2 (knn, tree)")],
         ids=["more-k", "fewer-k", "config-kind", "member-kind"])
     def test_config_disagrees_with_members(self, tmp_path, edit, message):
@@ -747,6 +752,20 @@ class TestModelFileTypes:
             blob["config"]["learner"][key] = value
         with pytest.raises(ValueError, match=message):
             load_model(save_edited_model(tmp_path, learner, edit))
+
+    # both parts of learners.from_dict pass every key to the constructor, so an unknown
+    # one is rejected; a member's used to be ignored
+    @pytest.mark.parametrize("learner,where,owner", [
+        (TreeParams(), "learner", "TreeParams"), (KnnParams(k_neighbors=3), "learner", "KnnParams"),
+        (TreeParams(), "member", "TreeClassifier"), (KnnParams(k_neighbors=3), "member", "KnnClassifier")],
+        ids=["tree-learner", "knn-learner", "tree-member", "knn-member"])
+    def test_unknown_learner_key(self, tmp_path, learner, where, owner):
+        def edit(blob):
+            (blob["config"]["learner"] if where == "learner" else blob["members"][0])["x"] = 1
+        path = save_edited_model(tmp_path, learner, edit)
+        message = f"{path}: {owner}.__init__() got an unexpected keyword argument 'x'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_model(path)
 
 
 def json_paths(value, path=()):

@@ -6,7 +6,9 @@ is compared byte for byte with ``tests/golden/<name>`` after its two
 volatile header lines (``# generated_at`` and ``# timing``) are
 dropped; ``synth`` writes a bare table without them. Two fitted
 ensembles, one of trees and one of KNN members, are compared through
-their ``save_model`` JSON. A refactor must leave every file unchanged.
+their ``save_model`` JSON, and each model file read by ``load_model``
+is saved again to the same bytes. A refactor must leave every file
+unchanged.
 
 The files are regenerated only for a declared behaviour change, and
 committed together with it. From the repository root:
@@ -21,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from dube import (DubeConfig, InterCBStrategy, IntraCBStrategy, KnnParams,
-                  TreeParams, dube_fit, load_csv, save_model)
+                  TreeParams, dube_fit, load_csv, load_model, save_model)
 from dube.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -88,6 +90,13 @@ def produced(tmp_path_factory):
 @pytest.mark.parametrize("name", [*REPORTS, *MODELS])
 def test_matches_golden(produced, name):
     assert produced[name] == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_golden_model_reads_back_to_its_bytes(tmp_path, name):
+    # the reader and the writer agree on every key and its order
+    save_model(load_model(GOLDEN / name), tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dube.cli import _DEFAULTS, run_noise_sweep
 from dube.dataset import (OVERLAP_SEPARATION, Dataset, DatasetError, inject_flip_noise,
                           make_gaussian_1d, make_overlap_2d, stratified_k_fold)
 from dube.learners import (CRITERIA, LEARNERS, KnnClassifier, KnnParams, TreeClassifier,
-                           TreeParams, knn_fit, learner_from_dict, params_from_dict)
+                           TreeParams, from_dict, knn_fit, to_dict)
 from dube.metrics import binary_auroc, confusion_matrix, macro_auroc
 
 TABLE = Dataset(np.arange(8.0)[:, None], [0, 1] * 4)
@@ -110,13 +110,13 @@ CASES = {
                                  ValueError, "a model needs at least one member"),
     "EnsembleModel-member-size": (lambda: EnsembleModel([leaf(2, 1)], 2, 3, DubeConfig()), ValueError,
                                   "member 0 has m=2, d=1; the model has m=2, d=3"),
-    "learner_from_dict-kind": (lambda: learner_from_dict({"kind": "svm"}),
-                               ValueError, "unknown learner kind 'svm'"),
+    "from_dict-member-kind": (lambda: from_dict({"kind": "svm"}, member=True),
+                              ValueError, "unknown learner kind 'svm'"),
     # an unhashable kind is unknown too, so load_model words it the same way
-    "learner_from_dict-kind-list": (lambda: learner_from_dict({"kind": ["x"]}),
-                                    ValueError, "unknown learner kind ['x']"),
-    "learner_from_dict-kind-none": (lambda: learner_from_dict({"kind": None}),
-                                    ValueError, "unknown learner kind None"),
+    "from_dict-member-kind-list": (lambda: from_dict({"kind": ["x"]}, member=True),
+                                   ValueError, "unknown learner kind ['x']"),
+    "from_dict-member-kind-none": (lambda: from_dict({"kind": None}, member=True),
+                                   ValueError, "unknown learner kind None"),
     # a negative label used to wrap into the last row, one past m raised IndexError
     "confusion_matrix-negative-label": (lambda: confusion_matrix([0, -1], [0, 1]),
                                         ValueError, "labels must lie in [0, 2), got -1 to 1"),
@@ -125,8 +125,17 @@ CASES = {
     "real-above-high": (lambda: rng.real(0, "x", 0, 1, above=True), ValueError, "x must be in (0, 1], got 0"),
     "binary_auroc-one-class": (lambda: binary_auroc(np.array([True, True]), [0.1, 0.2]),
                                ValueError, "AUROC needs both positive and negative examples"),
+    # the mask is read as bools, so every nonzero entry is a positive; this one
+    # used to fancy-index the ranks and raise IndexError
+    "binary_auroc-one-class-int-mask": (lambda: binary_auroc(np.array([1, 2]), [0.1, 0.2]),
+                                        ValueError, "AUROC needs both positive and negative examples"),
     "macro_auroc-rows": (lambda: macro_auroc([0, 1], [[0.5, 0.5]]),
                          ValueError, "scores must have one row per label"),
+    # a label with no score column used to count as a negative of every class
+    "macro_auroc-label-past-m": (lambda: macro_auroc([0, 1, 2, 2], np.eye(4)[:, :2]),
+                                 ValueError, "labels must lie in [0, 2), got 0 to 2"),
+    "macro_auroc-negative-label": (lambda: macro_auroc([0, 1, -1], np.eye(3)[:, :2]),
+                                   ValueError, "labels must lie in [0, 2), got -1 to 1"),
     "stream-seed": (lambda: rng.stream(-1, rng.TRIAL),
                     ValueError, "seed must be an integer in [0, inf], got -1"),
     "child_seed-seed": (lambda: rng.child_seed(-5, rng.CELL, 0),
@@ -138,6 +147,13 @@ CASES = {
 def test_check_raises_its_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_binary_auroc_reads_an_int_mask_as_bools():
+    # an int mask used to fancy-index the ranks: this one gave 3.0
+    scores = np.array([0.9, 0.1, 0.2])
+    as_bools = binary_auroc(np.array([True, False, False]), scores)
+    assert binary_auroc(np.array([1, 0, 0]), scores) == as_bools == 1.0
 
 
 # Every whole-number setting of the library, as (call keeping what it made of
@@ -198,18 +214,18 @@ def test_integer_setting_keeps_an_int(call, name, low, high):
         assert type(got) is int and got == call(3)
 
 
-MEMBERS = {"tree": leaf(2, 1).to_dict(), "knn": knn_fit(TABLE, 1).to_dict()}
+MEMBERS = {"tree": to_dict(leaf(2, 1)), "knn": to_dict(knn_fit(TABLE, 1))}
 # Every named choice of the library, as (call, name, table): each passes
 # rng.one_of where its object is built.
 CHOICES = {
     "InterCBStrategy-tag": (lambda v: InterCBStrategy(v), "inter-class strategy", TARGETS),
     "IntraCBStrategy-tag": (lambda v: IntraCBStrategy(v), "intra-class strategy", WEIGHTS),
     "TreeParams-criterion": (lambda v: TreeParams(criterion=v), "criterion", CRITERIA),
-    "params_from_dict-kind": (lambda v: params_from_dict({"kind": v, "k_neighbors": 3} if v == "knn"
-                                                         else {"kind": v}), "learner kind", LEARNERS),
+    "from_dict-params-kind": (lambda v: from_dict({"kind": v, "k_neighbors": 3} if v == "knn"
+                                                  else {"kind": v}, member=False), "learner kind", LEARNERS),
     # a known kind reads its own member; an unknown one reads the tree's with its kind replaced
-    "learner_from_dict-kind": (lambda v: learner_from_dict({**MEMBERS["knn" if v == "knn" else "tree"],
-                                                            "kind": v}), "learner kind", LEARNERS),
+    "from_dict-member-kind": (lambda v: from_dict({**MEMBERS["knn" if v == "knn" else "tree"], "kind": v},
+                                                  member=True), "learner kind", LEARNERS),
     "make_overlap_2d-level": (lambda v: make_overlap_2d(5, 5, v, 0), "overlap level", OVERLAP_SEPARATION),
     "validate_row-strategy": (lambda v: validate_row(ToyConfig(), v, 0.0), "strategy", BIAS_STRATEGIES),
 }

@@ -1,3 +1,4 @@
+import inspect
 import json
 import tracemalloc
 import warnings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from dube import Dataset, DatasetError, DubeConfig, dube_fit, learners
 from dube.ensemble import _config_from_dict, _config_to_dict
 from dube.learners import (KnnClassifier, KnnParams, TreeClassifier, TreeParams, fit_learner,
-                           learner_from_dict, knn_fit, params_from_dict, params_to_dict, tree_fit)
+                           from_dict, knn_fit, to_dict, tree_fit)
 from knn_reference import (blocked_distances, blocked_knn_predict_proba_many,
                            reference_knn_predict_proba_many)
 from tree_reference import _xlog2x as masked_xlog2x
@@ -392,13 +393,13 @@ def breadth_first(tree):
     number = np.empty(tree.n_nodes, dtype=np.int64)
     number[order] = np.arange(tree.n_nodes)
     inner = tree.feature[order] >= 0
-    blob = {**tree.to_dict(),
+    blob = {**to_dict(tree),
             "feature": tree.feature[order].tolist(),
             "threshold": tree.threshold[order].tolist(),
             "left": np.where(inner, number[tree.left[order]], -1).tolist(),
             "right": np.where(inner, number[tree.right[order]], -1).tolist(),
             "proba": tree.proba[order].tolist()}
-    return TreeClassifier.from_dict(json.loads(json.dumps(blob)))
+    return from_dict(json.loads(json.dumps(blob)), member=True)
 
 
 class TestRoutingMatchesReference:
@@ -757,23 +758,30 @@ class TestSerialization:
         params_class, classifier_class = learners.LEARNERS[kind]
         params = self.PARAMS[kind]
         assert type(params) is params_class
-        blob = json.loads(json.dumps(params_to_dict(params)))
-        assert blob["kind"] == kind and params_from_dict(blob) == params
+        blob = json.loads(json.dumps(to_dict(params)))
+        assert blob["kind"] == kind and from_dict(blob, member=False) == params
         cfg = DubeConfig(k=2, learner=params, seed=4)
         assert _config_from_dict(json.loads(json.dumps(_config_to_dict(cfg)))) == cfg
         gen = np.random.default_rng(8)
         model = fit_learner(dataset(gen.normal(size=(30, 2)), np.arange(30) % 3), params)
-        clone = learner_from_dict(json.loads(json.dumps(model.to_dict())))
+        clone = from_dict(json.loads(json.dumps(to_dict(model))), member=True)
         assert type(model) is type(clone) is classifier_class
         queries = gen.normal(size=(10, 2))
         assert np.array_equal(model.predict_proba_many(queries), clone.predict_proba_many(queries))
+
+    @pytest.mark.parametrize("kind", learners.LEARNERS)
+    def test_member_saves_each_constructor_argument_once(self, kind):
+        # a field added to the constructor but not to SAVED, or the reverse, fails
+        member_class = learners.LEARNERS[kind][1]
+        assert len(set(member_class.SAVED)) == len(member_class.SAVED)
+        assert set(member_class.SAVED) == set(inspect.signature(member_class).parameters)
 
     def test_tree_round_trip(self):
         gen = np.random.default_rng(6)
         X = gen.normal(size=(70, 3))
         y = gen.integers(0, 2, 70)
         model = tree_fit(dataset(X, y))
-        clone = learner_from_dict(model.to_dict())
+        clone = from_dict(to_dict(model), member=True)
         assert type(clone) is learners.LEARNERS["tree"][1]
         queries = gen.normal(size=(30, 3))
         assert np.array_equal(model.predict_proba_many(queries),
@@ -784,7 +792,7 @@ class TestSerialization:
         X = gen.normal(size=(20, 2))
         y = gen.integers(0, 2, 20)
         model = knn_fit(dataset(X, y), 3)
-        clone = learner_from_dict(model.to_dict())
+        clone = from_dict(to_dict(model), member=True)
         assert type(clone) is learners.LEARNERS["knn"][1]
         queries = gen.normal(size=(10, 2))
         assert np.array_equal(model.predict_proba_many(queries),
