@@ -143,18 +143,38 @@ def _uniform_resample(x, n, gen):
     return np.concatenate([x, x[gen.integers(0, x.size, n - x.size)]])
 
 
-def _smote_draws(points, k, n_new, gen):
+# A SMOTE1D row's neighbor tables are built over blocks of trials holding at
+# most this many bytes of distances and their sort order (one trial at
+# least), so the row's memory grows with n_min^2 and not with trials times it.
+_TABLE_BYTES = 8 << 20
+
+
+def _neighbor_tables(x_min, k):
+    """Each trial's k nearest neighbors: row ``j`` of ``out[i]`` lists the
+    indices of the k points of ``x_min[i]`` nearest to its point ``j``,
+    ties to the lower index, as one stable argsort per trial would."""
+    trials, n = x_min.shape
+    step = max(1, _TABLE_BYTES // (16 * n * n))
+    out, diagonal = np.empty((trials, n, k), dtype=np.intp), np.arange(n)
+    for start in range(0, trials, step):
+        block = x_min[start:start + step]
+        dist = block[:, :, None] - block[:, None, :]
+        np.abs(dist, out=dist)
+        dist[:, diagonal, diagonal] = np.inf
+        out[start:start + step] = np.argsort(dist, axis=2, kind="stable")[:, :, :k]
+    return out
+
+
+def _smote_draws(points, neighbors, n_new, gen):
     """1-D nearest-neighbor interpolation over-sampling.
 
     Each synthetic point is ``seed + u * (neighbor - seed)`` with u
-    uniform in [0, 1], the neighbor drawn from the seed's k nearest
-    (ties to the lower index), so the sample extremes never move.
+    uniform in [0, 1], the neighbor drawn from the seed's row of
+    ``neighbors`` (its k nearest, from :func:`_neighbor_tables`), so the
+    sample extremes never move.
     """
-    dist = np.abs(points[:, None] - points[None, :])
-    np.fill_diagonal(dist, np.inf)
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
     seeds = gen.integers(0, points.size, n_new)
-    picks = neighbors[seeds, gen.integers(0, k, n_new)]
+    picks = neighbors[seeds, gen.integers(0, neighbors.shape[1], n_new)]
     u = gen.random(n_new)
     base = points[seeds]
     return base + u * (points[picks] - base)
@@ -182,6 +202,8 @@ def run_bias_trials(draws: TrialDraws, strategy: str, alpha_sigma: float = 0.0) 
         counts = [cfg.n_min, cfg.n_maj]
         n = (max(counts) if row in ("none", "SMOTE1D")
              else target_class_size(counts, InterCBStrategy(row)))
+        if row == "SMOTE1D":
+            tables = _neighbor_tables(draws.x_min, min(5, cfg.n_min - 1))
         bit_generator = np.random.Philox(0)  # its state is replaced before every trial
         gen = np.random.Generator(bit_generator)
         boundaries = np.empty(cfg.trials)
@@ -189,13 +211,14 @@ def run_bias_trials(draws: TrialDraws, strategy: str, alpha_sigma: float = 0.0) 
             bit_generator.state = draws.state(i)
             r_min, r_maj = draws.x_min[i], draws.x_maj[i]
             if row == "SMOTE1D":
-                extra = _smote_draws(r_min, min(5, cfg.n_min - 1), n - cfg.n_min, gen)
+                extra = _smote_draws(r_min, tables[i], n - cfg.n_min, gen)
                 r_min = np.concatenate([r_min, extra])
             elif row != "none":
                 r_min, r_maj = _uniform_resample(r_min, n, gen), _uniform_resample(r_maj, n, gen)
             if alpha_sigma > 0:
-                r_min = r_min + gen.normal(0.0, alpha_sigma, r_min.size)
-                r_maj = r_maj + gen.normal(0.0, alpha_sigma, r_maj.size)
+                # one call gives the bits, and leaves the state, of one per class
+                noise = gen.normal(0.0, alpha_sigma, r_min.size + r_maj.size)
+                r_min, r_maj = r_min + noise[:r_min.size], r_maj + noise[r_min.size:]
             boundaries[i] = (r_min.max() + r_maj.min()) / 2.0
     biases = np.abs(cfg.optimal_boundary - boundaries)
     return BiasTrialReport(strategy=strategy, alpha_sigma=alpha_sigma,

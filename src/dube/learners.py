@@ -504,8 +504,11 @@ LEARNERS = {"tree": (TreeParams, TreeClassifier), "knn": (KnnParams, KnnClassifi
 def to_dict(obj) -> dict:
     """JSON form of learner hyperparameters or a fitted member: its kind,
     then each constructor argument by name, in file order (a dataclass's
-    fields, a member's ``SAVED``), arrays as lists."""
-    kind = next(kind for kind, classes in LEARNERS.items() if isinstance(obj, classes))
+    fields, a member's ``SAVED``), arrays as lists. ValueError unless
+    ``obj`` is of a ``LEARNERS`` class."""
+    kind = next((kind for kind, classes in LEARNERS.items() if isinstance(obj, classes)), None)
+    if kind is None:
+        raise ValueError(f"no learner kind saves a {type(obj).__name__}")
     names = obj.SAVED if isinstance(obj, _Classifier) else [field.name for field in fields(obj)]
     blob = {"kind": kind, **{name: getattr(obj, name) for name in names}}
     return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in blob.items()}

@@ -98,11 +98,15 @@ def binary_auroc(y_is_pos: np.ndarray, scores: np.ndarray) -> float:
     integer 0/1 mask gives the same value.
     """
     y_is_pos = np.asarray(y_is_pos, dtype=bool)  # an int mask would fancy-index the ranks
+    scores = np.asarray(scores, dtype=np.float64)
+    if y_is_pos.size != scores.size:
+        raise ValueError(f"AUROC needs one score per label, got {y_is_pos.size} labels "
+                         f"and {scores.size} scores")
     n_pos = int(y_is_pos.sum())
     n_neg = y_is_pos.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUROC needs both positive and negative examples")
-    ranks = _midranks(np.asarray(scores, dtype=np.float64))
+    ranks = _midranks(scores)
     pos_rank_sum = ranks[y_is_pos].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

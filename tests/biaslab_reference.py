@@ -5,14 +5,18 @@ every trial builds its own stream, draws the data, then resamples and
 perturbs from that same stream. The library draws each trial's data
 once (:func:`dube.biaslab.draw_trials`) and lets every row resume the
 saved stream state; each row's mean and variance must come out the
-same, bit for bit.
+same, bit for bit. The reference builds each trial's SMOTE neighbor
+table from its own distance matrix and draws each class's noise in a
+call of its own, where the library builds one table per row and draws
+a trial's noise in one call.
 """
 
 import numpy as np
 
 from dube import rng
 from dube.balancing import InterCBStrategy, target_class_size
-from dube.biaslab import BIAS_STRATEGIES, BiasTrialReport, _smote_draws, _uniform_resample
+from dube.biaslab import (BIAS_STRATEGIES, BiasTrialReport, _neighbor_tables, _smote_draws,
+                          _uniform_resample)
 
 
 def max_margin_1d(xs, ys) -> float:
@@ -53,7 +57,26 @@ def smote_1d(points, k_neighbors: int, n_new: int, seed: int) -> np.ndarray:
         raise ValueError(f"k_neighbors must be in [1, {n - 1}]")
     if n_new < 0:
         raise ValueError("n_new must be >= 0")
-    return _smote_draws(points, k_neighbors, n_new, rng.stream(seed, rng.TRIAL))
+    table = _neighbor_tables(points[None], k_neighbors)[0]
+    return _smote_draws(points, table, n_new, rng.stream(seed, rng.TRIAL))
+
+
+def reference_neighbors(points, k):
+    """One trial's k nearest neighbors of each point, from its own distance
+    matrix by one stable argsort, ties to the lower index."""
+    dist = np.abs(points[:, None] - points[None, :])
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+
+def reference_smote_draws(points, k, n_new, gen):
+    """The lab's SMOTE draws for one trial, from its own neighbor table."""
+    neighbors = reference_neighbors(points, k)
+    seeds = gen.integers(0, points.size, n_new)
+    picks = neighbors[seeds, gen.integers(0, k, n_new)]
+    u = gen.random(n_new)
+    base = points[seeds]
+    return base + u * (points[picks] - base)
 
 
 def _resample_trial(x_min, x_maj, strategy, gen):
@@ -65,7 +88,7 @@ def _resample_trial(x_min, x_maj, strategy, gen):
             raise ValueError("SMOTE1D needs at least two minority points")
         n = max(counts)
         k = min(5, x_min.size - 1)
-        extra = _smote_draws(x_min, k, n - x_min.size, gen)
+        extra = reference_smote_draws(x_min, k, n - x_min.size, gen)
         return np.concatenate([x_min, extra]), x_maj
     n = target_class_size(counts, InterCBStrategy(strategy))
     return _uniform_resample(x_min, n, gen), _uniform_resample(x_maj, n, gen)

@@ -1,15 +1,18 @@
+import tracemalloc
 from dataclasses import fields
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biaslab_reference import d_max, max_margin_1d, reference_run_bias_trials, smote_1d
+from biaslab_reference import (d_max, max_margin_1d, reference_neighbors, reference_run_bias_trials,
+                               smote_1d)
 from dube import rng
-from dube.biaslab import (BIAS_STRATEGIES, ToyConfig, TrialDraws, _smote_draws, check_pbda_bound,
-                          draw_trials, pbda_bound_values, run_bias_trials)
+from dube.biaslab import (BIAS_STRATEGIES, ToyConfig, TrialDraws, _neighbor_tables, _smote_draws,
+                          check_pbda_bound, draw_trials, pbda_bound_values, run_bias_trials)
 from dube.dataset import make_gaussian_1d
 
 FIG_TOY = dict(n_min=3, n_maj=15, mu_min=0.0, mu_maj=4.0, sigma=1.0)
@@ -201,7 +204,8 @@ class TestRunBiasTrials:
 
     def test_zero_smote_draws_consume_nothing(self):
         gen, fresh = rng.stream(3, 1), rng.stream(3, 1)
-        assert _smote_draws(np.array([0.0, 1.0, 3.0]), 2, 0, gen).shape == (0,)
+        points = np.array([0.0, 1.0, 3.0])
+        assert _smote_draws(points, _neighbor_tables(points[None], 2)[0], 0, gen).shape == (0,)
         assert gen.random(4).tolist() == fresh.random(4).tolist()
 
     @pytest.mark.parametrize("n_min, n_maj", [(6, 4), (5, 5)])
@@ -219,7 +223,7 @@ class TestRunBiasTrials:
                                                       alpha_sigma):
         import dube.biaslab as lab
         calls = []
-        monkeypatch.setattr(lab, "_smote_draws", lambda *args: calls.append(args) or np.empty(0))
+        monkeypatch.setattr(lab, "_neighbor_tables", lambda *args: calls.append(args))
         draws = draw_trials(ToyConfig(n_min=n_min, n_maj=n_maj, trials=20, seed=7))
         assert run_bias_trials(draws, "SMOTE1D", alpha_sigma).strategy == "SMOTE1D"
         assert calls == []
@@ -238,6 +242,48 @@ class TestSharedDrawsMatchReference:
                 ref = reference_run_bias_trials(cfg, strategy, alpha_sigma)
                 assert (got.mean_bias, got.var_bias) == (ref.mean_bias, ref.var_bias), \
                     (strategy, alpha_sigma)
+
+
+@st.composite
+def minority_samples(draw):
+    """(trials, n) minority draws and a neighbor count k < n; the few
+    distinct values make equal distances, so ties, common."""
+    trials, n = draw(st.integers(1, 12)), draw(st.integers(2, 7))
+    values = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5]),
+                           min_size=trials * n, max_size=trials * n))
+    return np.array(values).reshape(trials, n), draw(st.integers(1, n - 1))
+
+
+class TestNeighborTables:
+    @settings(max_examples=100, deadline=None)
+    @given(sample=minority_samples(), step=st.integers(1, 5))
+    @example(sample=(np.tile([0.0, 1.0, 0.0], (7, 1)), 2), step=3)  # blocks of 3, 3 and 1
+    def test_blocks_equal_one_stable_argsort_per_trial(self, sample, step):
+        x_min, k = sample
+        n = x_min.shape[1]
+        # a cap holding `step` trials of distances and their sort order
+        with mock.patch("dube.biaslab._TABLE_BYTES", 16 * n * n * step):
+            tables = _neighbor_tables(x_min, k)
+        assert tables.shape == (*x_min.shape, k)
+        for points, table in zip(x_min, tables):
+            assert table.tolist() == reference_neighbors(points, k).tolist()
+
+    def test_a_row_holds_one_block_of_distances(self):
+        # unblocked, the tables of 100 trials of 200 minority points would hold
+        # 100 x 200^2 x 8 bytes (32 MB) of distances and as much of sort order
+        import dube.biaslab as lab
+        cfg = ToyConfig(n_min=200, n_maj=250, trials=100, seed=5)
+        draws = draw_trials(cfg)
+        tables = cfg.trials * cfg.n_min * 5 * np.dtype(np.intp).itemsize
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_bias_trials(draws, "SMOTE1D", 0.2)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # the row's other arrays: per-trial samples and noise, and the boundaries
+        assert peak < lab._TABLE_BYTES + tables + (64 << 10), peak
 
 
 class TestPbdaBound:

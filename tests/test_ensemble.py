@@ -295,6 +295,14 @@ class TestSaveLoad:
         assert path.read_bytes() == b"old model"
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
+    def test_member_of_no_learner_kind_is_not_saved(self, tmp_path):
+        # to_dict used to leak StopIteration, which the member generator
+        # turned into RuntimeError
+        model = EnsembleModel([_StubLearner([0.7, 0.3], d=1)], 2, 1, DubeConfig(k=1))
+        with pytest.raises(ValueError, match="^no learner kind saves a _StubLearner$"):
+            save_model(model, tmp_path / "model.json")
+        assert list(tmp_path.iterdir()) == []
+
     @staticmethod
     def recorded_writes(ens, monkeypatch, fail_at=None):
         """Record every string written to a file ``ens`` opens; the write

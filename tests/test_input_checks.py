@@ -129,6 +129,9 @@ CASES = {
     # used to fancy-index the ranks and raise IndexError
     "binary_auroc-one-class-int-mask": (lambda: binary_auroc(np.array([1, 2]), [0.1, 0.2]),
                                         ValueError, "AUROC needs both positive and negative examples"),
+    # a mask of another length than the scores used to raise numpy's IndexError
+    "binary_auroc-length": (lambda: binary_auroc(np.array([True, False, False]), [0.9, 0.1]),
+                            ValueError, "AUROC needs one score per label, got 3 labels and 2 scores"),
     "macro_auroc-rows": (lambda: macro_auroc([0, 1], [[0.5, 0.5]]),
                          ValueError, "scores must have one row per label"),
     # a label with no score column used to count as a negative of every class
