@@ -73,15 +73,9 @@ def batch_errors(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def hem_weights(errors) -> np.ndarray:
-    """Weights equal to the raw error (all zero when every error vanishes)."""
-    errors = np.asarray(errors, dtype=np.float64)
-    if errors.size == 0:
-        raise ValueError("empty error list")
-    if (errors < 0).any():
-        raise ValueError("negative error")
-    if not np.isfinite(errors).all():
-        raise ValueError("errors must be finite")
-    return errors.copy()
+    """Weights equal to the raw error (all zero when every error vanishes);
+    ValueError unless the errors are nonempty, finite and >= 0 (:func:`rng.reals`)."""
+    return rng.reals(errors, "errors", 0).copy()
 
 
 def shem_weights(errors, b: int) -> np.ndarray:
@@ -92,15 +86,10 @@ def shem_weights(errors, b: int) -> np.ndarray:
     reciprocal is always finite. With b = 1 every instance shares the
     single bin and the weights are uniform. Only the bins that hold an
     error are counted, so memory follows the number of errors, not b.
+    ValueError unless the errors are nonempty and in [0, 1] (:func:`rng.reals`).
     """
-    errors = np.asarray(errors, dtype=np.float64)
-    if errors.size == 0:
-        raise ValueError("empty error list")
+    errors = rng.reals(errors, "errors", 0, 1)
     b = IntraCBStrategy("SHEM", b).bins  # the bin count's rule
-    if (errors < 0).any() or (errors > 1).any():
-        raise ValueError("errors must lie in [0, 1]")
-    if np.isnan(errors).any():
-        raise ValueError("errors must be finite")
     bins = np.minimum((errors * b).astype(np.int64), b - 1)
     _, inverse, counts = np.unique(bins, return_inverse=True, return_counts=True)
     return 1.0 / (counts / errors.size)[inverse]
@@ -126,20 +115,14 @@ def weighted_resample(class_rows, weights, n: int, seed: int) -> np.ndarray:
     Zero-weight rows are never drawn while positive-weight rows remain;
     if the shrink target exceeds the positive-weight count the remainder
     is filled uniformly from the zero-weight rows. All-zero weights draw
-    exactly the rows that all-one weights draw. An empty class, or a
+    exactly the rows that all-one weights draw. The weights pass
+    :func:`rng.reals` (nonempty, finite and >= 0), so an empty class, or a
     negative, NaN or infinite weight, raises ValueError.
     """
-    class_rows = np.asarray(class_rows)
-    weights = np.asarray(weights, dtype=np.float64)
+    class_rows, weights = np.asarray(class_rows), rng.reals(weights, "weights", 0)
     if class_rows.shape != weights.shape:
         raise ValueError("weights must match class_rows in length")
     n = rng.integer(n, "n")
-    if (weights < 0).any():
-        raise ValueError("negative weight")
-    if not np.isfinite(weights).all():
-        raise ValueError("weights must be finite")
-    if class_rows.size == 0:
-        raise ValueError("class_rows must be nonempty")
     if weights.max() == 0.0:  # no row stands out: draw uniformly
         weights = np.ones_like(weights)
     gen = rng.stream(seed, rng.RESAMPLE)

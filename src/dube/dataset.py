@@ -22,6 +22,19 @@ class DatasetError(ValueError):
     """Raised for malformed input data or violated preconditions."""
 
 
+def whole_labels(labels) -> np.ndarray:
+    """``labels`` as a new int64 array; DatasetError unless every label is
+    an integer or a float that is a whole number within int64 (``2.0`` is
+    2; ``0.5``, NaN, True and the text ``"1"`` are not). Every class label
+    the package reads passes here."""
+    labels = np.asarray(labels)
+    kind = labels.dtype.kind  # unsigned labels are checked before the int64 cast wraps them
+    if not (kind == "i" or kind == "u" and (labels < 2**63).all() or kind == "f" and (
+            (labels == np.trunc(labels)) & (abs(labels) < 2.0**63)).all()):
+        raise DatasetError("labels must be whole numbers")
+    return np.array(labels, dtype=np.int64, copy=True)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature table plus labels and a per-class row index.
@@ -55,12 +68,7 @@ class Dataset:
     def __post_init__(self):
         # always copy so freezing below never flips a caller-owned array
         feats = np.array(self.features, dtype=np.float64, order="C", copy=True)
-        labels = np.asarray(self.labels)
-        kind = labels.dtype.kind  # unsigned labels are checked before the int64 cast wraps them
-        if not (kind == "i" or kind == "u" and (labels < 2**63).all() or kind == "f" and (
-                (labels == np.trunc(labels)) & (abs(labels) < 2.0**63)).all()):
-            raise DatasetError("labels must be whole numbers")
-        labels = np.array(labels, dtype=np.int64, copy=True)
+        labels = whole_labels(self.labels)
         if feats.ndim != 2:
             raise DatasetError(f"features must be 2-D, got shape {feats.shape}")
         if labels.shape != (feats.shape[0],):

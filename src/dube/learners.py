@@ -162,19 +162,15 @@ class KnnClassifier(_Classifier):
     SAVED = ("m", "k_neighbors", "X", "y")
 
     def __init__(self, X, y, m, k_neighbors):
-        """ValueError unless ``X`` and ``y`` make a training table with labels
-        in [0, m) and k_neighbors is an integer >= 1, and DatasetError if
-        k_neighbors exceeds its rows."""
+        """ValueError unless m and k_neighbors are integers >= 1, DatasetError
+        unless ``Dataset(X, y, m)`` holds (the table's rule) and
+        k_neighbors is at most its rows."""
         m, k = rng.integer(m, "m"), rng.integer(k_neighbors, "k_neighbors")
-        X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] == 0 or y.shape != (X.shape[0],) or not np.isfinite(X).all():
-            raise ValueError("knn X must be finite with shape (n, d), n >= 1, and y length n")
-        if k > X.shape[0]:
-            raise DatasetError(f"k_neighbors={k} exceeds {X.shape[0]} training rows")
-        if not ((y >= 0) & (y < m) & (y == np.floor(y))).all():
-            raise ValueError(f"knn labels must lie in [0, {m}) and be integers")
-        self.X, self.y, self.m, self.k_neighbors = X, y.astype(np.int64), m, k
-        self.d = X.shape[1]
+        table = Dataset(X, y, m)
+        if k > table.n_rows:
+            raise DatasetError(f"k_neighbors={k} exceeds {table.n_rows} training rows")
+        self.X, self.y, self.m, self.k_neighbors = table.features, table.labels, m, k
+        self.d = table.n_features
         with np.errstate(over="ignore"):  # a value above ~1.3e154 squares to inf; it ranks last
             self._sq_norms = (self.X ** 2).sum(axis=1)
 

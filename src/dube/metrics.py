@@ -8,6 +8,10 @@ Degenerate-case conventions (documented, standard):
   (zero denominator);
 * AUROC ties are handled with midranks, which matches counting each
   tied positive-negative pair as half a win.
+
+Labels pass :func:`dube.dataset.whole_labels` and scores
+:func:`dube.rng.reals`, so a label that is not a whole number, or a NaN
+or infinite score, raises ValueError.
 """
 
 from __future__ import annotations
@@ -15,6 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import rng
+from .dataset import whole_labels
 
 
 @dataclass(frozen=True)
@@ -33,8 +40,7 @@ def _check_labels(labels: np.ndarray, m: int) -> None:
 
 
 def confusion_matrix(y_true, y_pred, m: int | None = None) -> np.ndarray:
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
+    y_true, y_pred = whole_labels(y_true), whole_labels(y_pred)
     if y_true.shape != y_pred.shape:
         raise ValueError("y_true and y_pred must have equal length")
     labels = np.concatenate([y_true, y_pred])
@@ -95,10 +101,11 @@ def binary_auroc(y_is_pos: np.ndarray, scores: np.ndarray) -> float:
 
     Equals the fraction of positive-negative pairs ranked correctly,
     ties counting one half. ``y_is_pos`` is read as a bool mask, so an
-    integer 0/1 mask gives the same value.
+    integer 0/1 mask gives the same value. The scores pass
+    :func:`rng.reals`, so a NaN or infinite score raises ValueError.
     """
     y_is_pos = np.asarray(y_is_pos, dtype=bool)  # an int mask would fancy-index the ranks
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = rng.reals(scores, "scores")
     if y_is_pos.size != scores.size:
         raise ValueError(f"AUROC needs one score per label, got {y_is_pos.size} labels "
                          f"and {scores.size} scores")
@@ -119,7 +126,7 @@ def macro_auroc(y_true, scores) -> float:
     negatives) has no defined ranking and is rejected rather than
     silently skipped.
     """
-    y_true = np.asarray(y_true, dtype=np.int64)
+    y_true = whole_labels(y_true)
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     if scores.shape[0] != y_true.size:
         raise ValueError("scores must have one row per label")
@@ -136,7 +143,6 @@ def macro_auroc(y_true, scores) -> float:
 
 def evaluate(y_true, y_pred, scores) -> EvalReport:
     """Bundle all metrics for one (truth, prediction, score) triple."""
-    y_true = np.asarray(y_true, dtype=np.int64)
     m = np.atleast_2d(scores).shape[1]
     cm = confusion_matrix(y_true, y_pred, m)
     precision, recall, f1 = _precision_recall_f1(cm)

@@ -44,7 +44,9 @@ def class_covariance(ds: Dataset, c: int) -> ClassCovariance:
     A singleton class gets the zero matrix, which turns perturbation into
     a no-op for that class: with one observation there is no spread to
     calibrate against, and inventing one would fabricate structure.
+    ValueError unless ``c`` is an integer in [0, m - 1] (:func:`rng.integer`).
     """
+    c = rng.integer(c, "class", 0, ds.m - 1)
     rows = ds.class_index[c]
     if rows.size == 0:
         raise ValueError(f"class {c} is empty")
@@ -93,13 +95,12 @@ def perturb(samples, alpha, cov: ClassCovariance, seed: int) -> np.ndarray:
     Draws come from the stream for (seed,); fixed inputs give identical
     output. ``alpha`` may be a list of scales and ``samples`` a (K, n, d)
     stack of blocks (or one block for all): every scale then perturbs its
-    own block, as alone, and they all share one noise draw. A result that
-    is not finite raises DatasetError.
+    own block, as alone, and they all share one noise draw. ValueError
+    unless every scale is finite and >= 0 (:func:`rng.reals`); a result
+    that is not finite raises DatasetError.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    scale = np.asarray(alpha, dtype=np.float64)[..., None, None]
-    if (scale < 0).any():
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    scale = rng.reals(alpha, "alpha", 0)[..., None, None]
     if samples.shape[-1] != cov.cov.shape[0]:
         raise ValueError(
             f"dimension mismatch: samples have {samples.shape[-1]} features, "

@@ -69,6 +69,21 @@ def real(value, name: str, low: float = -math.inf, high: float = math.inf, above
     return number
 
 
+def reals(values, name: str, low: float = -math.inf, high: float = math.inf) -> np.ndarray:
+    """``values`` as a float64 array (numpy's cast); ValueError unless it is
+    nonempty and every value is finite and in [low, high]. A value outside
+    raises the message :func:`real` gives for the first such value. Every
+    real-valued array of the package (errors, weights, scales, scores)
+    passes here."""
+    array = np.asarray(values, dtype=np.float64)
+    if array.size == 0:
+        raise ValueError(f"{name} must be nonempty")
+    outside = array[~(np.isfinite(array) & (low <= array) & (array <= high))]
+    if outside.size:
+        real(float(outside[0]), name, low, high)  # raises: one wording for every bound
+    return array
+
+
 def one_of(value, options, name: str):
     """``value``; ValueError unless it equals one of ``list(options)``.
     The value is compared, never hashed, so an unhashable value such as a

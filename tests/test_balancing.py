@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -117,11 +118,10 @@ class TestHemWeights:
         with pytest.raises(ValueError):
             hem_weights([0.1, -0.2])
 
-    @pytest.mark.parametrize("bad, message", [(np.inf, "errors must be finite"),
-                                              (-np.inf, "negative error")])
-    def test_infinite_error_rejected(self, bad, message):
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_error_rejected(self, bad):
         # NaN is a case of tests/test_input_checks.py
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'errors must be finite and >= 0, got {bad!r}')}$"):
             hem_weights([bad, 0.5])
 
 
@@ -171,7 +171,7 @@ class TestShemWeights:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_error_lies_outside_the_range(self, bad):
-        with pytest.raises(ValueError, match=r"^errors must lie in \[0, 1\]$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'errors must be in [0, 1], got {bad!r}')}$"):
             shem_weights([bad, 0.5], 3)
 
     def test_same_bin_same_weight_and_reciprocal_identity(self):
@@ -265,12 +265,11 @@ class TestWeightedResample:
             assert np.array_equal(weighted_resample(rows, np.zeros(2), n, seed=0),
                                   weighted_resample(rows, np.ones(2), n, seed=0))
 
-    @pytest.mark.parametrize("bad, message", [(np.nan, "weights must be finite"),
-                                              (np.inf, "weights must be finite"),
-                                              (-np.inf, "negative weight")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n", [2, 5], ids=["shrink", "grow"])
-    def test_non_finite_weight_rejected(self, bad, message, n):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+    def test_non_finite_weight_rejected(self, bad, n):
+        message = f"weights must be finite and >= 0, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             weighted_resample(np.arange(3), [bad, 1.0, 1.0], n, seed=0)
 
 

@@ -514,32 +514,44 @@ class TestModelFileValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_model(path)
 
-    @pytest.mark.parametrize("label", [-1, 2])
-    def test_label_outside_classes(self, tmp_path, label):
+    # a KNN member's table passes Dataset's rule, so these are Dataset's messages
+    @pytest.mark.parametrize("label, message", [(-1, "negative class id"),
+                                                (2, "label 2 out of range for m=2")], ids=["-1", "2"])
+    def test_label_outside_classes(self, tmp_path, label, message):
         def edit(blob):
             blob["members"][0]["y"][0] = label
-        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
-            load_model(self.save_knn(tmp_path, edit))
+        path = self.save_knn(tmp_path, edit)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_model(path)
 
     def test_features_not_a_matrix(self, tmp_path):
+        rows = []
+
         def edit(blob):
             member = blob["members"][0]
             member["X"] = [row[0] for row in member["X"]]
-        with pytest.raises(ValueError, match=r"shape \(n, d\)"):
-            load_model(self.save_knn(tmp_path, edit))
+            rows.append(len(member["X"]))
+        path = self.save_knn(tmp_path, edit)
+        message = f"{path}: features must be 2-D, got shape ({rows[0]},)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_model(path)
 
     def test_label_count_differs_from_rows(self, tmp_path):
         def edit(blob):
             blob["members"][0]["y"].pop()
-        with pytest.raises(ValueError, match="y length n"):
-            load_model(self.save_knn(tmp_path, edit))
+        path = self.save_knn(tmp_path, edit)
+        message = f"{path}: labels length must match feature rows"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_model(path)
 
     @pytest.mark.parametrize("label", [0.7, 1.5, float("nan")])
     def test_label_not_an_integer(self, tmp_path, label):
         def edit(blob):
             blob["members"][0]["y"][0] = label
-        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\) and be integers"):
-            load_model(self.save_knn(tmp_path, edit))
+        path = self.save_knn(tmp_path, edit)
+        message = f"{path}: labels must be whole numbers"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_model(path)
 
     def test_k_neighbors_not_an_integer(self, tmp_path):
         with pytest.raises(ValueError, match="k_neighbors must be an integer in .*, got 2.5"):
@@ -741,9 +753,12 @@ class TestModelFileTypes:
                 assert member["feature"][0] >= 0
                 member["threshold"][0] = value
         learner = KnnParams(k_neighbors=3) if where == "knn X" else TreeParams()
-        message = "knn X must be finite" if where == "knn X" else "must be finite"
-        with pytest.raises(ValueError, match=message):
-            load_model(save_edited_model(tmp_path, learner, edit))
+        path = save_edited_model(tmp_path, learner, edit)
+        # a KNN member's features pass Dataset's rule
+        pattern = (f"^{re.escape(f'{path}: features contain NaN or infinite values')}$"
+                   if where == "knn X" else "must be finite")
+        with pytest.raises(ValueError, match=pattern):
+            load_model(path)
 
     @pytest.mark.parametrize("learner,key,value,message", [
         (TreeParams(), "kind", "svm", "unknown learner kind 'svm'"),

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dube import DubeConfig, EnsembleModel, rng
 from dube.balancing import (TARGETS, WEIGHTS, InterCBStrategy, IntraCBStrategy, hem_weights,
@@ -20,6 +22,7 @@ from dube.dataset import (OVERLAP_SEPARATION, Dataset, DatasetError, inject_flip
 from dube.learners import (CRITERIA, LEARNERS, KnnClassifier, KnnParams, TreeClassifier,
                            TreeParams, from_dict, knn_fit, to_dict)
 from dube.metrics import binary_auroc, confusion_matrix, macro_auroc
+from dube.pbda import class_covariance, perturb
 
 TABLE = Dataset(np.arange(8.0)[:, None], [0, 1] * 4)
 
@@ -44,10 +47,11 @@ CASES = {
                                     ValueError, "need at least two classes"),
     "target_class_size-empty-class": (lambda: target_class_size([5, 0], InterCBStrategy("ROS")),
                                       ValueError, "class counts must be positive"),
-    "hem_weights-empty": (lambda: hem_weights([]), ValueError, "empty error list"),
-    "hem_weights-nan": (lambda: hem_weights([np.nan, 0.5]), ValueError, "errors must be finite"),
+    "hem_weights-empty": (lambda: hem_weights([]), ValueError, "errors must be nonempty"),
+    "hem_weights-nan": (lambda: hem_weights([np.nan, 0.5]),
+                        ValueError, "errors must be finite and >= 0, got nan"),
     "shem_weights-nan": (lambda: shem_weights([np.nan, 0.5], 3),
-                         ValueError, "errors must be finite"),
+                         ValueError, "errors must be in [0, 1], got nan"),
     # near 2**63 a bin id would overflow int64 (an OverflowError or a cast warning)
     "shem_weights-bins-2**63+1": (lambda: shem_weights([0.5, 0.9], 2**63 + 1), ValueError,
                                   "bins must be an integer in [1, 9007199254740992], "
@@ -60,11 +64,19 @@ CASES = {
     "weighted_resample-target": (lambda: weighted_resample([0, 1], [1.0, 1.0], 0, seed=0),
                                  ValueError, "n must be an integer in [1, inf], got 0"),
     "weighted_resample-negative": (lambda: weighted_resample([0, 1], [1.0, -1.0], 1, seed=0),
-                                   ValueError, "negative weight"),
+                                   ValueError, "weights must be finite and >= 0, got -1.0"),
     "weighted_resample-nan": (lambda: weighted_resample([0, 1, 2], [np.nan, 1.0, 1.0], 2, seed=0),
-                              ValueError, "weights must be finite"),
+                              ValueError, "weights must be finite and >= 0, got nan"),
     "weighted_resample-empty": (lambda: weighted_resample([], [], 1, seed=0),
-                                ValueError, "class_rows must be nonempty"),
+                                ValueError, "weights must be nonempty"),
+    "perturb-alpha-negative": (lambda: perturb(np.zeros((2, 1)), -0.5, class_covariance(TABLE, 0), 0),
+                               ValueError, "alpha must be finite and >= 0, got -0.5"),
+    # a NaN scale used to pass and fail later as "gives non-finite features"
+    "perturb-alpha-nan": (lambda: perturb(np.zeros((2, 1)), [0.5, np.nan], class_covariance(TABLE, 0), 0),
+                          ValueError, "alpha must be finite and >= 0, got nan"),
+    # -1 used to give the last class's covariance labelled class -1
+    "class_covariance-class-negative": (lambda: class_covariance(TABLE, -1),
+                                        ValueError, "class must be an integer in [0, 1], got -1"),
     # a bool is not a number of a real-valued setting, as DubeConfig's alpha is not
     "validate_row-alpha_sigma-bool": (lambda: validate_row(ToyConfig(), "RUS", True),
                                       ValueError, "alpha_sigma must be finite and >= 0, got True"),
@@ -105,6 +117,8 @@ CASES = {
                              "tree child index must lie above its parent and below the node count"),
     "KnnClassifier-k-above-rows": (lambda: KnnClassifier(np.zeros((3, 2)), [0, 1, 0], 2, 5),
                                    DatasetError, "k_neighbors=5 exceeds 3 training rows"),
+    "KnnClassifier-fractional-label": (lambda: KnnClassifier(np.zeros((3, 2)), [0, 1.5, 0], 2, 1),
+                                       DatasetError, "labels must be whole numbers"),
     # a memberless model used to predict NaN rows with a divide warning
     "EnsembleModel-no-members": (lambda: EnsembleModel([], 2, 2, DubeConfig()),
                                  ValueError, "a model needs at least one member"),
@@ -122,6 +136,11 @@ CASES = {
                                         ValueError, "labels must lie in [0, 2), got -1 to 1"),
     "confusion_matrix-label-past-m": (lambda: confusion_matrix([0, 2], [0, 1], m=2),
                                       ValueError, "labels must lie in [0, 2), got 0 to 2"),
+    # a fractional label used to be cut to a class: 1.5 counted as class 1
+    "confusion_matrix-fractional-label": (lambda: confusion_matrix([0, 1.5, 1], [0, 1, 1]),
+                                          DatasetError, "labels must be whole numbers"),
+    "macro_auroc-fractional-label": (lambda: macro_auroc([0, 1.9, 1], [[.9, .1], [.2, .8], [.3, .7]]),
+                                     DatasetError, "labels must be whole numbers"),
     "real-above-high": (lambda: rng.real(0, "x", 0, 1, above=True), ValueError, "x must be in (0, 1], got 0"),
     "binary_auroc-one-class": (lambda: binary_auroc(np.array([True, True]), [0.1, 0.2]),
                                ValueError, "AUROC needs both positive and negative examples"),
@@ -134,6 +153,11 @@ CASES = {
                             ValueError, "AUROC needs one score per label, got 3 labels and 2 scores"),
     "macro_auroc-rows": (lambda: macro_auroc([0, 1], [[0.5, 0.5]]),
                          ValueError, "scores must have one row per label"),
+    # NaN scores used to be ranked: these gave 0.0 and 1.0
+    "binary_auroc-nan-score": (lambda: binary_auroc(np.array([True, False, False]), [np.inf, np.nan, np.nan]),
+                               ValueError, "scores must be finite, got inf"),
+    "macro_auroc-nan-score": (lambda: macro_auroc([0, 1, 1], [[.9, .1], [.2, np.nan], [.3, .7]]),
+                              ValueError, "scores must be finite, got nan"),
     # a label with no score column used to count as a negative of every class
     "macro_auroc-label-past-m": (lambda: macro_auroc([0, 1, 2, 2], np.eye(4)[:, :2]),
                                  ValueError, "labels must lie in [0, 2), got 0 to 2"),
@@ -157,6 +181,27 @@ def test_binary_auroc_reads_an_int_mask_as_bools():
     scores = np.array([0.9, 0.1, 0.2])
     as_bools = binary_auroc(np.array([True, False, False]), scores)
     assert binary_auroc(np.array([1, 0, 0]), scores) == as_bools == 1.0
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats() | st.sampled_from([-1.0, 0.0, 1.0]), max_size=6),
+       low=st.none() | FINITE, high=st.none() | FINITE)
+def test_reals_accepts_exactly_the_nonempty_finite_arrays_in_range(values, low, high):
+    low, high = -np.inf if low is None else low, np.inf if high is None else high
+    outside = [v for v in values if not (np.isfinite(v) and low <= v <= high)]
+    if values and not outside:
+        got = rng.reals(values, "x", low, high)
+        assert got.dtype == np.float64 and got.tolist() == values
+        return
+    bound = (f"in [{low:g}, {high:g}]" if high < np.inf else
+             f"finite and >= {low:g}" if low > -np.inf else "finite")
+    message = f"x must be {bound}, got {outside[0]!r}" if values else "x must be nonempty"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        rng.reals(values, "x", low, high)
+    assert type(info.value) is ValueError
 
 
 # Every whole-number setting of the library, as (call keeping what it made of
