@@ -55,17 +55,20 @@ class IntraCBStrategy:
 
 
 def target_class_size(counts, strategy: InterCBStrategy) -> int:
-    """Common resampling target for all classes under a strategy."""
-    counts = np.asarray(counts)
+    """Common resampling target for all classes under a strategy; ValueError
+    unless there are two classes or more and every count is a whole number
+    >= 1 (:func:`rng.integers`)."""
+    counts = rng.integers(counts, "class counts")
     if counts.size < 2:
         raise ValueError("need at least two classes")
-    if (counts < 1).any():
-        raise ValueError("class counts must be positive")
     return int(TARGETS[strategy.tag](counts))
 
 
 def batch_errors(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Half the L1 distance from each probability row to its one-hot label, in [0, 1]."""
+    """Half the L1 distance from each probability row to its one-hot label, in
+    [0, 1]; ValueError unless every label is a whole number in [0, m - 1]
+    for m probability columns (:func:`rng.integers`)."""
+    labels = rng.integers(labels, "labels", 0, probs.shape[1] - 1)
     p_true = probs[np.arange(labels.size), labels]
     others = probs.sum(axis=1) - p_true
     # clip away float residue from probability rows summing to 1 +/- eps
@@ -115,11 +118,12 @@ def weighted_resample(class_rows, weights, n: int, seed: int) -> np.ndarray:
     Zero-weight rows are never drawn while positive-weight rows remain;
     if the shrink target exceeds the positive-weight count the remainder
     is filled uniformly from the zero-weight rows. All-zero weights draw
-    exactly the rows that all-one weights draw. The weights pass
-    :func:`rng.reals` (nonempty, finite and >= 0), so an empty class, or a
-    negative, NaN or infinite weight, raises ValueError.
+    exactly the rows that all-one weights draw. The row ids pass
+    :func:`rng.integers` (whole numbers >= 0) and the weights
+    :func:`rng.reals` (nonempty, finite and >= 0), so a fractional row id,
+    an empty class, or a negative, NaN or infinite weight, raises ValueError.
     """
-    class_rows, weights = np.asarray(class_rows), rng.reals(weights, "weights", 0)
+    class_rows, weights = rng.integers(class_rows, "row ids", 0), rng.reals(weights, "weights", 0)
     if class_rows.shape != weights.shape:
         raise ValueError("weights must match class_rows in length")
     n = rng.integer(n, "n")

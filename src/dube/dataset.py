@@ -22,19 +22,6 @@ class DatasetError(ValueError):
     """Raised for malformed input data or violated preconditions."""
 
 
-def whole_labels(labels) -> np.ndarray:
-    """``labels`` as a new int64 array; DatasetError unless every label is
-    an integer or a float that is a whole number within int64 (``2.0`` is
-    2; ``0.5``, NaN, True and the text ``"1"`` are not). Every class label
-    the package reads passes here."""
-    labels = np.asarray(labels)
-    kind = labels.dtype.kind  # unsigned labels are checked before the int64 cast wraps them
-    if not (kind == "i" or kind == "u" and (labels < 2**63).all() or kind == "f" and (
-            (labels == np.trunc(labels)) & (abs(labels) < 2.0**63)).all()):
-        raise DatasetError("labels must be whole numbers")
-    return np.array(labels, dtype=np.int64, copy=True)
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Feature table plus labels and a per-class row index.
@@ -44,9 +31,10 @@ class Dataset:
     features : ndarray of shape (N, d)
         Finite float features.
     labels : ndarray of shape (N,)
-        Class ids in ``{0, ..., m-1}``: integers or floats that are whole
-        numbers within int64 (``2.0`` is class 2); anything else, such as
-        ``0.5`` or the text ``"1"``, raises DatasetError.
+        Class ids in ``{0, ..., m-1}`` (``{0, 1, ...}`` when m is inferred)
+        by :func:`dube.rng.integers`: integers, or floats that are whole
+        numbers (``2.0`` is class 2); anything else, such as ``0.5``, ``-1``
+        or the text ``"1"``, raises ValueError naming the first such label.
     m : int, optional
         Size of the label space; 0, the default, means ``max(labels) + 1``. A
         subset of a dataset keeps the parent's ``m`` even if some class
@@ -68,7 +56,8 @@ class Dataset:
     def __post_init__(self):
         # always copy so freezing below never flips a caller-owned array
         feats = np.array(self.features, dtype=np.float64, order="C", copy=True)
-        labels = whole_labels(self.labels)
+        m = rng.integer(self.m, "m", 0)
+        labels = rng.integers(self.labels, "labels", 0, m - 1 if m else math.inf)
         if feats.ndim != 2:
             raise DatasetError(f"features must be 2-D, got shape {feats.shape}")
         if labels.shape != (feats.shape[0],):
@@ -79,11 +68,7 @@ class Dataset:
             raise DatasetError("features have no columns")
         if not np.isfinite(feats).all():
             raise DatasetError("features contain NaN or infinite values")
-        if labels.min() < 0:
-            raise DatasetError("negative class id")
-        m = rng.integer(self.m, "m", 0) or int(labels.max()) + 1
-        if labels.max() >= m:
-            raise DatasetError(f"label {labels.max()} out of range for m={m}")
+        m = m or int(labels.max()) + 1
         empty, present = np.empty(0, dtype=np.intp), np.flatnonzero(np.bincount(labels))
         index = [empty] * m  # classes without rows share one array; only the others are scanned
         for c in present:
@@ -118,7 +103,11 @@ class FoldPlan:
     assignments: np.ndarray
 
     def split(self, ds: Dataset, fold: int) -> tuple[Dataset, Dataset]:
-        """Return (train, test) datasets for one held-out fold."""
+        """Return (train, test) datasets for one held-out fold; ValueError
+        unless ``ds`` has one row per assignment and ``fold`` is an integer
+        in [0, k_folds - 1]."""
+        if ds.n_rows != self.assignments.size:
+            raise ValueError(f"fold plan has {self.assignments.size} rows, the table has {ds.n_rows}")
         fold = rng.integer(fold, "fold", 0, self.k_folds - 1)
         test_rows = np.flatnonzero(self.assignments == fold)
         train_rows = np.flatnonzero(self.assignments != fold)

@@ -93,15 +93,16 @@ class TreeClassifier(_Classifier):
     SAVED = ("m", "d", "feature", "threshold", "left", "right", "proba")
 
     def __init__(self, feature, threshold, left, right, proba, m, d):
-        """ValueError unless the arrays make a well-formed tree."""
+        """ValueError unless the arrays make a well-formed tree: ``feature``
+        in [-1, d - 1] and ``left`` and ``right`` >= -1, each a whole number
+        (:func:`rng.integers`)."""
         m, d = rng.integer(m, "m"), rng.integer(d, "d")
-        feature, left, right = (np.asarray(a, dtype=np.int64) for a in (feature, left, right))
+        feature = rng.integers(feature, "feature", -1, d - 1)
+        left, right = rng.integers(left, "left", -1), rng.integers(right, "right", -1)
         threshold, proba = (np.asarray(a, dtype=np.float64) for a in (threshold, proba))
         n, arrays = feature.size, (feature, threshold, left, right)
         if n == 0 or proba.shape != (n, m) or any(a.shape != (n,) for a in arrays):
             raise ValueError(f"tree arrays must share a nonzero length n, proba (n, {m})")
-        if feature.min() < -1 or feature.max() >= d:
-            raise ValueError(f"tree feature index outside [-1, {d})")
         if not (np.isfinite(threshold).all() and np.isfinite(proba).all()):
             raise ValueError("tree thresholds and probabilities must be finite")
         inner = np.flatnonzero(feature >= 0)

@@ -9,19 +9,19 @@ Degenerate-case conventions (documented, standard):
 * AUROC ties are handled with midranks, which matches counting each
   tied positive-negative pair as half a win.
 
-Labels pass :func:`dube.dataset.whole_labels` and scores
-:func:`dube.rng.reals`, so a label that is not a whole number, or a NaN
-or infinite score, raises ValueError.
+Labels pass :func:`dube.rng.integers` and scores :func:`dube.rng.reals`,
+so a label that is not a whole number in [0, m - 1], or a NaN or
+infinite score, raises ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .dataset import whole_labels
 
 
 @dataclass(frozen=True)
@@ -33,19 +33,15 @@ class EvalReport:
     confusion: np.ndarray     # (m, m) counts, rows = truth
 
 
-def _check_labels(labels: np.ndarray, m: int) -> None:
-    """ValueError unless every label lies in [0, m)."""
-    if labels.size and not 0 <= labels.min() <= labels.max() < m:
-        raise ValueError(f"labels must lie in [0, {m}), got {labels.min()} to {labels.max()}")
-
-
 def confusion_matrix(y_true, y_pred, m: int | None = None) -> np.ndarray:
-    y_true, y_pred = whole_labels(y_true), whole_labels(y_pred)
+    """(m, m) counts, rows = truth; m defaults to the largest label + 1.
+    ValueError unless both label arrays have equal length and every label
+    is a whole number in [0, m - 1] (:func:`rng.integers`)."""
+    high = math.inf if m is None else m - 1
+    y_true, y_pred = rng.integers(y_true, "labels", 0, high), rng.integers(y_pred, "labels", 0, high)
     if y_true.shape != y_pred.shape:
         raise ValueError("y_true and y_pred must have equal length")
-    labels = np.concatenate([y_true, y_pred])
-    m = int(labels.max()) + 1 if m is None else m
-    _check_labels(labels, m)
+    m = int(np.concatenate([y_true, y_pred]).max()) + 1 if m is None else m
     return np.bincount(y_true * m + y_pred, minlength=m * m).reshape(m, m)
 
 
@@ -76,11 +72,14 @@ def mcc(y_true, y_pred, m: int | None = None) -> float:
     for m = 2 this reduces to the familiar
     (TP*TN - FP*FN) / sqrt((TP+FP)(TP+FN)(TN+FP)(TN+FN)).
     """
-    cm = confusion_matrix(y_true, y_pred, m).astype(np.float64)
-    s = cm.sum()
-    c = np.trace(cm)
-    t = cm.sum(axis=1)   # truth marginal
-    p = cm.sum(axis=0)   # prediction marginal
+    return _mcc(confusion_matrix(y_true, y_pred, m))
+
+
+def _mcc(cm: np.ndarray) -> float:
+    """:func:`mcc` of a confusion matrix."""
+    cm = cm.astype(np.float64)
+    s, c = cm.sum(), np.trace(cm)
+    t, p = cm.sum(axis=1), cm.sum(axis=0)  # the truth and prediction marginals
     num = c * s - t @ p
     den_sq = (s * s - p @ p) * (s * s - t @ t)
     if den_sq <= 0:
@@ -121,17 +120,16 @@ def binary_auroc(y_is_pos: np.ndarray, scores: np.ndarray) -> float:
 def macro_auroc(y_true, scores) -> float:
     """Mean one-vs-rest AUROC over the score columns.
 
-    Every label must lie in [0, m) for m score columns, and every class
-    must appear in ``y_true``; a class with no positives (or no
-    negatives) has no defined ranking and is rejected rather than
-    silently skipped.
+    Every label must be a whole number in [0, m - 1] for m score columns
+    (:func:`rng.integers`), and every class must appear in ``y_true``; a
+    class with no positives (or no negatives) has no defined ranking and
+    is rejected rather than silently skipped.
     """
-    y_true = whole_labels(y_true)
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    m = scores.shape[1]
+    y_true = rng.integers(y_true, "labels", 0, m - 1)
     if scores.shape[0] != y_true.size:
         raise ValueError("scores must have one row per label")
-    m = scores.shape[1]
-    _check_labels(y_true, m)
     total = 0.0
     for c in range(m):
         is_pos = y_true == c
@@ -148,7 +146,7 @@ def evaluate(y_true, y_pred, scores) -> EvalReport:
     precision, recall, f1 = _precision_recall_f1(cm)
     return EvalReport(
         macro_f1=float(f1.mean()),
-        mcc=mcc(y_true, y_pred, m),
+        mcc=_mcc(cm),
         macro_auroc=macro_auroc(y_true, scores),
         per_class=tuple(zip(precision.tolist(), recall.tolist(), f1.tolist())),
         confusion=cm,

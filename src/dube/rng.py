@@ -50,6 +50,26 @@ def integer(value, name: str, low: int = 1, high: float = math.inf) -> int:
     return number
 
 
+def integers(values, name: str, low: int = 1, high: float = math.inf) -> np.ndarray:
+    """``values`` as a new int64 array (as numpy makes an array of them);
+    ValueError unless every value is a whole number in [low, high] within
+    int64. An empty array passes. An integer array is checked by its min
+    and max alone, a float array by which of its values are whole; only a
+    failed check, or an array of Python objects, walks the values, and a
+    value outside raises :func:`integer`'s message for the first such
+    value as a Python scalar (True, the text "1" and 2**63 are outside).
+    Every whole-number array of the package (labels, class counts, row
+    ids, tree node indices) passes here."""
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if not ((kind in "iu" or kind == "f" and (array == np.trunc(array)).all()) and (not array.size or (
+            max(low, -2**63) <= array.min().item() and array.max().item() <= min(high, 2**63 - 1)))):
+        for value in array.ravel().tolist():  # Python scalars, to be named as integer names them
+            if not -2**63 <= integer(value, name, low, high) < 2**63:  # past int64: the same words
+                raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return array.astype(np.int64)  # Python objects get here only when every one is whole
+
+
 def real(value, name: str, low: float = -math.inf, high: float = math.inf, above: bool = False) -> float:
     """``value`` as a float; ValueError unless it is a finite real number in
     [low, high], or in (low, high] with ``above``. 1 and ``np.float32(0.5)``
@@ -70,12 +90,17 @@ def real(value, name: str, low: float = -math.inf, high: float = math.inf, above
 
 
 def reals(values, name: str, low: float = -math.inf, high: float = math.inf) -> np.ndarray:
-    """``values`` as a float64 array (numpy's cast); ValueError unless it is
-    nonempty and every value is finite and in [low, high]. A value outside
-    raises the message :func:`real` gives for the first such value. Every
-    real-valued array of the package (errors, weights, scales, scores)
-    passes here."""
-    array = np.asarray(values, dtype=np.float64)
+    """``values`` as a float64 array (as numpy makes an array of them, cast
+    to float64); ValueError unless it is nonempty and every value is finite
+    and in [low, high]. A value outside raises the message :func:`real`
+    gives for the first such value. A numeric array is checked as a whole;
+    any other array (bools, text, Python objects such as 10**400) goes to
+    :func:`real` one value at a time, so True and the text "0.5" are
+    outside as they are for :func:`real`. Every real-valued array of the
+    package (errors, weights, scales, scores) passes here."""
+    array = np.asarray(values)
+    array = array.astype(np.float64, copy=False) if array.dtype.kind in "iuf" else np.array(
+        [real(v, name, low, high) for v in array.ravel().tolist()]).reshape(array.shape)
     if array.size == 0:
         raise ValueError(f"{name} must be nonempty")
     outside = array[~(np.isfinite(array) & (low <= array) & (array <= high))]

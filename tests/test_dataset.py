@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import sys
 import tracemalloc
 import types
@@ -261,13 +262,17 @@ WHOLE_OR_NOT = st.one_of(st.integers(-2, 9).map(float), st.floats(),
 
 
 class TestLabels:
-    @pytest.mark.parametrize("labels", [[0.5, 1.7, 1.2], ["0", "1", "1"], [0, 1, 2**70],
-                                        [0, 1, float("nan")], [0, 1, float("-inf")],
-                                        [True, False, True]],
+    # each label rule's failure is rng.integers' ValueError, naming the first label outside
+    @pytest.mark.parametrize("labels, first", [([0.5, 1.7, 1.2], 0.5), (["0", "1", "1"], "0"),
+                                               ([0, 1, 2**70], 2**70), ([0, 1, float("nan")], float("nan")),
+                                               ([0, 1, float("-inf")], float("-inf")),
+                                               ([True, False, True], True)],
                              ids=["fractions", "text", "past-int64", "nan", "inf", "bool"])
-    def test_other_than_whole_numbers_rejected(self, labels):
-        with pytest.raises(DatasetError, match="^labels must be whole numbers$"):
+    def test_other_than_whole_numbers_rejected(self, labels, first):
+        message = f"labels must be an integer in [0, inf], got {first!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
             Dataset(np.zeros((3, 1)), labels)
+        assert type(info.value) is ValueError
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.uint16, np.uint32, np.uint64,
                                        np.int64, np.float32, np.float64])
@@ -278,30 +283,31 @@ class TestLabels:
     @pytest.mark.parametrize("big", [2**63, 2**64 - 1])
     def test_unsigned_past_int64_rejected(self, big):
         # the int64 cast would wrap these to negative class ids
-        with pytest.raises(DatasetError, match="^labels must be whole numbers$"):
+        message = f"labels must be an integer in [0, inf], got {big}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
             Dataset(np.zeros((2, 1)), np.array([0, big], dtype=np.uint64))
+        assert type(info.value) is ValueError
 
     def test_largest_unsigned_within_int64_taken(self):
-        # it passes the label check and fails only on the label space
-        with pytest.raises(DatasetError, match=f"^label {2**63 - 1} out of range for m=2$"):
+        # it is a whole number within int64, so only the label space rejects it
+        message = f"labels must be an integer in [0, 1], got {2**63 - 1}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
             Dataset(np.zeros((2, 1)), np.array([0, 2**63 - 1], dtype=np.uint64), m=2)
+        assert type(info.value) is ValueError
 
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(WHOLE_OR_NOT, min_size=1, max_size=6))
     def test_float_labels_are_taken_only_when_whole(self, values):
         features = np.zeros((len(values), 1))
-        if not all(math.isfinite(v) and v == math.trunc(v) and abs(v) < 2.0**63 for v in values):
-            expected = "labels must be whole numbers"
-        elif min(values) < 0:
-            expected = "negative class id"
-        elif max(values) >= 8:
-            expected = "out of range for m=8"
-        else:
+        outside = [v for v in values if not (math.isfinite(v) and v == math.trunc(v) and 0 <= v <= 7)]
+        if not outside:
             ds = Dataset(features, np.array(values), m=8)
             assert ds.labels.tolist() == [int(v) for v in values]
             return
-        with pytest.raises(DatasetError, match=expected):
+        message = f"labels must be an integer in [0, 7], got {outside[0]!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
             Dataset(features, np.array(values), m=8)
+        assert type(info.value) is ValueError
 
 
 class TestClassCounts:

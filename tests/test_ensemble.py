@@ -421,10 +421,20 @@ class TestTreeModelValidation:
             load_model(self.save_stump(tmp_path, **defect))
 
     def test_feature_out_of_range(self, tmp_path):
-        with pytest.raises(ValueError, match="feature index"):
-            load_model(self.save_stump(tmp_path, feature=[1, -1, -1]))
-        with pytest.raises(ValueError, match="feature index"):
-            load_model(self.save_stump(tmp_path, feature=[0, -2, -1]))
+        for feature, value in (([1, -1, -1], 1), ([0, -2, -1], -2)):
+            path = self.save_stump(tmp_path, feature=feature)
+            message = f"{path}: feature must be an integer in [-1, 0], got {value}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load_model(path)
+
+    # a fractional index used to be cut: feature 0.6 loaded as feature 0 and predicted otherwise
+    @pytest.mark.parametrize("key, values, message", [
+        ("feature", [0.6, -1, -1], "feature must be an integer in [-1, 0], got 0.6"),
+        ("left", [1.5, -1, -1], "left must be an integer in [-1, inf], got 1.5")], ids=["feature", "left"])
+    def test_fractional_node_index(self, tmp_path, key, values, message):
+        path = self.save_stump(tmp_path, **{key: values})
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_model(path)
 
     def test_child_out_of_range(self, tmp_path):
         with pytest.raises(ValueError, match="child index"):
@@ -515,8 +525,9 @@ class TestModelFileValidation:
             load_model(path)
 
     # a KNN member's table passes Dataset's rule, so these are Dataset's messages
-    @pytest.mark.parametrize("label, message", [(-1, "negative class id"),
-                                                (2, "label 2 out of range for m=2")], ids=["-1", "2"])
+    @pytest.mark.parametrize("label, message", [(-1, "labels must be an integer in [0, 1], got -1"),
+                                                (2, "labels must be an integer in [0, 1], got 2")],
+                             ids=["-1", "2"])
     def test_label_outside_classes(self, tmp_path, label, message):
         def edit(blob):
             blob["members"][0]["y"][0] = label
@@ -549,7 +560,7 @@ class TestModelFileValidation:
         def edit(blob):
             blob["members"][0]["y"][0] = label
         path = self.save_knn(tmp_path, edit)
-        message = f"{path}: labels must be whole numbers"
+        message = f"{path}: labels must be an integer in [0, 1], got {label!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_model(path)
 

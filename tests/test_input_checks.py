@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dube import DubeConfig, EnsembleModel, rng
 from dube.balancing import (TARGETS, WEIGHTS, InterCBStrategy, IntraCBStrategy, hem_weights,
-                            shem_weights, target_class_size, weighted_resample)
+                            resample_step, shem_weights, target_class_size, weighted_resample)
 from dube.biaslab import BIAS_STRATEGIES, ToyConfig, check_pbda_bound, validate_row
 from dube.cli import _DEFAULTS, run_noise_sweep
 from dube.dataset import (OVERLAP_SEPARATION, Dataset, DatasetError, inject_flip_noise,
@@ -46,7 +46,10 @@ CASES = {
     "target_class_size-one-class": (lambda: target_class_size([5], InterCBStrategy("RUS")),
                                     ValueError, "need at least two classes"),
     "target_class_size-empty-class": (lambda: target_class_size([5, 0], InterCBStrategy("ROS")),
-                                      ValueError, "class counts must be positive"),
+                                      ValueError, "class counts must be an integer in [1, inf], got 0"),
+    # fractional counts used to be taken: these gave the target 1
+    "target_class_size-fractional-count": (lambda: target_class_size([1.5, 2.7], InterCBStrategy("RUS")),
+                                           ValueError, "class counts must be an integer in [1, inf], got 1.5"),
     "hem_weights-empty": (lambda: hem_weights([]), ValueError, "errors must be nonempty"),
     "hem_weights-nan": (lambda: hem_weights([np.nan, 0.5]),
                         ValueError, "errors must be finite and >= 0, got nan"),
@@ -69,6 +72,14 @@ CASES = {
                               ValueError, "weights must be finite and >= 0, got nan"),
     "weighted_resample-empty": (lambda: weighted_resample([], [], 1, seed=0),
                                 ValueError, "weights must be nonempty"),
+    # fractional row ids used to be drawn as they were: this gave [1.5, 0.5]
+    "weighted_resample-fractional-row-id": (lambda: weighted_resample([0.5, 1.5, 2.5], [1, 1, 1], 2, 0),
+                                            ValueError, "row ids must be an integer in [0, inf], got 0.5"),
+    # a label of -1 used to read the last class's probability, one past m raised IndexError
+    "resample_step-negative-label": (lambda: resample_step([0, -1, 1], (np.array([0, 1]), np.array([2])),
+                                                           np.full((3, 2), 0.5), InterCBStrategy("RUS"),
+                                                           IntraCBStrategy("HEM"), 0),
+                                     ValueError, "labels must be an integer in [0, 1], got -1"),
     "perturb-alpha-negative": (lambda: perturb(np.zeros((2, 1)), -0.5, class_covariance(TABLE, 0), 0),
                                ValueError, "alpha must be finite and >= 0, got -0.5"),
     # a NaN scale used to pass and fail later as "gives non-finite features"
@@ -96,13 +107,17 @@ CASES = {
                             DatasetError, "labels length must match feature rows"),
     "Dataset-no-rows": (lambda: Dataset(np.zeros((0, 1)), []), DatasetError, "empty dataset"),
     "Dataset-negative-label": (lambda: Dataset(np.zeros((2, 1)), [0, -1]),
-                               DatasetError, "negative class id"),
+                               ValueError, "labels must be an integer in [0, inf], got -1"),
     "Dataset-label-past-m": (lambda: Dataset(np.zeros((2, 1)), [0, 2], m=2),
-                             DatasetError, "label 2 out of range for m=2"),
+                             ValueError, "labels must be an integer in [0, 1], got 2"),
     "inject_flip_noise-ratio-bool": (lambda: inject_flip_noise(TABLE, True, 0),
                                      ValueError, "noise ratio must be in [0, 1], got True"),
     "FoldPlan-split-fold": (lambda: stratified_k_fold(TABLE, 2, seed=0).split(TABLE, 2),
                             ValueError, "fold must be an integer in [0, 1], got 2"),
+    # a 40-row plan used to split an 80-row table into 32 + 8 rows
+    "FoldPlan-split-other-table": (lambda: stratified_k_fold(make_overlap_2d(10, 30, "mid", 0), 5, 0).split(
+                                       make_overlap_2d(20, 60, "mid", 0), 0),
+                                   ValueError, "fold plan has 40 rows, the table has 80"),
     "stratified_k_fold-k": (lambda: stratified_k_fold(TABLE, 1, seed=0),
                             ValueError, "k must be an integer in [2, inf], got 1"),
     "make_gaussian_1d-class-size": (lambda: make_gaussian_1d(0, 5, 0.0, 4.0, 1.0, seed=0),
@@ -115,10 +130,17 @@ CASES = {
     "TreeClassifier-cycle": (lambda: TreeClassifier([0, 0, -1], [0.5, 0.5, 0.0], [1, 0, -1], [2, 2, -1],
                                                     [[0, 0], [0, 0], [1, 0]], 2, 1), ValueError,
                              "tree child index must lie above its parent and below the node count"),
+    # a fractional node index used to be cut: feature 0.6 was read as feature 0
+    "TreeClassifier-fractional-feature": (lambda: TreeClassifier([0.6, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1],
+                                                                 [2, -1, -1], [[0, 0], [1, 0], [0, 1]], 2, 1),
+                                          ValueError, "feature must be an integer in [-1, 0], got 0.6"),
+    "TreeClassifier-fractional-left": (lambda: TreeClassifier([0, -1, -1], [0.5, 0.0, 0.0], [1.5, -1, -1],
+                                                              [2, -1, -1], [[0, 0], [1, 0], [0, 1]], 2, 1),
+                                       ValueError, "left must be an integer in [-1, inf], got 1.5"),
     "KnnClassifier-k-above-rows": (lambda: KnnClassifier(np.zeros((3, 2)), [0, 1, 0], 2, 5),
                                    DatasetError, "k_neighbors=5 exceeds 3 training rows"),
     "KnnClassifier-fractional-label": (lambda: KnnClassifier(np.zeros((3, 2)), [0, 1.5, 0], 2, 1),
-                                       DatasetError, "labels must be whole numbers"),
+                                       ValueError, "labels must be an integer in [0, 1], got 1.5"),
     # a memberless model used to predict NaN rows with a divide warning
     "EnsembleModel-no-members": (lambda: EnsembleModel([], 2, 2, DubeConfig()),
                                  ValueError, "a model needs at least one member"),
@@ -133,15 +155,20 @@ CASES = {
                                    ValueError, "unknown learner kind None"),
     # a negative label used to wrap into the last row, one past m raised IndexError
     "confusion_matrix-negative-label": (lambda: confusion_matrix([0, -1], [0, 1]),
-                                        ValueError, "labels must lie in [0, 2), got -1 to 1"),
+                                        ValueError, "labels must be an integer in [0, inf], got -1"),
     "confusion_matrix-label-past-m": (lambda: confusion_matrix([0, 2], [0, 1], m=2),
-                                      ValueError, "labels must lie in [0, 2), got 0 to 2"),
+                                      ValueError, "labels must be an integer in [0, 1], got 2"),
     # a fractional label used to be cut to a class: 1.5 counted as class 1
     "confusion_matrix-fractional-label": (lambda: confusion_matrix([0, 1.5, 1], [0, 1, 1]),
-                                          DatasetError, "labels must be whole numbers"),
+                                          ValueError, "labels must be an integer in [0, inf], got 1.5"),
     "macro_auroc-fractional-label": (lambda: macro_auroc([0, 1.9, 1], [[.9, .1], [.2, .8], [.3, .7]]),
-                                     DatasetError, "labels must be whole numbers"),
+                                     ValueError, "labels must be an integer in [0, 1], got 1.9"),
     "real-above-high": (lambda: rng.real(0, "x", 0, 1, above=True), ValueError, "x must be in (0, 1], got 0"),
+    # rng.reals takes rng.real's types: these gave [1.], [0.5] and an OverflowError
+    "reals-bool": (lambda: rng.reals([True], "x"), ValueError, "x must be finite, got True"),
+    "reals-text": (lambda: rng.reals(["0.5"], "x"), ValueError, "x must be finite, got '0.5'"),
+    "reals-int-past-float": (lambda: rng.reals([10**400], "x", 0), ValueError,
+                             f"x must be finite and >= 0, got {10**400}"),
     "binary_auroc-one-class": (lambda: binary_auroc(np.array([True, True]), [0.1, 0.2]),
                                ValueError, "AUROC needs both positive and negative examples"),
     # the mask is read as bools, so every nonzero entry is a positive; this one
@@ -160,9 +187,9 @@ CASES = {
                               ValueError, "scores must be finite, got nan"),
     # a label with no score column used to count as a negative of every class
     "macro_auroc-label-past-m": (lambda: macro_auroc([0, 1, 2, 2], np.eye(4)[:, :2]),
-                                 ValueError, "labels must lie in [0, 2), got 0 to 2"),
+                                 ValueError, "labels must be an integer in [0, 1], got 2"),
     "macro_auroc-negative-label": (lambda: macro_auroc([0, 1, -1], np.eye(3)[:, :2]),
-                                   ValueError, "labels must lie in [0, 2), got -1 to 1"),
+                                   ValueError, "labels must be an integer in [0, 1], got -1"),
     "stream-seed": (lambda: rng.stream(-1, rng.TRIAL),
                     ValueError, "seed must be an integer in [0, inf], got -1"),
     "child_seed-seed": (lambda: rng.child_seed(-5, rng.CELL, 0),
@@ -172,8 +199,9 @@ CASES = {
 
 @pytest.mark.parametrize("call, error, message", CASES.values(), ids=CASES.keys())
 def test_check_raises_its_message(call, error, message):
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         call()
+    assert type(info.value) is error
 
 
 def test_binary_auroc_reads_an_int_mask_as_bools():
@@ -201,6 +229,39 @@ def test_reals_accepts_exactly_the_nonempty_finite_arrays_in_range(values, low, 
     message = f"x must be {bound}, got {outside[0]!r}" if values else "x must be nonempty"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
         rng.reals(values, "x", low, high)
+    assert type(info.value) is ValueError
+
+
+# rng.integers' arrays, one strategy per dtype: the values of each as numpy holds them
+WHOLE_ARRAYS = st.one_of(
+    st.lists(st.integers(-2**63, 2**63 - 1), max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.integers(0, 2**64 - 1), max_size=6).map(lambda v: np.array(v, dtype=np.uint64)),
+    st.lists(st.integers(-3, 3).map(float) | st.floats() | st.sampled_from([2.0**63, -2.0**63, -2.0**64, 0.5]),
+             max_size=6).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.booleans(), max_size=6).map(lambda v: np.array(v, dtype=bool)),
+    st.lists(st.integers(-2**70, 2**70) | st.integers(-3, 3) | st.floats() | st.booleans(),
+             max_size=6).map(lambda v: np.array(v, dtype=object)))
+
+
+@settings(max_examples=500, deadline=None)
+@example(array=np.array([-2.0**64]), low=-2**70, high=None)  # whole and in range, but past int64
+@example(array=np.array([2.0**63]), low=0, high=2**70)
+@example(array=np.array([2**63], dtype=np.uint64), low=0, high=None)
+@given(array=WHOLE_ARRAYS, low=st.integers(-3, 2) | st.sampled_from([-2**63, -2**70]),
+       high=st.none() | st.integers(-1, 3) | st.sampled_from([2**63 - 1, 2**70]))
+def test_integers_accepts_exactly_the_whole_arrays_in_range(array, low, high):
+    high = np.inf if high is None else high
+    values = array.tolist()  # Python scalars: bools stay bools, floats floats
+    outside = [v for v in values if not ((type(v) is int or type(v) is float and v.is_integer())
+                                         and low <= v <= high and -2**63 <= v < 2**63)]
+    if not outside:
+        got = rng.integers(array, "x", low, high)
+        assert got.dtype == np.int64 and got.tolist() == [int(v) for v in values]
+        assert got is not array
+        return
+    message = f"x must be an integer in [{low}, {high}], got {outside[0]!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        rng.integers(array, "x", low, high)
     assert type(info.value) is ValueError
 
 
